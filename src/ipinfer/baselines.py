@@ -106,8 +106,6 @@ def _slice_tables(tables: ScoreTables, r: int) -> ScoreTables:
     i = r - 1
     if not 0 <= i < tables.n_patterns:
         raise ConfigError(f"unknown pattern id {r}")
-    if tables.k_folds != 1:
-        raise ConfigError("single-pattern restriction expects unfolded tables")
     return ScoreTables(
         loss=tables.loss,
         theta=tables.theta,
@@ -115,9 +113,10 @@ def _slice_tables(tables: ScoreTables, r: int) -> ScoreTables:
         g_complete=tables.g_complete,
         g_masked=(tables.g_masked[i],),
         g_imputed=(tables.g_imputed[i],),
+        fold_complete=tables.fold_complete,
+        fold_imputed=(tables.fold_imputed[i],),
         h_complete=tables.h_complete,
-        h_masked=(tables.h_masked[i],),
-        h_imputed=(tables.h_imputed[i],),
+        h_folds=tables.h_folds[:, [0, 1 + i, 1 + tables.n_patterns + i]],
     )
 
 

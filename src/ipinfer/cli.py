@@ -107,6 +107,14 @@ def _field(cfg, key, kind, default):
     return value
 
 
+def _seed_field(cfg, key, default):
+    """A seed field: an integer that numpy's seeding accepts (>= 0)."""
+    value = _field(cfg, key, int, default)
+    if value is None or value < 0:
+        raise ConfigError(f"field {key!r} must be a non-negative integer, got {value}")
+    return value
+
+
 def _check_alpha(alpha: float) -> float:
     if not 0.0 < alpha < 1.0:
         raise ConfigError(f"field 'alpha' must be in (0, 1), got {alpha}")
@@ -191,8 +199,8 @@ def _loss_from_config(cfg: dict, columns: list) -> tuple:
 def build_experiment_config(cfg: dict) -> simgen.ExperimentConfig:
     """Translate a simulate config dict into an ExperimentConfig."""
     _check_keys(cfg, _SIMULATE_KEYS, "config")
-    seed = _field(cfg, "seed", int, 0)
-    pop_seed = _field(cfg, "population_seed", int, seed)
+    seed = _seed_field(cfg, "seed", 0)
+    pop_seed = _seed_field(cfg, "population_seed", seed)
     factor = simgen.FactorModelConfig(
         d=_field(cfg, "d", int, 20),
         n_factors=_field(cfg, "n_factors", int, 2),
@@ -348,7 +356,7 @@ def _trained_imputer(dataset, cfg, warnings):
     """
     kind = _imputer_kind(cfg)
     train_frac = _field(cfg, "train_frac", float, 0.0)
-    seed = _field(cfg, "seed", int, 0)
+    seed = _seed_field(cfg, "seed", 0)
     if train_frac == 0.0:
         warnings.append(
             "imputer trained on the inference rows (train_frac=0); "
@@ -559,7 +567,13 @@ def cmd_analyze(args) -> int:
     objective = _objective_field(cfg)
     run_diag = bool(_field(cfg, "diagnose", bool, False))
     run_full = bool(_field(cfg, "full", bool, False))
-    seed = _field(cfg, "seed", int, 0)
+    seed = _seed_field(cfg, "seed", 0)
+    if run_diag and method == "cipi":
+        raise ConfigError(
+            "--diagnose is not available with method 'cipi': its estimate uses K "
+            "fold-wise imputers, not one trained imputer to test; run "
+            "'ipinfer diagnose' or use method 'ipi'"
+        )
 
     inference = dataset
     model = None

@@ -23,6 +23,7 @@ from .estimators import (
     TuningWeights,
     _as_weights,
     _cov,
+    _group_means,
     _inverse,
     _tune_from_tables,
     score_tables,
@@ -58,10 +59,9 @@ class DiagnosticReport:
 
 
 def _per_pattern_gaps(tables: ScoreTables) -> np.ndarray:
-    gaps = np.zeros((tables.n_patterns, tables.param_dim))
-    for r in range(tables.n_patterns):
-        gaps[r] = tables.g_imputed[r].mean(axis=0) - tables.g_masked[r].mean(axis=0)
-    return gaps
+    means, _ = _group_means(tables)
+    big_r = tables.n_patterns
+    return means[1 + big_r :] - means[1 : 1 + big_r]
 
 
 def _transfer_rows(tables: ScoreTables) -> list[np.ndarray]:
@@ -70,10 +70,12 @@ def _transfer_rows(tables: ScoreTables) -> list[np.ndarray]:
     h_r,i couples the Hessian mismatch between imputed and masked rows with
     the complete-row score, plus the masked score itself.
     """
+    _, hessians = _group_means(tables)
+    big_r = tables.n_patterns
     hinv = _inverse(tables.h_complete)
     rows = []
-    for r in range(tables.n_patterns):
-        b = (tables.h_imputed[r] - tables.h_masked[r]) @ hinv
+    for r in range(big_r):
+        b = (hessians[1 + big_r + r] - hessians[1 + r]) @ hinv
         rows.append(tables.g_complete @ b.T + tables.g_masked[r])
     return rows
 

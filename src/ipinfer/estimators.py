@@ -14,8 +14,10 @@ so lambda = 0 recovers the complete-case estimator and the pooled weights
 lambda_r = R * n_r / n_total recover single-model imputation averaging.
 Estimation is one Newton step from the complete-case solution; the
 per-pattern weights can be tuned in closed form to minimize the estimated
-asymptotic variance.  Cross-fitted variants (fold-wise imputers, bootstrap
-variance) avoid overfitting bias when the imputer is trained in-sample.
+asymptotic variance.  The cross-fitted variant (fold-wise imputers,
+bootstrap variance) avoids overfitting bias when the imputer is trained
+in-sample; its objective is the mean of the K per-fold objectives, and a
+single imputer is the K = 1 case of the same score tables.
 """
 
 from __future__ import annotations
@@ -81,13 +83,7 @@ def pooled_weights(dataset: PatternedDataset) -> TuningWeights:
     lambda_r = R * n_tilde_r / n_tilde_total, so the weighted pattern
     average becomes the frequency-weighted pooled mean.
     """
-    counts = dataset.pattern_counts()[1:]
-    total = counts.sum()
-    if counts.size == 0:
-        return TuningWeights(np.zeros(0), "pooled")
-    if total == 0:
-        raise DataError("pooled weights need at least one incomplete row")
-    return TuningWeights(counts.size * counts / total, "pooled")
+    return TuningWeights(_pooled_lam(dataset.pattern_counts()[1:]), "pooled")
 
 
 def _as_weights(lam, n_patterns: int) -> TuningWeights:
@@ -113,14 +109,17 @@ def _as_weights(lam, n_patterns: int) -> TuningWeights:
 
 @dataclass
 class ScoreTables:
-    """Per-row gradients and mean Hessians at a reference parameter.
+    """Per-row gradients and per-fold mean Hessians at a reference parameter.
 
     Everything lambda-independent is computed once here; gradients,
     Hessians, variances, tuning, and diagnostics all read from the same
     tables.  g_masked[r] aligns row-for-row with g_complete (complete rows
     masked by pattern r+1 and re-imputed); g_imputed[r] covers pattern
-    r+1's own rows.  For cross-fitted tables, fold ids align with the same
-    rows and the per-fold mean Hessians are kept alongside the pooled ones.
+    r+1's own rows.  Every row carries the id of the fold whose imputer
+    filled it: all zero for a single imputer (K = 1), 0..K-1 for
+    cross-fitted tables.  h_folds[j] holds fold j's mean Hessians of the
+    1 + 2R row groups: the complete rows, the R masked groups, then the R
+    pattern groups.  h_complete is the mean Hessian over all complete rows.
     """
 
     loss: LossModel
@@ -129,15 +128,10 @@ class ScoreTables:
     g_complete: np.ndarray  # (n, p)
     g_masked: tuple[np.ndarray, ...]  # R x (n, p)
     g_imputed: tuple[np.ndarray, ...]  # R x (counts[r], p)
+    fold_complete: np.ndarray  # (n,)
+    fold_imputed: tuple[np.ndarray, ...]  # R x (counts[r],)
     h_complete: np.ndarray  # (p, p)
-    h_masked: tuple[np.ndarray, ...]
-    h_imputed: tuple[np.ndarray, ...]
-    k_folds: int = 1
-    fold_complete: np.ndarray | None = None
-    fold_imputed: tuple[np.ndarray, ...] | None = None
-    h_complete_folds: np.ndarray | None = None  # (K, p, p)
-    h_masked_folds: tuple[np.ndarray, ...] | None = None
-    h_imputed_folds: tuple[np.ndarray, ...] | None = None
+    h_folds: np.ndarray  # (K, 1 + 2R, p, p)
 
     @property
     def n_complete(self) -> int:
@@ -150,6 +144,20 @@ class ScoreTables:
     @property
     def param_dim(self) -> int:
         return int(self.g_complete.shape[1])
+
+    @property
+    def k_folds(self) -> int:
+        return int(self.h_folds.shape[0])
+
+    @property
+    def h_masked(self) -> np.ndarray:
+        """(R, p, p) fold-averaged mean Hessians of the masked complete rows."""
+        return self.h_folds[:, 1 : 1 + self.n_patterns].mean(axis=0)
+
+    @property
+    def h_imputed(self) -> np.ndarray:
+        """(R, p, p) fold-averaged mean Hessians of each pattern's own rows."""
+        return self.h_folds[:, 1 + self.n_patterns :].mean(axis=0)
 
 
 def score_tables(
@@ -165,176 +173,125 @@ def score_tables(
         loss: loss acting on the dataset's target dims.
         imputer: a fitted ImputationModel, or a FoldedImputers bundle for
             the cross-fitted variant (each row filled by the model trained
-            without its fold).
+            without its fold).  A single model is the one-fold bundle.
         theta: reference parameter, usually the complete-case estimate.
+    """
+    if not isinstance(imputer, FoldedImputers):
+        imputer = FoldedImputers(np.zeros(dataset.n_rows, dtype=int), (imputer,))
+    if imputer.fold_ids.shape != (dataset.n_rows,):
+        raise ConfigError("fold ids do not align with the dataset rows")
+    models = imputer.models
+    return _build_tables(
+        dataset, loss, theta, imputer.fold_ids, imputer.k_folds,
+        lambda j, rows, row_ids: models[j].fill(rows),
+    )
+
+
+def _build_tables(dataset, loss, theta, fold_ids, k_folds, fill) -> ScoreTables:
+    """Tables from fold-wise fills, one fill call per (fold, group) cell.
+
+    fill(j, rows, row_ids) imputes the rows of fold j, which sit at row_ids
+    in the dataset.  Each cell's filled rows are reduced to their mean
+    Hessian as soon as they are filled.
     """
     theta = np.asarray(theta, dtype=float)
     tdims = list(dataset.target_dims)
-    folded = isinstance(imputer, FoldedImputers)
-    if folded and imputer.fold_ids.shape != (dataset.n_rows,):
-        raise ConfigError("fold ids do not align with the dataset rows")
+    big_r = dataset.n_patterns
+    p = loss.param_dim
+    h_folds = np.full((k_folds, 1 + 2 * big_r, p, p), np.nan)
+
+    def _group(group, base, row_ids, fill_cell):
+        folds = fold_ids[row_ids]
+        out = base.copy()
+        for j in range(k_folds):
+            rows = np.flatnonzero(folds == j)
+            if rows.size:
+                filled = fill_cell(j, base[rows], row_ids[rows])
+                out[rows] = filled
+                h_folds[j, group] = mean_hessian(loss, filled[:, tdims], theta)
+        return grad_matrix(loss, out[:, tdims], theta), folds
 
     complete_idx = dataset.rows_of(COMPLETE_PATTERN_ID)
     complete_rows = dataset.values[complete_idx]
-    x_complete = complete_rows[:, tdims]
-    g_complete = grad_matrix(loss, x_complete, theta)
-    h_complete = mean_hessian(loss, x_complete, theta)
-
-    fold_complete = imputer.fold_ids[complete_idx] if folded else None
-
-    def _fill(matrix: np.ndarray, folds: np.ndarray | None) -> np.ndarray:
-        if not folded:
-            return imputer.fill(matrix)
-        out = matrix.copy()
-        for k in range(imputer.k_folds):
-            rows = np.flatnonzero(folds == k)
-            if rows.size:
-                out[rows] = imputer.models[k].fill(matrix[rows])
-        return out
-
-    g_masked, g_imputed, h_masked, h_imputed = [], [], [], []
-    fold_imputed = []
-    counts = []
-    for r in range(1, dataset.n_patterns + 1):
-        pattern = dataset.registry[r]
-        masked = _fill(mask_matrix(complete_rows, pattern), fold_complete)[:, tdims]
-        g_masked.append(grad_matrix(loss, masked, theta))
-        h_masked.append(mean_hessian(loss, masked, theta))
-
+    g_complete, fold_complete = _group(
+        0, complete_rows, complete_idx, lambda j, rows, row_ids: rows
+    )
+    g_masked, g_imputed, fold_imputed, counts = [], [], [], []
+    for r in range(1, big_r + 1):
+        masked = mask_matrix(complete_rows, dataset.registry[r])
+        g_masked.append(_group(r, masked, complete_idx, fill)[0])
         rows_r = dataset.rows_of(r)
-        folds_r = imputer.fold_ids[rows_r] if folded else None
-        own = _fill(dataset.values[rows_r], folds_r)[:, tdims]
-        g_imputed.append(grad_matrix(loss, own, theta))
-        h_imputed.append(mean_hessian(loss, own, theta))
+        g_own, folds_r = _group(big_r + r, dataset.values[rows_r], rows_r, fill)
+        g_imputed.append(g_own)
         fold_imputed.append(folds_r)
         counts.append(rows_r.size)
 
-    tables = ScoreTables(
+    return ScoreTables(
         loss=loss,
         theta=theta,
         counts=np.asarray(counts, dtype=int),
         g_complete=g_complete,
         g_masked=tuple(g_masked),
         g_imputed=tuple(g_imputed),
-        h_complete=h_complete,
-        h_masked=tuple(h_masked),
-        h_imputed=tuple(h_imputed),
+        fold_complete=fold_complete,
+        fold_imputed=tuple(fold_imputed),
+        h_complete=mean_hessian(loss, complete_rows[:, tdims], theta),
+        h_folds=h_folds,
     )
-    if folded:
-        tables.k_folds = imputer.k_folds
-        tables.fold_complete = fold_complete
-        tables.fold_imputed = tuple(fold_imputed)
-        tables.h_complete_folds = _fold_hessians(
-            loss, x_complete, theta, fold_complete, imputer.k_folds
-        )
-        tables.h_masked_folds = tuple(
-            _fold_hessians_from_grad_rows(
-                loss, dataset, r, complete_rows, imputer, theta, tdims,
-                fold_complete, masked_side=True,
-            )
-            for r in range(1, dataset.n_patterns + 1)
-        )
-        tables.h_imputed_folds = tuple(
-            _fold_hessians_from_grad_rows(
-                loss, dataset, r, complete_rows, imputer, theta, tdims,
-                fold_complete, masked_side=False,
-            )
-            for r in range(1, dataset.n_patterns + 1)
-        )
-    return tables
-
-
-def _fold_hessians(loss, x_rows, theta, folds, k) -> np.ndarray:
-    p = loss.param_dim
-    out = np.zeros((k, p, p))
-    for j in range(k):
-        rows = np.flatnonzero(folds == j)
-        if rows.size:
-            out[j] = mean_hessian(loss, x_rows[rows], theta)
-        else:
-            out[j] = np.nan
-    return out
-
-
-def _fold_hessians_from_grad_rows(
-    loss, dataset, r, complete_rows, folded_imputer, theta, tdims,
-    fold_complete, masked_side: bool,
-) -> np.ndarray:
-    k = folded_imputer.k_folds
-    if masked_side:
-        base = mask_matrix(complete_rows, dataset.registry[r])
-        folds = fold_complete
-    else:
-        rows_r = dataset.rows_of(r)
-        base = dataset.values[rows_r]
-        folds = folded_imputer.fold_ids[rows_r]
-    p = loss.param_dim
-    out = np.full((k, p, p), np.nan)
-    for j in range(k):
-        rows = np.flatnonzero(folds == j)
-        if rows.size:
-            filled = folded_imputer.models[j].fill(base[rows])[:, tdims]
-            out[j] = mean_hessian(loss, filled, theta)
-    return out
 
 
 # ---------------------------------------------------------------------------
 # gradient, Hessians, one-step estimate
 
 
+def _group_means(tables: ScoreTables) -> tuple[np.ndarray, np.ndarray]:
+    """Fold-averaged group means of the gradients and the Hessians.
+
+    Groups are ordered as in h_folds: complete rows, the R masked groups,
+    then the R pattern groups.  Each group is averaged within every fold
+    and the K fold means are averaged, so the cross-fitted objective is
+    the mean of the K per-fold objectives and unfolded tables (K = 1) give
+    the plain group means.
+
+    Returns:
+        (gradient means (1 + 2R, p), mean Hessians (1 + 2R, p, p)).
+    """
+    big_r = tables.n_patterns
+    groups = [(tables.g_complete, tables.fold_complete)]
+    groups += [(g, tables.fold_complete) for g in tables.g_masked]
+    groups += list(zip(tables.g_imputed, tables.fold_imputed))
+    means = np.empty((tables.k_folds, len(groups), tables.param_dim))
+    for i, (rows, folds) in enumerate(groups):
+        for j in range(tables.k_folds):
+            in_fold = folds == j
+            count = np.count_nonzero(in_fold)
+            if count == 0:
+                where = "complete rows" if i == 0 else f"rows of pattern {i - big_r}"
+                raise DataError(f"fold {j} has no {where}")
+            # A masked sum keeps the summation order of rows.mean(axis=0)
+            # when the fold holds every row, so K = 1 gives the same bits.
+            means[j, i] = np.add.reduce(rows, axis=0, where=in_fold[:, None]) / count
+    return means.mean(axis=0), tables.h_folds.mean(axis=0)
+
+
 def _gradient_from_tables(tables: ScoreTables, weights: TuningWeights) -> np.ndarray:
     lam = weights.lam
     big_r = tables.n_patterns
-    if tables.k_folds == 1:
-        g = tables.g_complete.mean(axis=0)
-        for r in range(big_r):
-            diff = tables.g_imputed[r].mean(axis=0) - tables.g_masked[r].mean(axis=0)
-            g = g + (lam[r] / big_r) * diff
-        return g
-    # Cross-fitted: average the K per-fold objectives, each built from its
-    # own fold's group means.
-    k = tables.k_folds
-    g = np.zeros(tables.param_dim)
-    for j in range(k):
-        c_rows = np.flatnonzero(tables.fold_complete == j)
-        if c_rows.size == 0:
-            raise DataError(f"fold {j} has no complete rows")
-        gj = tables.g_complete[c_rows].mean(axis=0)
-        for r in range(big_r):
-            i_rows = np.flatnonzero(tables.fold_imputed[r] == j)
-            if i_rows.size == 0:
-                raise DataError(f"fold {j} has no rows of pattern {r + 1}")
-            diff = (
-                tables.g_imputed[r][i_rows].mean(axis=0)
-                - tables.g_masked[r][c_rows].mean(axis=0)
-            )
-            gj = gj + (lam[r] / big_r) * diff
-        g += gj
-    return g / k
+    means, _ = _group_means(tables)
+    g = means[0]
+    for r in range(big_r):
+        g = g + (lam[r] / big_r) * (means[1 + big_r + r] - means[1 + r])
+    return g
 
 
 def _full_hessian_from_tables(tables: ScoreTables, weights: TuningWeights) -> np.ndarray:
     lam = weights.lam
     big_r = tables.n_patterns
-    if tables.k_folds == 1:
-        h = tables.h_complete.copy()
-        for r in range(big_r):
-            h += (lam[r] / big_r) * (tables.h_imputed[r] - tables.h_masked[r])
-        return h
-    k = tables.k_folds
-    h = np.zeros_like(tables.h_complete)
-    for j in range(k):
-        hj = tables.h_complete_folds[j].copy()
-        if np.isnan(hj).any():
-            raise DataError(f"fold {j} has no complete rows")
-        for r in range(big_r):
-            h_imp = tables.h_imputed_folds[r][j]
-            h_msk = tables.h_masked_folds[r][j]
-            if np.isnan(h_imp).any():
-                raise DataError(f"fold {j} has no rows of pattern {r + 1}")
-            hj += (lam[r] / big_r) * (h_imp - h_msk)
-        h += hj
-    return h / k
+    _, hessians = _group_means(tables)
+    h = hessians[0].copy()
+    for r in range(big_r):
+        h += (lam[r] / big_r) * (hessians[1 + big_r + r] - hessians[1 + r])
+    return h
 
 
 def ipi_grad(
@@ -721,15 +678,16 @@ def _fit_from_tables(
     hessian_mode: str,
     objective,
     mcar: bool,
-    extra_warnings=(),
+    variance=_variance_from_tables,
 ) -> IPIFit:
+    """Weight, step, and summarize; variance(tables, weights, hessian) gives
+    the sandwich covariance (the plug-in one unless a caller swaps it)."""
     weights, warnings = _resolve_weights(
         tables, lambda_mode, fixed_lambda, objective, tables.h_complete
     )
-    warnings = list(extra_warnings) + warnings
     hessian = _select_hessian(tables, weights, hessian_mode)
     theta = _one_step(tables, weights, hessian)
-    sigma = _variance_from_tables(tables, weights, hessian)
+    sigma = variance(tables, weights, hessian)
     n = tables.n_complete
     se, ci, chi2_radius = confidence_interval(theta, sigma, n, alpha)
     width_cc = _complete_case_widths(tables, alpha)
@@ -817,17 +775,11 @@ def split_train_inference(dataset: PatternedDataset, train_frac: float, seed):
     n_train = int(np.floor(train_frac * n_rows))
     if n_train == 0:
         return np.empty((0, dataset.d)), dataset
-    rng = _as_rng(seed)
+    rng = np.random.default_rng(seed)
     perm = rng.permutation(n_rows)
     train_idx = np.sort(perm[:n_train])
     infer_idx = np.sort(perm[n_train:])
     return dataset.values[train_idx], dataset.subset(infer_idx)
-
-
-def _as_rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
 
 
 # ---------------------------------------------------------------------------
@@ -876,7 +828,7 @@ def cross_fit(
     if not 2 <= k_folds <= n_rows:
         raise ConfigError(f"k_folds must be in [2, {n_rows}], got {k_folds}")
     factory = _imputer_factory(imputer)
-    rng = _as_rng(seed)
+    rng = np.random.default_rng(seed)
     ids = None
     for _ in range(_CROSS_FIT_ATTEMPTS):
         perm = rng.permutation(n_rows)
@@ -903,22 +855,6 @@ def _folds_cover_patterns(dataset, fold_ids, k_folds) -> bool:
         if (present == 0).any():
             return False
     return True
-
-
-def cipi_point_estimate(
-    dataset: PatternedDataset,
-    loss: LossModel,
-    folded: FoldedImputers,
-    lam,
-    hessian_mode: str = COMPLETE_CASE_HESSIAN,
-    theta_n=None,
-    tables: ScoreTables | None = None,
-) -> np.ndarray:
-    """One-step estimate along the cross-fitted objective (fold-wise imputers)."""
-    return ipi_point_estimate(
-        dataset, loss, folded, lam,
-        hessian_mode=hessian_mode, theta_n=theta_n, tables=tables,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -961,7 +897,7 @@ def bootstrap_variance(
     if k_folds < 2:
         raise ConfigError(f"k_folds must be at least 2, got {k_folds}")
     factory = _imputer_factory(imputer)
-    rng = _as_rng(seed)
+    rng = np.random.default_rng(seed)
     n_rows = dataset.n_rows
     size = int(np.floor(n_rows * (k_folds - 1) / k_folds))
     if size < 1:
@@ -986,43 +922,23 @@ def bootstrap_variance(
         )
 
     models = [factory(dataset.values[idx], dataset.target_dims) for idx in draws]
-    tdims = list(dataset.target_dims)
-    p = loss.param_dim
-    big_r = dataset.n_patterns
-    n = dataset.n_complete
-    complete_idx = dataset.rows_of(COMPLETE_PATTERN_ID)
-    complete_rows = dataset.values[complete_idx]
     oob = ~in_bag
 
-    def _averaged_fill(base: np.ndarray, row_ids: np.ndarray) -> np.ndarray:
-        total = np.zeros((base.shape[0], len(tdims)))
-        counts = oob[:, row_ids].sum(axis=0).astype(float)
+    def _averaged_fill(j, rows, row_ids):
+        use = oob[:, row_ids]
+        total = np.zeros(rows.shape)
         for b, model in enumerate(models):
-            use = np.flatnonzero(oob[b, row_ids])
-            if use.size:
-                total[use] += model.fill(base[use])[:, tdims]
-        return total / counts[:, None]
+            sel = np.flatnonzero(use[b])
+            if sel.size:
+                total[sel] += model.fill(rows[sel])
+        return total / use.sum(axis=0)[:, None]
 
-    g_complete = grad_matrix(loss, complete_rows[:, tdims], theta)
-    resid = g_complete.copy()
-    v_imp = np.zeros((p, p))
-    for r in range(big_r):
-        masked = mask_matrix(complete_rows, dataset.registry[r + 1])
-        g_masked = grad_matrix(loss, _averaged_fill(masked, complete_idx), theta)
-        resid -= (weights.lam[r] / big_r) * g_masked
-        rows_r = dataset.rows_of(r + 1)
-        g_imp = grad_matrix(
-            loss, _averaged_fill(dataset.values[rows_r], rows_r), theta
-        )
-        n_r = rows_r.size
-        if n_r < 2:
-            raise DataError(f"pattern {r + 1} has {n_r} rows; variance needs 2")
-        v_imp += (weights.lam[r] / big_r) ** 2 * (n / n_r) * _cov(g_imp)
-    v = _cov(resid) + v_imp
+    tables = _build_tables(
+        dataset, loss, theta, np.zeros(n_rows, dtype=int), 1, _averaged_fill
+    )
     if hessian is None:
-        hessian = mean_hessian(loss, complete_rows[:, tdims], theta)
-    hinv = _inverse(np.asarray(hessian, dtype=float))
-    return hinv @ v @ hinv
+        hessian = tables.h_complete
+    return _variance_from_tables(tables, weights, np.asarray(hessian, dtype=float))
 
 
 def cipi_fit(
@@ -1054,33 +970,21 @@ def cipi_fit(
     theta_n = solve_complete_case(dataset, loss)
     folded = cross_fit(dataset, k_folds, imputer, np.random.default_rng(fold_seed))
     tables = score_tables(dataset, loss, folded, theta_n)
-    weights, warnings = _resolve_weights(
-        tables, lambda_mode, fixed_lambda, objective, tables.h_complete
-    )
-    hessian_mode = _default_hessian_mode(hessian_mode, mcar)
-    hessian = _select_hessian(tables, weights, hessian_mode)
-    theta = _one_step(tables, weights, hessian)
-    sigma = bootstrap_variance(
-        dataset, loss, theta_n, weights, k_folds, n_boot, imputer,
-        np.random.default_rng(boot_seed), hessian=hessian,
-    )
-    n = tables.n_complete
-    se, ci, chi2_radius = confidence_interval(theta, sigma, n, alpha)
-    width_cc = _complete_case_widths(tables, alpha)
-    return IPIFit(
+
+    def _bootstrap(tables, weights, hessian):
+        return bootstrap_variance(
+            dataset, loss, theta_n, weights, k_folds, n_boot, imputer,
+            np.random.default_rng(boot_seed), hessian=hessian,
+        )
+
+    return _fit_from_tables(
+        tables,
         method="cipi",
-        estimand=POPULATION if mcar else SUBPOPULATION,
-        theta_hat=theta,
-        se=se,
-        ci=ci,
+        lambda_mode=lambda_mode,
+        fixed_lambda=fixed_lambda,
         alpha=alpha,
-        variance=sigma,
-        n_scale=n,
-        chi2_radius=chi2_radius,
-        weights=weights,
-        hessian=hessian,
-        hessian_mode=hessian_mode,
-        n_effective=effective_sample_size(width_cc, ci[:, 1] - ci[:, 0], n),
-        theta_complete=theta_n,
-        warnings=tuple(warnings),
+        hessian_mode=_default_hessian_mode(hessian_mode, mcar),
+        objective=objective,
+        mcar=mcar,
+        variance=_bootstrap,
     )

@@ -109,7 +109,7 @@ def gen_factor_data(
     population = build_population(config)
     if seed is None:
         seed = np.random.SeedSequence((config.seed, 1))
-    rng = estimators._as_rng(seed)
+    rng = np.random.default_rng(seed)
     return population.sample(rng, n_total), population
 
 
@@ -143,7 +143,7 @@ class MissingnessConfig:
 
 def draw_patterns(d: int, config: MissingnessConfig, rng) -> np.ndarray:
     """Draw n_patterns distinct nontrivial observation masks, (R, d) bool."""
-    rng = estimators._as_rng(rng)
+    rng = np.random.default_rng(rng)
     masks: list[np.ndarray] = []
     seen: set[bytes] = set()
     for _ in range(_PATTERN_DRAW_ATTEMPTS):
@@ -181,7 +181,7 @@ def gen_mcar_missingness(
         raise ConfigError(
             f"n_complete={config.n_complete} exceeds the {n_total} rows provided"
         )
-    rng = estimators._as_rng(config.seed if rng is None else rng)
+    rng = np.random.default_rng(config.seed if rng is None else rng)
     n_tilde = n_total - config.n_complete
     out = matrix.copy()
     if config.n_patterns > 0 and n_tilde > 0:

@@ -190,6 +190,53 @@ class TestConfigErrors:
         assert "shift_magnitudes" in err
 
 
+    @pytest.mark.parametrize(
+        "command, key, value, via_flag",
+        [
+            ("analyze", "seed", -1, False),
+            ("analyze", "seed", -1, True),
+            ("analyze", "seed", None, False),
+            ("diagnose", "seed", -1, False),
+            ("diagnose", "seed", -1, True),
+            ("simulate", "seed", -1, False),
+            ("simulate", "seed", -1, True),
+            ("simulate", "population_seed", -1, False),
+            ("simulate", "population_seed", None, False),
+        ],
+    )
+    def test_negative_or_null_seed_rejected(
+        self, capsys, tmp_path, eight_csv, command, key, value, via_flag
+    ):
+        if command == "simulate":
+            payload = dict(TestSimulate.COVERAGE)
+            argv = ["simulate", "--out", str(tmp_path / "out")]
+        else:
+            payload = {"loss": MEAN_X_LOSS, "imputer": "mean", "train_frac": 0.25}
+            argv = [command, eight_csv]
+        if via_flag:
+            argv += ["--seed", str(value)]
+        else:
+            payload[key] = value
+        argv += ["--config", write_config(tmp_path / "c.json", payload)]
+        code, err = run_error(capsys, argv)
+        assert code == 2
+        assert err.count("\n") == 1
+        assert f"'{key}'" in err and "non-negative" in err
+
+    def test_diagnose_flag_rejected_for_cipi(self, capsys, tmp_path, eight_csv):
+        cfg = write_config(
+            tmp_path / "c.json",
+            {"loss": MEAN_X_LOSS, "method": "cipi", "imputer": "mean",
+             "k_folds": 2, "n_boot": 4},
+        )
+        code, err = run_error(
+            capsys, ["analyze", eight_csv, "--config", cfg, "--diagnose"]
+        )
+        assert code == 2
+        assert err.count("\n") == 1
+        assert "ipinfer diagnose" in err and "'ipi'" in err
+
+
 class TestDataErrors:
     def test_no_complete_rows(self, capsys, tmp_path, analyze_config):
         csv = write(tmp_path / "d.csv", "x,u\n1,\n,2\n,3\n")

@@ -77,7 +77,8 @@ class TestWeightedTest:
             g_complete=t.g_complete,
             g_masked=t.g_masked,
             g_imputed=(t.g_masked[0].copy(),),
-            h_complete=t.h_complete, h_masked=t.h_masked, h_imputed=t.h_imputed,
+            fold_complete=t.fold_complete, fold_imputed=t.fold_imputed,
+            h_complete=t.h_complete, h_folds=t.h_folds,
         )
         report = t_ipi_test(None, None, None, lambda_hat=[1.0], tables=zeroed)
         assert report.chi2_stat == 0.0
@@ -125,7 +126,8 @@ class TestSingularCovariance:
         return ScoreTables(
             loss=loss, theta=np.zeros(2), counts=np.array([4]),
             g_complete=g_complete, g_masked=(g_masked,), g_imputed=(g_imputed,),
-            h_complete=eye, h_masked=(eye,), h_imputed=(eye,),
+            fold_complete=np.zeros(4, dtype=int), fold_imputed=(np.zeros(4, dtype=int),),
+            h_complete=eye, h_folds=np.array([[eye, eye, eye]]),
         )
 
     def test_rank_deficient_covariance_gets_ridge_repair(self):
@@ -143,7 +145,8 @@ class TestSingularCovariance:
             g_complete=t.g_complete,
             g_masked=(np.zeros((4, 2)),),
             g_imputed=(np.ones((4, 2)),),
-            h_complete=t.h_complete, h_masked=t.h_masked, h_imputed=t.h_imputed,
+            fold_complete=t.fold_complete, fold_imputed=t.fold_imputed,
+            h_complete=t.h_complete, h_folds=t.h_folds,
         )
         report = t_ipi_test(None, None, None, lambda_hat=[1.0], tables=constant)
         assert report.chi2_stat is None

@@ -25,7 +25,6 @@ from ipinfer.estimators import (
     TuningWeights,
     bootstrap_variance,
     cipi_fit,
-    cipi_point_estimate,
     complete_case_hessian,
     confidence_interval,
     cross_fit,
@@ -42,7 +41,8 @@ from ipinfer.estimators import (
     tuning_components,
     zero_weights,
 )
-from ipinfer.patterns import Pattern, PatternedDataset, build_dataset
+from ipinfer.diagnostics import t_ipi_test
+from ipinfer.patterns import Pattern, PatternedDataset, build_dataset, mask_matrix
 
 from conftest import random_blockwise
 from oracles import numeric_lambda_minimizer
@@ -476,8 +476,94 @@ class TestCrossFit:
         ds = self.blockwise(rng)
         folded = cross_fit(ds, 4, imputers.MEAN_KIND, seed=1)
         theta_n = losses.solve_complete_case(ds, losses.mean_loss(2))
-        est = cipi_point_estimate(ds, losses.mean_loss(2), folded, 0.0)
+        est = ipi_point_estimate(ds, losses.mean_loss(2), folded, 0.0)
         assert np.allclose(est, theta_n, atol=1e-12)
+
+
+class TestFoldedTables:
+    """Cross-fitted tables: K fold models, each filling its own fold's rows."""
+
+    def regression(self, rng):
+        matrix = random_blockwise(rng, n_complete=30, per_pattern=15)
+        loss, dims = losses.loss_for_columns(losses.LINEAR, response=0, covariates=(1, 2))
+        return build_dataset(matrix, target_dims=dims), loss
+
+    def test_matches_mean_of_per_fold_objectives(self, rng):
+        ds, loss = self.regression(rng)
+        folded = cross_fit(ds, 3, imputers.CHAINED_KIND, seed=6)
+        theta = losses.solve_complete_case(ds, loss)
+        lam = np.array([0.6, 1.3])
+        tables = score_tables(ds, loss, folded, theta)
+
+        tdims = list(ds.target_dims)
+        complete = ds.values[ds.rows_of(0)]
+        complete_folds = folded.fold_ids[ds.rows_of(0)]
+        grads, hessians = [], []
+        for j, model in enumerate(folded.models):
+            mine = complete[complete_folds == j]
+            g = losses.grad_matrix(loss, mine[:, tdims], theta).mean(axis=0)
+            h = losses.mean_hessian(loss, mine[:, tdims], theta)
+            for r in range(1, ds.n_patterns + 1):
+                masked = model.fill(mask_matrix(mine, ds.registry[r]))[:, tdims]
+                rows_r = ds.rows_of(r)
+                own_rows = rows_r[folded.fold_ids[rows_r] == j]
+                own = model.fill(ds.values[own_rows])[:, tdims]
+                w = lam[r - 1] / ds.n_patterns
+                g = g + w * (
+                    losses.grad_matrix(loss, own, theta).mean(axis=0)
+                    - losses.grad_matrix(loss, masked, theta).mean(axis=0)
+                )
+                h = h + w * (
+                    losses.mean_hessian(loss, own, theta)
+                    - losses.mean_hessian(loss, masked, theta)
+                )
+            grads.append(g)
+            hessians.append(h)
+
+        grad = ipi_grad(ds, loss, folded, theta, lam, tables=tables)
+        hess = full_ipi_hessian(ds, loss, folded, theta, lam, tables=tables)
+        assert np.allclose(grad, np.mean(grads, axis=0), rtol=1e-10, atol=1e-12)
+        assert np.allclose(hess, np.mean(hessians, axis=0), rtol=1e-10, atol=1e-12)
+
+    def test_each_fold_group_cell_is_filled_once(self, rng):
+        matrix = random_blockwise(rng, n_complete=16, per_pattern=8)
+        ds = build_dataset(matrix, target_dims=(0, 1))
+        fills = []
+
+        class Counting:
+            def __init__(self, model):
+                self.model = model
+
+            def fill(self, rows):
+                fills.append(rows.shape[0])
+                return self.model.fill(rows)
+
+        def factory(train, dims):
+            return Counting(imputers.fit(imputers.MEAN_KIND, train, dims))
+
+        folded = cross_fit(ds, 3, factory, seed=2)
+        score_tables(ds, losses.mean_loss(2), folded, np.zeros(2))
+        assert len(fills) == 2 * ds.n_patterns * 3
+        n_incomplete = ds.n_rows - ds.n_complete
+        assert sum(fills) == ds.n_complete * ds.n_patterns + n_incomplete
+
+    @pytest.mark.parametrize("k_folds", [1, 3])
+    def test_gradient_shift_is_weighted_gap_sum(self, rng, k_folds):
+        ds, loss = self.regression(rng)
+        if k_folds == 1:
+            imputer = imputers.fit(imputers.CHAINED_KIND, ds.values, ds.target_dims)
+        else:
+            imputer = cross_fit(ds, k_folds, imputers.CHAINED_KIND, seed=8)
+        theta = losses.solve_complete_case(ds, loss)
+        tables = score_tables(ds, loss, imputer, theta)
+        lam = np.array([0.7, -0.4])
+        shift = (
+            ipi_grad(ds, loss, imputer, theta, lam, tables=tables)
+            - ipi_grad(ds, loss, imputer, theta, np.zeros(2), tables=tables)
+        )
+        gaps = t_ipi_test(ds, loss, imputer, theta, lam, tables=tables).gaps
+        expected = (lam[:, None] * gaps).sum(axis=0) / ds.n_patterns
+        assert np.allclose(shift, expected, rtol=1e-10, atol=1e-13)
 
 
 class TestBootstrapVariance:
