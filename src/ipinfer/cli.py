@@ -220,6 +220,9 @@ def build_experiment_config(cfg: dict) -> simgen.ExperimentConfig:
         raise ConfigError("field 'methods' must be a list of method names")
     mean_cols = _int_list(section, "columns")
     covariates = _int_list(section, "covariates")
+    trials = _field(cfg, "trials", int, 100)
+    if trials is None or trials < 1:
+        raise ConfigError(f"field 'trials' must be at least 1, got {trials!r}")
     return simgen.ExperimentConfig(
         factor=factor,
         n_complete=_field(cfg, "n_complete", int, 200),
@@ -233,7 +236,7 @@ def build_experiment_config(cfg: dict) -> simgen.ExperimentConfig:
         intercept=bool(_field(section, "intercept", bool, False)),
         imputer=_imputer_kind(cfg),
         methods=tuple(methods),
-        trials=_field(cfg, "trials", int, 100),
+        trials=trials,
         alpha=_check_alpha(_field(cfg, "alpha", float, 0.1)),
         train_frac=_field(cfg, "train_frac", float, 0.1),
         k_folds=_field(cfg, "k_folds", int, 10),
@@ -568,11 +571,11 @@ def cmd_analyze(args) -> int:
     run_diag = bool(_field(cfg, "diagnose", bool, False))
     run_full = bool(_field(cfg, "full", bool, False))
     seed = _seed_field(cfg, "seed", 0)
-    if run_diag and method == "cipi":
+    if run_diag and method in ("cipi", "complete_case", "aipw"):
         raise ConfigError(
-            "--diagnose is not available with method 'cipi': its estimate uses K "
-            "fold-wise imputers, not one trained imputer to test; run "
-            "'ipinfer diagnose' or use method 'ipi'"
+            f"--diagnose is not available with method {method!r}: its estimate "
+            "uses no single trained imputer to test; run 'ipinfer diagnose' or "
+            "use method 'ipi'"
         )
 
     inference = dataset
@@ -625,8 +628,6 @@ def cmd_analyze(args) -> int:
     diag = None
     if run_diag:
         if tables is None:
-            if model is None:
-                model, inference = _trained_imputer(dataset, cfg, warnings)
             theta_n = losses.solve_complete_case(inference, loss)
             tables = estimators.score_tables(inference, loss, model, theta_n)
         lam = fit.weights.lam if fit.weights is not None else None

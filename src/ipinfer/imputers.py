@@ -4,8 +4,8 @@ All models share one contract: fit() learns state from training rows (which
 may themselves be incomplete), fill() replaces the NaN cells of a query
 matrix using only fitted state and the query row's observed cells, and
 impute() returns the filled target-dimension vector for a single row.
-Observed cells always pass through unchanged, and every builtin kind is
-deterministic given its fitted state.
+Observed cells pass through unchanged, every builtin kind is deterministic
+given its fitted state, and no row's fill depends on the rest of its batch.
 
 Builtin kinds: "mean", "zero", "hotdeck", "gaussian_conditional",
 "chained_regression".
@@ -321,74 +321,75 @@ def _em_gaussian(matrix, observed):
 
 
 class ChainedRegressionImputer(ImputationModel):
-    """Iterated per-column least-squares regressions on the other columns.
+    """Per-column least-squares regressions on the other columns.
 
     Fitting initializes missing cells with column means, then sweeps the
     columns in ascending training-missing-count order, refitting an
-    intercept-plus-all-other-columns regression on the rows where the
-    column is observed and re-imputing its missing cells, until the mean
-    absolute change of imputed cells drops below 1e-4 or 20 sweeps pass
-    (a single sweep when the training matrix is complete).  Filling
-    replays the stored final-sweep regressions with the same
-    initialization, order, and stopping rule.
+    intercept-plus-all-other-columns regression (normal equations on centred
+    cross-products; minimum-norm least squares if exactly singular) on the
+    rows where the column is observed and re-imputing its missing cells,
+    until the mean absolute change of imputed cells drops below 1e-4 or 20
+    sweeps pass (one sweep when the training matrix is complete); n_sweeps
+    records how many ran.  The final regressions are x_j = intercepts[j] +
+    coefs[j] @ x, with coefs (d, d) zero on the diagonal.  Filling imputes
+    a row's missing cells m at the fixed point of those regressions,
+    (I - coefs_mm) x_m = intercepts_m + coefs_mo x_o, solved once per
+    missingness pattern (least squares if singular), so a row's fill depends
+    on that row alone.
     """
 
     kind = CHAINED_KIND
 
-    def __init__(self, d, target_dims, column_means, column_order, models):
+    def __init__(self, d, target_dims, intercepts, coefs, n_sweeps):
         super().__init__(d, target_dims)
-        self.column_means = np.asarray(column_means, dtype=float)
-        self.column_order = tuple(column_order)
-        # models[j] = (intercept, coefs over the other d-1 columns)
-        self.models = models
+        self.intercepts = np.asarray(intercepts, dtype=float)
+        self.coefs = np.asarray(coefs, dtype=float)
+        self.n_sweeps = int(n_sweeps)
 
     @classmethod
     def _fit(cls, matrix, dims):
-        m, d = matrix.shape
+        d = matrix.shape[1]
         miss = np.isnan(matrix)
-        means = _observed_column_means(matrix)
-        counts = miss.sum(axis=0)
-        order = [int(j) for j in np.argsort(counts, kind="stable")]
-        filled = np.where(miss, means, matrix)
-        models: dict[int, tuple[float, np.ndarray]] = {}
-        others = {j: [k for k in range(d) if k != j] for j in order}
-        for _ in range(_CHAIN_MAX_SWEEPS):
+        filled = np.where(miss, _observed_column_means(matrix), matrix)
+        order = np.argsort(miss.sum(axis=0), kind="stable")
+        obs_rows = [np.flatnonzero(~miss[:, j]) for j in range(d)]
+        mis_rows = [np.flatnonzero(miss[:, j]) for j in range(d)]
+        others = [np.flatnonzero(np.arange(d) != j) for j in range(d)]
+        n_cells = int(miss.sum())
+        intercepts = np.zeros(d)
+        coefs = np.zeros((d, d))
+        for n_sweeps in range(1, _CHAIN_MAX_SWEEPS + 1):
             total_change = 0.0
-            n_cells = 0
             for j in order:
-                fit_rows = ~miss[:, j]
-                design = np.column_stack(
-                    [np.ones(int(fit_rows.sum())), filled[np.ix_(fit_rows, others[j])]]
-                )
-                coef, *_ = np.linalg.lstsq(design, matrix[fit_rows, j], rcond=None)
-                models[j] = (float(coef[0]), coef[1:].copy())
-                rows = miss[:, j]
-                if rows.any():
-                    pred = coef[0] + filled[np.ix_(rows, others[j])] @ coef[1:]
+                o = others[j]
+                x = filled[obs_rows[j]]
+                mean = x.mean(axis=0)
+                centred = x - mean
+                gram = centred.T @ centred
+                try:
+                    coef = np.linalg.solve(gram[o[:, None], o], gram[o, j])
+                except np.linalg.LinAlgError:
+                    coef, *_ = np.linalg.lstsq(centred[:, o], centred[:, j], rcond=None)
+                coefs[j, o] = coef
+                intercepts[j] = mean[j] - mean[o] @ coef
+                rows = mis_rows[j]
+                if rows.size:
+                    pred = intercepts[j] + filled[rows] @ coefs[j]
                     total_change += float(np.abs(pred - filled[rows, j]).sum())
-                    n_cells += int(rows.sum())
                     filled[rows, j] = pred
             if n_cells == 0 or total_change / n_cells < _CHAIN_TOL:
                 break
-        return cls(d, dims, means, order, models)
+        return cls(d, dims, intercepts, coefs, n_sweeps)
 
     def _fill_missing(self, arr):
-        miss = np.isnan(arr)
-        arr[miss] = np.broadcast_to(self.column_means, arr.shape)[miss]
-        if not self.models:
-            return
-        active = [j for j in self.column_order if miss[:, j].any()]
-        if not active:
-            return
-        others = {j: [k for k in range(self.d) if k != j] for j in active}
-        n_cells = sum(int(miss[:, j].sum()) for j in active)
-        for _ in range(_CHAIN_MAX_SWEEPS):
-            total_change = 0.0
-            for j in active:
-                rows = miss[:, j]
-                intercept, coefs = self.models[j]
-                pred = intercept + arr[np.ix_(rows, others[j])] @ coefs
-                total_change += float(np.abs(pred - arr[rows, j]).sum())
-                arr[rows, j] = pred
-            if total_change / n_cells < _CHAIN_TOL:
-                break
+        for key, rows in _pattern_groups(np.isnan(arr)).items():
+            m_idx = np.frombuffer(key, dtype=bool)
+            b_m = self.coefs[m_idx]
+            system = np.eye(b_m.shape[0]) - b_m[:, m_idx]
+            x_o = arr[np.ix_(rows, ~m_idx)]
+            rhs = self.intercepts[m_idx, None] + b_m[:, ~m_idx] @ x_o.T
+            try:
+                x_m = np.linalg.solve(system, rhs)
+            except np.linalg.LinAlgError:
+                x_m, *_ = np.linalg.lstsq(system, rhs, rcond=None)
+            arr[np.ix_(rows, m_idx)] = x_m.T

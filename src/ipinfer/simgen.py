@@ -291,6 +291,10 @@ def run_one_trial(config: ExperimentConfig, trial: int, population=None):
 
     Returns:
         (trial, {method: TrialRecord | None}); None marks a failed method.
+
+    Raises:
+        ConfigError: a method is misconfigured; this propagates rather than
+            counting as a failed trial.
     """
     if population is None:
         population = build_population(config.factor)
@@ -333,6 +337,8 @@ def run_one_trial(config: ExperimentConfig, trial: int, population=None):
             fit = _run_method(
                 method, config, dataset, loss, cc_fit, _split_artifacts, trial
             )
+        except ConfigError:
+            raise
         except IpinferError:
             out[method] = None
             continue

@@ -223,10 +223,13 @@ class TestConfigErrors:
         assert err.count("\n") == 1
         assert f"'{key}'" in err and "non-negative" in err
 
-    def test_diagnose_flag_rejected_for_cipi(self, capsys, tmp_path, eight_csv):
+    @pytest.mark.parametrize("method", ["cipi", "complete_case", "aipw"])
+    def test_diagnose_flag_rejected_for_method(
+        self, capsys, tmp_path, eight_csv, method
+    ):
         cfg = write_config(
             tmp_path / "c.json",
-            {"loss": MEAN_X_LOSS, "method": "cipi", "imputer": "mean",
+            {"loss": MEAN_X_LOSS, "method": method, "imputer": "mean",
              "k_folds": 2, "n_boot": 4},
         )
         code, err = run_error(
@@ -234,7 +237,32 @@ class TestConfigErrors:
         )
         assert code == 2
         assert err.count("\n") == 1
+        assert f"'{method}'" in err
         assert "ipinfer diagnose" in err and "'ipi'" in err
+
+    def test_simulate_method_config_error_exits_2(self, capsys, tmp_path):
+        # n_boot 1 fails every cipi trial; it must not read as trial failures.
+        payload = dict(TestSimulate.COVERAGE, d=6, n_complete=50, methods=["cipi"],
+                       n_boot=1)
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path / "c.json", payload)
+        code, err = run_error(capsys, ["simulate", "--config", cfg, "--out", str(out)])
+        assert code == 2
+        assert err.count("\n") == 1
+        assert "n_boot" in err
+        assert not (out / "metrics.csv").exists()
+
+    @pytest.mark.parametrize("trials", [0, -3, None])
+    def test_simulate_rejects_fewer_than_one_trial(self, capsys, tmp_path, trials):
+        cfg = write_config(
+            tmp_path / "c.json", dict(TestSimulate.COVERAGE, trials=trials)
+        )
+        code, err = run_error(
+            capsys, ["simulate", "--config", cfg, "--out", str(tmp_path / "out")]
+        )
+        assert code == 2
+        assert err.count("\n") == 1
+        assert "'trials'" in err
 
 
 class TestDataErrors:

@@ -11,9 +11,19 @@ from ipinfer import imputers
 from ipinfer.errors import ConfigError, DimensionError, FitError
 from ipinfer.patterns import build_dataset
 
+from conftest import random_blockwise
 from oracles import gaussian_conditional_mean
 
 nan = np.nan
+
+# Four blockwise patterns over d = 4 (True = observed), one to three cells
+# missing, so the chained fill couples up to three regressions per row.
+MIXED_MASKS = (
+    (True, True, False, True),
+    (False, True, True, True),
+    (True, False, False, True),
+    (False, False, True, False),
+)
 
 
 def train_matrix() -> np.ndarray:
@@ -95,6 +105,21 @@ class TestFillContract:
         out = model.impute_matrix(np.array([[1.0, nan, 0.0], [2.0, 3.0, 1.0]]))
         assert out.shape == (2, 1)
         assert out[1, 0] == 3.0
+
+
+def blockwise_train_and_query(rng) -> tuple[np.ndarray, np.ndarray]:
+    """Incomplete training rows and a shuffled batch of mixed-pattern queries."""
+    train = random_blockwise(rng, n_complete=40, per_pattern=20, masks=MIXED_MASKS)
+    query = random_blockwise(rng, n_complete=0, per_pattern=10, masks=MIXED_MASKS)
+    return train, query[rng.permutation(len(query))]
+
+
+@pytest.mark.parametrize("kind", imputers.KINDS)
+def test_fill_does_not_depend_on_batch(kind, rng):
+    train, query = blockwise_train_and_query(rng)
+    model = imputers.fit(kind, train, target_dims=(0,))
+    alone = np.vstack([model.fill(row) for row in query])
+    np.testing.assert_allclose(model.fill(query), alone, rtol=0.0, atol=1e-12)
 
 
 class TestMeanAndZero:
@@ -215,6 +240,66 @@ class TestChainedRegression:
     def test_identity_rule_from_semi_supervised_training(self, semi_supervised):
         out = semi_supervised.imputer.fill(np.array([nan, 4.0]))
         assert out[0] == pytest.approx(4.0, abs=1e-12)
+
+    def test_fill_satisfies_every_stored_regression(self, rng):
+        train, query = blockwise_train_and_query(rng)
+        model = imputers.fit(imputers.CHAINED_KIND, train, target_dims=(0,))
+        assert np.array_equal(np.diag(model.coefs), np.zeros(4))
+        out = model.fill(query)
+        implied = model.intercepts + out @ model.coefs.T
+        miss = np.isnan(query)
+        assert np.abs(out - implied)[miss].max() <= 1e-10
+
+    def test_fill_equals_converged_sweep_replay(self, rng):
+        train, query = blockwise_train_and_query(rng)
+        model = imputers.fit(imputers.CHAINED_KIND, train, target_dims=(0,))
+        miss = np.isnan(query)
+        for pattern in np.unique(miss, axis=0):
+            # Gauss-Seidel in column order contracts on this pattern's cells
+            m = np.flatnonzero(pattern)
+            system = np.eye(m.size) - model.coefs[np.ix_(m, m)]
+            lower = np.tril(system)
+            sweep = np.linalg.solve(lower, lower - system)
+            assert np.abs(np.linalg.eigvals(sweep)).max() < 1.0
+        replay = np.where(miss, 0.0, query)
+        for _ in range(10_000):
+            change = 0.0
+            for j in range(model.d):
+                rows = miss[:, j]
+                pred = model.intercepts[j] + replay[rows] @ model.coefs[j]
+                change = max(change, np.abs(pred - replay[rows, j]).max(initial=0.0))
+                replay[rows, j] = pred
+            if change < 1e-14:
+                break
+        else:
+            pytest.fail("sweep replay did not converge")
+        np.testing.assert_allclose(model.fill(query), replay, rtol=0.0, atol=1e-10)
+
+    def test_constant_column_gets_zero_coefficients(self):
+        # Its centred cross-products are zero, so the normal equations are
+        # singular and the least-squares fallback answers.
+        train = np.array(
+            [
+                [1.0, 5.0, 0.0],
+                [2.0, 5.0, 1.0],
+                [3.0, 5.0, 0.5],
+                [4.0, 5.0, nan],
+                [nan, 5.0, 2.0],
+            ]
+        )
+        model = imputers.fit(imputers.CHAINED_KIND, train, target_dims=(0,))
+        assert np.array_equal(model.coefs[:, 1], np.zeros(3))
+        out = model.fill(np.array([nan, nan, nan]))
+        assert out[1] == pytest.approx(5.0, abs=1e-12)
+        assert np.isfinite(out).all()
+
+    def test_reports_sweeps(self, rng):
+        complete = random_blockwise(rng, masks=())
+        model = imputers.fit(imputers.CHAINED_KIND, complete, target_dims=(0,))
+        assert model.n_sweeps == 1
+        train, _ = blockwise_train_and_query(rng)
+        model = imputers.fit(imputers.CHAINED_KIND, train, target_dims=(0,))
+        assert 1 < model.n_sweeps <= 20
 
     def test_deterministic(self):
         a = imputers.fit(imputers.CHAINED_KIND, train_matrix(), target_dims=(0,))

@@ -208,12 +208,10 @@ class TestRunTrials:
         for ms, mp in zip(serial.metrics, parallel.metrics):
             assert ms == mp
 
-    def test_unknown_method_counts_as_failure(self):
-        result = run_trials(small_config(methods=("bogus",), trials=3))
-        m = result.metric("bogus")
-        assert m.failures == 3
-        assert m.n_trials == 0
-        assert np.isnan(m.coverage)
+    def test_unknown_method_raises_config_error(self):
+        # A config error would fail every trial; it is not a trial failure.
+        with pytest.raises(ConfigError, match="unknown method 'bogus'"):
+            run_trials(small_config(methods=("bogus",), trials=3))
 
     def test_metric_lookup_raises_for_missing_method(self):
         result = run_trials(small_config(trials=2))
