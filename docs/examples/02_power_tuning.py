@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """How the per-pattern weights change the interval.
 
-Fits the same dataset with zero weights (complete-case), pooled weights
-(one shared weight per pattern, set by pattern frequency), and variance-
-minimizing tuned weights, and prints the plug-in objective alongside
-the interval width for each mode.
+Builds the score tables once, then fits them with zero weights
+(complete-case), pooled weights (one shared weight per pattern, set by
+pattern frequency), and variance-minimizing tuned weights, and prints the
+plug-in objective alongside the interval width for each mode.
 
 Usage:
     python 02_power_tuning.py
@@ -43,9 +43,9 @@ def main():
     )
     model = imputers.fit(imputers.GAUSSIAN_KIND, train, target_dims)
 
-    tuned, components = estimators.tune_lambda(
-        inference, loss, model
-    )
+    theta_n = losses.solve_complete_case(inference, loss)
+    tables = estimators.score_tables(inference, loss, model, theta_n)
+    tuned, components = estimators.tune_lambda(tables)
     modes = {
         "zero": np.zeros(inference.n_patterns),
         "pooled": estimators.pooled_weights(inference).lam,
@@ -53,8 +53,8 @@ def main():
     }
     print(f"pattern sizes: {[int(c) for c in inference.pattern_counts()][1:]}")
     for name, lam in modes.items():
-        fit = estimators.ipi_fit(
-            inference, loss, model, lambda_mode="fixed", fixed_lambda=lam
+        fit = estimators.fit_from_tables(
+            tables, lambda_mode="fixed", fixed_lambda=lam
         )
         width = float(np.mean(np.diff(fit.ci, axis=1)))
         print(

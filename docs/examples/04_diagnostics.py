@@ -14,7 +14,7 @@ Usage:
 
 import numpy as np
 
-from ipinfer import diagnostics, imputers, losses
+from ipinfer import diagnostics, estimators, imputers, losses
 from ipinfer.patterns import build_dataset
 
 
@@ -35,9 +35,10 @@ def run(tag, matrix):
     dataset = build_dataset(matrix, target_dims)
     model = imputers.fit(imputers.GAUSSIAN_KIND, dataset.values, target_dims)
     theta_n = losses.solve_complete_case(dataset, loss)
+    tables = estimators.score_tables(dataset, loss, model, theta_n)
 
-    weighted = diagnostics.t_ipi_test(dataset, loss, model, theta_n, None)
-    full = diagnostics.t_full_test(dataset, loss, model, theta_n)
+    weighted = diagnostics.t_ipi_test(tables)
+    full = diagnostics.t_full_test(tables)
     print(f"{tag}:")
     print(
         f"  weighted: chi2({weighted.df}) = {weighted.chi2_stat:8.2f}  "

@@ -19,14 +19,17 @@ from .estimators import (
     SUBPOPULATION,
     ScoreTables,
     TRACE_OBJECTIVE,
-    _cov,
-    _fit_from_tables,
-    _inverse,
-    _objective_coords,
     confidence_interval,
     effective_sample_size,
-    score_tables,
+    fit_from_tables,
+    inverse_hessian,
+    objective_coords,
+    sample_cov,
 )
+
+# Kept bound here because perfbench/selftest.py checks that the benchmark's
+# tracer wraps names imported into this module.
+from .estimators import score_tables  # noqa: F401
 from .losses import (
     LINEAR,
     LossModel,
@@ -47,8 +50,8 @@ def _plain_sandwich(
     theta = solve_mean_loss(loss, x_matrix)
     g = grad_matrix(loss, x_matrix, theta)
     h = mean_hessian(loss, x_matrix, theta)
-    hinv = _inverse(h)
-    sigma = hinv @ _cov(g) @ hinv
+    hinv = inverse_hessian(h)
+    sigma = hinv @ sample_cov(g) @ hinv
     n = x_matrix.shape[0]
     se, ci, chi2_radius = confidence_interval(theta, sigma, n, alpha)
     return IPIFit(
@@ -121,52 +124,35 @@ def _slice_tables(tables: ScoreTables, r: int) -> ScoreTables:
 
 
 def single_pattern_ipi(
-    dataset: PatternedDataset,
-    loss: LossModel,
-    imputer,
+    tables: ScoreTables,
     r: int,
     alpha: float = 0.1,
     lambda_mode: str = "tuned",
     objective=TRACE_OBJECTIVE,
     mcar: bool = True,
-    theta_n=None,
-    tables: ScoreTables | None = None,
 ) -> IPIFit:
     """The estimator restricted to one pattern's correction (R = 1).
 
     Equivalent to running the full fit on the dataset with every other
     pattern's rows removed; computed by slicing the shared tables.
     """
-    if tables is None:
-        restricted = dataset.restrict_to_patterns([r])
-        if theta_n is None:
-            theta_n = solve_complete_case(restricted, loss)
-        sliced = score_tables(restricted, loss, imputer, theta_n)
-    else:
-        sliced = _slice_tables(tables, r)
-    fit = _fit_from_tables(
-        sliced,
-        method=f"single_pattern:{r}",
+    return fit_from_tables(
+        _slice_tables(tables, r),
         lambda_mode=lambda_mode,
-        fixed_lambda=None,
         alpha=alpha,
         hessian_mode=COMPLETE_CASE_HESSIAN,
         objective=objective,
         mcar=mcar,
+        method=f"single_pattern:{r}",
     )
-    return fit
 
 
 def best_single_pattern(
-    dataset: PatternedDataset,
-    loss: LossModel,
-    imputer,
+    tables: ScoreTables,
     alpha: float = 0.1,
     lambda_mode: str = "tuned",
     objective=TRACE_OBJECTIVE,
     mcar: bool = True,
-    theta_n=None,
-    tables: ScoreTables | None = None,
 ) -> tuple[IPIFit, int]:
     """Single-pattern fit maximizing plug-in effective sample size.
 
@@ -174,19 +160,14 @@ def best_single_pattern(
         (fit, pattern_id) for the winning pattern; ties break to the lower
         pattern id.
     """
-    if dataset.n_patterns == 0:
+    if tables.n_patterns == 0:
         raise DataError("no nontrivial patterns to restrict to")
-    if tables is None:
-        if theta_n is None:
-            theta_n = solve_complete_case(dataset, loss)
-        tables = score_tables(dataset, loss, imputer, theta_n)
-    coords = _objective_coords(objective, tables.param_dim)
+    coords = objective_coords(objective, tables.param_dim)
     best = None
-    for r in range(1, dataset.n_patterns + 1):
+    for r in range(1, tables.n_patterns + 1):
         fit = single_pattern_ipi(
-            dataset, loss, imputer, r,
-            alpha=alpha, lambda_mode=lambda_mode, objective=objective,
-            mcar=mcar, theta_n=theta_n, tables=tables,
+            tables, r,
+            alpha=alpha, lambda_mode=lambda_mode, objective=objective, mcar=mcar,
         )
         score = float(np.sum(np.diag(fit.variance)[coords]))
         if best is None or score < best[0]:
@@ -279,7 +260,7 @@ def aipw_fit(
     elif isinstance(c1, str):
         if c1 != "optimize":
             raise ConfigError(f"unknown c1 option {c1!r}")
-        c1_matrix = _inverse(hessian)
+        c1_matrix = inverse_hessian(hessian)
     else:
         c1_matrix = np.asarray(c1, dtype=float)
         if c1_matrix.shape != (p, p):
@@ -312,8 +293,8 @@ def aipw_fit(
     except np.linalg.LinAlgError:
         raise RankDeficiencyError("singular Hessian in the one-step update") from None
     theta = theta_n - step
-    ehinv = _inverse(effective_h)
-    sigma = ehinv @ _cov(phi) @ ehinv.T
+    ehinv = inverse_hessian(effective_h)
+    sigma = ehinv @ sample_cov(phi) @ ehinv.T
     se, ci, chi2_radius = confidence_interval(theta, sigma, n_rows, alpha)
     cc = complete_case_fit(dataset, loss, alpha=alpha, mcar=mcar)
     return IPIFit(

@@ -396,24 +396,20 @@ def _coefficient_names(loss, target_dims, columns) -> list:
     return out
 
 
-def _diagnostics_payload(dataset, loss, model, theta_n, lambda_hat, run_full, tables):
-    weighted = diagnostics.t_ipi_test(
-        dataset, loss, model, theta_n, lambda_hat, tables=tables
-    )
-    full = (
-        diagnostics.t_full_test(dataset, loss, model, theta_n, tables=tables)
-        if run_full
-        else None
-    )
-    if lambda_hat is not None:
-        lam = estimators._as_weights(lambda_hat, dataset.n_patterns).lam
-    else:
-        weights, _ = estimators._tune_from_tables(tables, "trace", tables.h_complete)
-        lam = weights.lam
+def _score_tables(dataset, loss, model):
+    """Score tables at the complete-case estimate."""
+    theta_n = losses.solve_complete_case(dataset, loss)
+    return estimators.score_tables(dataset, loss, model, theta_n)
+
+
+def _diagnostics_payload(tables, weights, run_full):
+    """Both transfer-gap reports; weights None means tuned weights."""
+    if weights is None:
+        weights, _ = estimators.tune_lambda(tables)
     return {
-        "weighted": _report_payload(weighted),
-        "full": _report_payload(full),
-        "lambda": lam,
+        "weighted": _report_payload(diagnostics.t_ipi_test(tables, weights)),
+        "full": _report_payload(diagnostics.t_full_test(tables)) if run_full else None,
+        "lambda": weights.lam,
     }
 
 
@@ -579,9 +575,7 @@ def cmd_analyze(args) -> int:
         )
 
     inference = dataset
-    model = None
     tables = None
-    theta_n = None
     if method == "complete_case":
         fit = baselines.complete_case_fit(dataset, loss, alpha=alpha, mcar=mcar)
     elif method == "aipw":
@@ -606,18 +600,15 @@ def cmd_analyze(args) -> int:
                 inference, loss, model, alpha=alpha, mcar=mcar
             )
         else:
-            theta_n = losses.solve_complete_case(inference, loss)
-            tables = estimators.score_tables(inference, loss, model, theta_n)
-            fit = estimators.ipi_fit(
-                inference, loss, model,
+            tables = _score_tables(inference, loss, model)
+            fit = estimators.fit_from_tables(
+                tables,
                 lambda_mode=lambda_mode,
                 fixed_lambda=_fixed_lambda(cfg),
                 alpha=alpha,
                 hessian_mode=hessian_mode,
                 objective=objective,
                 mcar=mcar,
-                theta_n=theta_n,
-                tables=tables,
             )
     else:
         raise ConfigError(
@@ -628,12 +619,8 @@ def cmd_analyze(args) -> int:
     diag = None
     if run_diag:
         if tables is None:
-            theta_n = losses.solve_complete_case(inference, loss)
-            tables = estimators.score_tables(inference, loss, model, theta_n)
-        lam = fit.weights.lam if fit.weights is not None else None
-        diag = _diagnostics_payload(
-            inference, loss, model, theta_n, lam, run_full, tables
-        )
+            tables = _score_tables(inference, loss, model)
+        diag = _diagnostics_payload(tables, fit.weights, run_full)
 
     payload = {
         "schema": "ipinfer/result-v1",
@@ -670,14 +657,11 @@ def cmd_diagnose(args) -> int:
     run_full = bool(_field(cfg, "full", bool, False))
     lambda_mode = _field(cfg, "lambda_mode", str, "tuned")
     model, inference = _trained_imputer(dataset, cfg, warnings)
-    theta_n = losses.solve_complete_case(inference, loss)
-    tables = estimators.score_tables(inference, loss, model, theta_n)
-    weights, tune_warnings = estimators._resolve_weights(
-        tables, lambda_mode, _fixed_lambda(cfg), "trace", tables.h_complete
+    tables = _score_tables(inference, loss, model)
+    weights, tune_warnings = estimators.resolve_weights(
+        tables, lambda_mode, _fixed_lambda(cfg)
     )
-    diag = _diagnostics_payload(
-        inference, loss, model, theta_n, weights, run_full, tables
-    )
+    diag = _diagnostics_payload(tables, weights, run_full)
     payload = {
         "schema": "ipinfer/diagnostics-v1",
         "weighted": diag["weighted"],

@@ -86,7 +86,9 @@ def pooled_weights(dataset: PatternedDataset) -> TuningWeights:
     return TuningWeights(_pooled_lam(dataset.pattern_counts()[1:]), "pooled")
 
 
-def _as_weights(lam, n_patterns: int) -> TuningWeights:
+def as_weights(lam, n_patterns: int) -> TuningWeights:
+    """Validated weights from TuningWeights, a scalar (one weight for every
+    pattern) or a length-R vector ("fixed" mode)."""
     if isinstance(lam, TuningWeights):
         w = lam
     else:
@@ -158,6 +160,35 @@ class ScoreTables:
     def h_imputed(self) -> np.ndarray:
         """(R, p, p) fold-averaged mean Hessians of each pattern's own rows."""
         return self.h_folds[:, 1 + self.n_patterns :].mean(axis=0)
+
+    def group_means(self) -> tuple[np.ndarray, np.ndarray]:
+        """Fold-averaged group means of the gradients and the Hessians.
+
+        Groups are ordered as in h_folds: complete rows, the R masked groups,
+        then the R pattern groups.  Each group is averaged within every fold
+        and the K fold means are averaged, so the cross-fitted objective is
+        the mean of the K per-fold objectives and unfolded tables (K = 1) give
+        the plain group means.
+
+        Returns:
+            (gradient means (1 + 2R, p), mean Hessians (1 + 2R, p, p)).
+        """
+        big_r = self.n_patterns
+        groups = [(self.g_complete, self.fold_complete)]
+        groups += [(g, self.fold_complete) for g in self.g_masked]
+        groups += list(zip(self.g_imputed, self.fold_imputed))
+        means = np.empty((self.k_folds, len(groups), self.param_dim))
+        for i, (rows, folds) in enumerate(groups):
+            for j in range(self.k_folds):
+                in_fold = folds == j
+                count = np.count_nonzero(in_fold)
+                if count == 0:
+                    where = "complete rows" if i == 0 else f"rows of pattern {i - big_r}"
+                    raise DataError(f"fold {j} has no {where}")
+                # A masked sum keeps the summation order of rows.mean(axis=0)
+                # when the fold holds every row, so K = 1 gives the same bits.
+                means[j, i] = np.add.reduce(rows, axis=0, where=in_fold[:, None]) / count
+        return means.mean(axis=0), self.h_folds.mean(axis=0)
 
 
 def score_tables(
@@ -244,90 +275,46 @@ def _build_tables(dataset, loss, theta, fold_ids, k_folds, fill) -> ScoreTables:
 # gradient, Hessians, one-step estimate
 
 
-def _group_means(tables: ScoreTables) -> tuple[np.ndarray, np.ndarray]:
-    """Fold-averaged group means of the gradients and the Hessians.
-
-    Groups are ordered as in h_folds: complete rows, the R masked groups,
-    then the R pattern groups.  Each group is averaged within every fold
-    and the K fold means are averaged, so the cross-fitted objective is
-    the mean of the K per-fold objectives and unfolded tables (K = 1) give
-    the plain group means.
-
-    Returns:
-        (gradient means (1 + 2R, p), mean Hessians (1 + 2R, p, p)).
-    """
+def ipi_grad(tables: ScoreTables, lam) -> np.ndarray:
+    """Gradient of the weighted imputation-powered objective at tables.theta."""
+    lam = as_weights(lam, tables.n_patterns).lam
     big_r = tables.n_patterns
-    groups = [(tables.g_complete, tables.fold_complete)]
-    groups += [(g, tables.fold_complete) for g in tables.g_masked]
-    groups += list(zip(tables.g_imputed, tables.fold_imputed))
-    means = np.empty((tables.k_folds, len(groups), tables.param_dim))
-    for i, (rows, folds) in enumerate(groups):
-        for j in range(tables.k_folds):
-            in_fold = folds == j
-            count = np.count_nonzero(in_fold)
-            if count == 0:
-                where = "complete rows" if i == 0 else f"rows of pattern {i - big_r}"
-                raise DataError(f"fold {j} has no {where}")
-            # A masked sum keeps the summation order of rows.mean(axis=0)
-            # when the fold holds every row, so K = 1 gives the same bits.
-            means[j, i] = np.add.reduce(rows, axis=0, where=in_fold[:, None]) / count
-    return means.mean(axis=0), tables.h_folds.mean(axis=0)
-
-
-def _gradient_from_tables(tables: ScoreTables, weights: TuningWeights) -> np.ndarray:
-    lam = weights.lam
-    big_r = tables.n_patterns
-    means, _ = _group_means(tables)
+    means, _ = tables.group_means()
     g = means[0]
     for r in range(big_r):
         g = g + (lam[r] / big_r) * (means[1 + big_r + r] - means[1 + r])
     return g
 
 
-def _full_hessian_from_tables(tables: ScoreTables, weights: TuningWeights) -> np.ndarray:
-    lam = weights.lam
+def full_ipi_hessian(tables: ScoreTables, lam) -> np.ndarray:
+    """Hessian of the weighted objective itself (plug-in form)."""
+    lam = as_weights(lam, tables.n_patterns).lam
     big_r = tables.n_patterns
-    _, hessians = _group_means(tables)
+    _, hessians = tables.group_means()
     h = hessians[0].copy()
     for r in range(big_r):
         h += (lam[r] / big_r) * (hessians[1 + big_r + r] - hessians[1 + r])
     return h
 
 
-def ipi_grad(
-    dataset: PatternedDataset,
-    loss: LossModel,
-    imputer,
-    theta,
-    lam,
-    tables: ScoreTables | None = None,
+def _select_hessian(tables: ScoreTables, weights: TuningWeights, hessian_mode: str):
+    if hessian_mode == COMPLETE_CASE_HESSIAN:
+        return tables.h_complete
+    if hessian_mode == FULL_IPI_HESSIAN:
+        return full_ipi_hessian(tables, weights)
+    raise ConfigError(
+        f"unknown hessian mode {hessian_mode!r}; expected one of {HESSIAN_MODES}"
+    )
+
+
+def ipi_point_estimate(
+    tables: ScoreTables, lam, hessian_mode: str = COMPLETE_CASE_HESSIAN
 ) -> np.ndarray:
-    """Gradient of the weighted imputation-powered objective at theta."""
-    tables = tables or score_tables(dataset, loss, imputer, theta)
-    return _gradient_from_tables(tables, _as_weights(lam, tables.n_patterns))
-
-
-def complete_case_hessian(dataset: PatternedDataset, loss: LossModel, theta) -> np.ndarray:
-    """Mean loss Hessian over the complete rows."""
-    x = dataset.complete_values()[:, list(dataset.target_dims)]
-    return mean_hessian(loss, x, np.asarray(theta, dtype=float))
-
-
-def full_ipi_hessian(
-    dataset: PatternedDataset,
-    loss: LossModel,
-    imputer,
-    theta,
-    lam,
-    tables: ScoreTables | None = None,
-) -> np.ndarray:
-    """Hessian of the weighted objective itself (plug-in form)."""
-    tables = tables or score_tables(dataset, loss, imputer, theta)
-    return _full_hessian_from_tables(tables, _as_weights(lam, tables.n_patterns))
-
-
-def _one_step(tables: ScoreTables, weights: TuningWeights, hessian: np.ndarray) -> np.ndarray:
-    g = _gradient_from_tables(tables, weights)
+    """One Newton step from tables.theta (the complete-case estimate) along
+    the weighted objective."""
+    weights = as_weights(lam, tables.n_patterns)
+    hessian = _select_hessian(tables, weights, hessian_mode)
+    g = ipi_grad(tables, weights)
     try:
         step = np.linalg.solve(hessian, g)
     except np.linalg.LinAlgError:
@@ -335,39 +322,11 @@ def _one_step(tables: ScoreTables, weights: TuningWeights, hessian: np.ndarray) 
     return tables.theta - step
 
 
-def ipi_point_estimate(
-    dataset: PatternedDataset,
-    loss: LossModel,
-    imputer,
-    lam,
-    hessian_mode: str = COMPLETE_CASE_HESSIAN,
-    theta_n=None,
-    tables: ScoreTables | None = None,
-) -> np.ndarray:
-    """One Newton step from the complete-case estimate along the weighted objective."""
-    if theta_n is None:
-        theta_n = solve_complete_case(dataset, loss)
-    tables = tables or score_tables(dataset, loss, imputer, theta_n)
-    weights = _as_weights(lam, tables.n_patterns)
-    hessian = _select_hessian(tables, weights, hessian_mode)
-    return _one_step(tables, weights, hessian)
-
-
-def _select_hessian(tables, weights, hessian_mode: str) -> np.ndarray:
-    if hessian_mode == COMPLETE_CASE_HESSIAN:
-        return tables.h_complete
-    if hessian_mode == FULL_IPI_HESSIAN:
-        return _full_hessian_from_tables(tables, weights)
-    raise ConfigError(
-        f"unknown hessian mode {hessian_mode!r}; expected one of {HESSIAN_MODES}"
-    )
-
-
 # ---------------------------------------------------------------------------
 # variance
 
 
-def _cov(rows: np.ndarray) -> np.ndarray:
+def sample_cov(rows: np.ndarray) -> np.ndarray:
     """Sample covariance (ddof=1) of row vectors, always (p, p)."""
     m = rows.shape[0]
     if m < 2:
@@ -376,55 +335,42 @@ def _cov(rows: np.ndarray) -> np.ndarray:
     return centered.T @ centered / (m - 1)
 
 
-def _variance_from_tables(
-    tables: ScoreTables, weights: TuningWeights, hessian: np.ndarray
-) -> np.ndarray:
-    lam = weights.lam
-    big_r = tables.n_patterns
-    n = tables.n_complete
-    resid = tables.g_complete.copy()
-    for r in range(big_r):
-        resid -= (lam[r] / big_r) * tables.g_masked[r]
-    v = _cov(resid)
-    for r in range(big_r):
-        n_r = int(tables.counts[r])
-        if n_r < 2:
-            raise DataError(
-                f"pattern {r + 1} has {n_r} rows; variance needs at least 2"
-            )
-        v += (lam[r] / big_r) ** 2 * (n / n_r) * _cov(tables.g_imputed[r])
-    hinv = _inverse(hessian)
-    return hinv @ v @ hinv
-
-
-def _inverse(hessian: np.ndarray) -> np.ndarray:
+def inverse_hessian(hessian: np.ndarray) -> np.ndarray:
     try:
         return np.linalg.inv(hessian)
     except np.linalg.LinAlgError:
         raise RankDeficiencyError("singular Hessian in variance sandwich") from None
 
 
-def estimate_variance(
-    dataset: PatternedDataset,
-    loss: LossModel,
-    imputer,
-    theta,
-    lam,
-    hessian=None,
-    tables: ScoreTables | None = None,
-) -> np.ndarray:
+def estimate_variance(tables: ScoreTables, lam, hessian=None) -> np.ndarray:
     """Plug-in sandwich estimate of the asymptotic covariance of the estimator.
 
     The middle term combines the covariance of the lambda-corrected
     complete-row scores with the per-pattern imputed-score covariances,
     scaled by (lambda_r / R)^2 * n / n_r.  Divide by the complete-row count
     to get the finite-sample covariance of the estimate.
+
+    Args:
+        hessian: sandwich curvature; defaults to the complete-case Hessian.
     """
-    tables = tables or score_tables(dataset, loss, imputer, np.asarray(theta, float))
-    weights = _as_weights(lam, tables.n_patterns)
+    lam = as_weights(lam, tables.n_patterns).lam
     if hessian is None:
         hessian = tables.h_complete
-    return _variance_from_tables(tables, weights, np.asarray(hessian, dtype=float))
+    big_r = tables.n_patterns
+    n = tables.n_complete
+    resid = tables.g_complete.copy()
+    for r in range(big_r):
+        resid -= (lam[r] / big_r) * tables.g_masked[r]
+    v = sample_cov(resid)
+    for r in range(big_r):
+        n_r = int(tables.counts[r])
+        if n_r < 2:
+            raise DataError(
+                f"pattern {r + 1} has {n_r} rows; variance needs at least 2"
+            )
+        v += (lam[r] / big_r) ** 2 * (n / n_r) * sample_cov(tables.g_imputed[r])
+    hinv = inverse_hessian(np.asarray(hessian, dtype=float))
+    return hinv @ v @ hinv
 
 
 # ---------------------------------------------------------------------------
@@ -457,8 +403,8 @@ def tuning_components(
         objective: "trace" to sum over all coordinates, or a coordinate
             index to target one parameter.
     """
-    coords = _objective_coords(objective, tables.param_dim)
-    hinv = _inverse(np.asarray(hessian, dtype=float))
+    coords = objective_coords(objective, tables.param_dim)
+    hinv = inverse_hessian(np.asarray(hessian, dtype=float))
     n = tables.n_complete
     big_r = tables.n_patterns
     t_x = tables.g_complete @ hinv.T
@@ -492,7 +438,8 @@ def tuning_components(
     return TuningComponents(a, c, b)
 
 
-def _objective_coords(objective, p: int) -> np.ndarray:
+def objective_coords(objective, p: int) -> np.ndarray:
+    """Parameter coordinates a tuning objective sums over."""
     if objective == TRACE_OBJECTIVE or objective is None:
         return np.arange(p)
     j = int(objective)
@@ -511,12 +458,27 @@ def _pooled_lam(counts: np.ndarray) -> np.ndarray:
     return counts.size * counts / total
 
 
-def _tune_from_tables(
-    tables: ScoreTables, objective, hessian
+def tune_lambda(
+    tables: ScoreTables, objective=TRACE_OBJECTIVE, hessian=None
 ) -> tuple[TuningWeights, TuningComponents | None]:
+    """Closed-form variance-minimizing pattern weights.
+
+    Solves ((A + C) / R + eps I) lambda = b with a relative ridge
+    eps = 1e-8 * trace(A + C) / R.  If the system is singular or produces
+    non-finite weights, falls back to pooled weights and flags it.
+
+    Args:
+        hessian: curvature of the sandwich being minimized; defaults to
+            the complete-case Hessian.
+
+    Returns:
+        (weights, components); components is None when R = 0.
+    """
     big_r = tables.n_patterns
     if big_r == 0:
         return TuningWeights(np.zeros(0), "tuned"), None
+    if hessian is None:
+        hessian = tables.h_complete
     comp = tuning_components(tables, hessian, objective)
     m = (comp.a + comp.c) / big_r
     eps = _TUNING_RIDGE * float(np.trace(comp.a + comp.c)) / big_r
@@ -528,33 +490,6 @@ def _tune_from_tables(
     if lam is None or not np.isfinite(lam).all():
         return TuningWeights(_pooled_lam(tables.counts), "tuned", fallback=True), comp
     return TuningWeights(lam, "tuned"), comp
-
-
-def tune_lambda(
-    dataset: PatternedDataset,
-    loss: LossModel,
-    imputer,
-    theta_n=None,
-    objective=TRACE_OBJECTIVE,
-    hessian=None,
-    tables: ScoreTables | None = None,
-) -> tuple[TuningWeights, TuningComponents | None]:
-    """Closed-form variance-minimizing pattern weights.
-
-    Solves ((A + C) / R + eps I) lambda = b with a relative ridge
-    eps = 1e-8 * trace(A + C) / R.  If the system is singular or produces
-    non-finite weights, falls back to pooled weights and flags it.
-
-    Returns:
-        (weights, components); components is None when R = 0.
-    """
-    if tables is None:
-        if theta_n is None:
-            theta_n = solve_complete_case(dataset, loss)
-        tables = score_tables(dataset, loss, imputer, theta_n)
-    if hessian is None:
-        hessian = tables.h_complete
-    return _tune_from_tables(tables, objective, hessian)
 
 
 # ---------------------------------------------------------------------------
@@ -638,17 +573,24 @@ class IPIFit:
 
 
 def _complete_case_widths(tables: ScoreTables, alpha: float) -> np.ndarray:
-    sigma_cc = _variance_from_tables(
-        tables, zero_weights(tables.n_patterns), tables.h_complete
-    )
+    sigma_cc = estimate_variance(tables, zero_weights(tables.n_patterns))
     _, ci, _ = confidence_interval(tables.theta, sigma_cc, tables.n_complete, alpha)
     return ci[:, 1] - ci[:, 0]
 
 
-def _resolve_weights(tables, lambda_mode, fixed_lambda, objective, hessian_for_tuning):
+def resolve_weights(
+    tables: ScoreTables, lambda_mode: str, fixed_lambda=None, objective=TRACE_OBJECTIVE
+) -> tuple[TuningWeights, list[str]]:
+    """Pattern weights for a lambda_mode, with any warning the choice raised.
+
+    Args:
+        lambda_mode: "tuned" (closed-form variance minimizer at the
+            complete-case Hessian), "pooled", "zero", or "fixed" with
+            fixed_lambda.
+    """
     warnings: list[str] = []
     if lambda_mode == "tuned":
-        weights, _ = _tune_from_tables(tables, objective, hessian_for_tuning)
+        weights, _ = tune_lambda(tables, objective)
         if weights.fallback:
             warnings.append(
                 "weight tuning system was singular; fell back to pooled weights"
@@ -660,7 +602,7 @@ def _resolve_weights(tables, lambda_mode, fixed_lambda, objective, hessian_for_t
     elif lambda_mode == "fixed":
         if fixed_lambda is None:
             raise ConfigError("lambda_mode='fixed' needs fixed_lambda")
-        weights = _as_weights(fixed_lambda, tables.n_patterns)
+        weights = as_weights(fixed_lambda, tables.n_patterns)
     else:
         raise ConfigError(
             f"unknown lambda_mode {lambda_mode!r}; "
@@ -669,24 +611,39 @@ def _resolve_weights(tables, lambda_mode, fixed_lambda, objective, hessian_for_t
     return weights, warnings
 
 
-def _fit_from_tables(
+def fit_from_tables(
     tables: ScoreTables,
-    method: str,
-    lambda_mode: str,
-    fixed_lambda,
-    alpha: float,
-    hessian_mode: str,
-    objective,
-    mcar: bool,
-    variance=_variance_from_tables,
+    lambda_mode: str = "tuned",
+    fixed_lambda=None,
+    alpha: float = 0.1,
+    hessian_mode: str | None = None,
+    objective=TRACE_OBJECTIVE,
+    mcar: bool = True,
+    method: str = "ipi",
+    variance=estimate_variance,
 ) -> IPIFit:
-    """Weight, step, and summarize; variance(tables, weights, hessian) gives
-    the sandwich covariance (the plug-in one unless a caller swaps it)."""
-    weights, warnings = _resolve_weights(
-        tables, lambda_mode, fixed_lambda, objective, tables.h_complete
-    )
+    """Weight, step, and summarize on score tables built at the
+    complete-case estimate.
+
+    Args:
+        lambda_mode: "tuned" (closed-form variance minimizer), "pooled",
+            "zero" (complete-case), or "fixed" with fixed_lambda.
+        hessian_mode: defaults to the complete-case Hessian under mcar=True
+            and to the full objective Hessian otherwise.
+        objective: "trace" or a coordinate index for tuning.
+        mcar: whether the first-moment missing-completely-at-random
+            assumption is asserted; controls the estimand label and the
+            default Hessian.
+        method: the label the fit carries.
+        variance: variance(tables, weights, hessian) gives the sandwich
+            covariance; the plug-in estimate_variance unless a caller
+            swaps it.
+    """
+    if hessian_mode is None:
+        hessian_mode = COMPLETE_CASE_HESSIAN if mcar else FULL_IPI_HESSIAN
+    weights, warnings = resolve_weights(tables, lambda_mode, fixed_lambda, objective)
     hessian = _select_hessian(tables, weights, hessian_mode)
-    theta = _one_step(tables, weights, hessian)
+    theta = ipi_point_estimate(tables, weights, hessian_mode)
     sigma = variance(tables, weights, hessian)
     n = tables.n_complete
     se, ci, chi2_radius = confidence_interval(theta, sigma, n, alpha)
@@ -711,12 +668,6 @@ def _fit_from_tables(
     )
 
 
-def _default_hessian_mode(hessian_mode: str | None, mcar: bool) -> str:
-    if hessian_mode is not None:
-        return hessian_mode
-    return COMPLETE_CASE_HESSIAN if mcar else FULL_IPI_HESSIAN
-
-
 def ipi_fit(
     dataset: PatternedDataset,
     loss: LossModel,
@@ -727,34 +678,21 @@ def ipi_fit(
     hessian_mode: str | None = None,
     objective=TRACE_OBJECTIVE,
     mcar: bool = True,
-    theta_n=None,
-    tables: ScoreTables | None = None,
 ) -> IPIFit:
-    """Full imputation-powered fit: solve, weight, correct, and summarize.
+    """Full imputation-powered fit: solve, build the score tables, weight,
+    correct, and summarize (see fit_from_tables for the options).
 
     Args:
         imputer: a fitted imputation model.  Train it on held-out rows (see
             split_train_inference) when honest tuning matters.
-        lambda_mode: "tuned" (closed-form variance minimizer), "pooled",
-            "zero" (complete-case), or "fixed" with fixed_lambda.
-        hessian_mode: defaults to the complete-case Hessian under mcar=True
-            and to the full objective Hessian otherwise.
-        objective: "trace" or a coordinate index for tuning.
-        mcar: whether the first-moment missing-completely-at-random
-            assumption is asserted; controls the estimand label and the
-            default Hessian.
     """
-    if theta_n is None:
-        theta_n = solve_complete_case(dataset, loss)
-    if tables is None:
-        tables = score_tables(dataset, loss, imputer, theta_n)
-    return _fit_from_tables(
+    tables = score_tables(dataset, loss, imputer, solve_complete_case(dataset, loss))
+    return fit_from_tables(
         tables,
-        method="ipi",
         lambda_mode=lambda_mode,
         fixed_lambda=fixed_lambda,
         alpha=alpha,
-        hessian_mode=_default_hessian_mode(hessian_mode, mcar),
+        hessian_mode=hessian_mode,
         objective=objective,
         mcar=mcar,
     )
@@ -818,8 +756,9 @@ def cross_fit(
     """Randomly assign folds and train one imputer per held-out fold.
 
     Every fold must contain at least one complete row and at least one row
-    of every pattern; assignments are redrawn up to 100 times before this
-    is reported as a configuration error.
+    of every pattern; assignments are redrawn up to 100 times.  Whether a
+    covering split exists depends on the data, so a pattern with fewer
+    than k_folds rows, or 100 failed draws, is a DataError.
 
     Args:
         imputer: imputer kind string or factory(matrix, target_dims).
@@ -827,6 +766,14 @@ def cross_fit(
     n_rows = dataset.n_rows
     if not 2 <= k_folds <= n_rows:
         raise ConfigError(f"k_folds must be in [2, {n_rows}], got {k_folds}")
+    counts = dataset.pattern_counts()
+    short = np.flatnonzero(counts < k_folds)
+    if short.size:
+        pid = int(short[0])
+        raise DataError(
+            f"pattern {pid} has {counts[pid]} rows, so no {k_folds}-fold split "
+            "covering every pattern exists; reduce k_folds or pool patterns"
+        )
     factory = _imputer_factory(imputer)
     rng = np.random.default_rng(seed)
     ids = None
@@ -838,7 +785,7 @@ def cross_fit(
             ids = cand
             break
     if ids is None:
-        raise ConfigError(
+        raise DataError(
             f"could not find a {k_folds}-fold split covering every pattern "
             f"in {_CROSS_FIT_ATTEMPTS} attempts; reduce k_folds or pool patterns"
         )
@@ -891,7 +838,7 @@ def bootstrap_variance(
         the finite-sample covariance.
     """
     theta = np.asarray(theta, dtype=float)
-    weights = _as_weights(lam, dataset.n_patterns)
+    weights = as_weights(lam, dataset.n_patterns)
     if n_boot < 2:
         raise ConfigError(f"n_boot must be at least 2, got {n_boot}")
     if k_folds < 2:
@@ -936,9 +883,7 @@ def bootstrap_variance(
     tables = _build_tables(
         dataset, loss, theta, np.zeros(n_rows, dtype=int), 1, _averaged_fill
     )
-    if hessian is None:
-        hessian = tables.h_complete
-    return _variance_from_tables(tables, weights, np.asarray(hessian, dtype=float))
+    return estimate_variance(tables, weights, hessian)
 
 
 def cipi_fit(
@@ -977,14 +922,14 @@ def cipi_fit(
             np.random.default_rng(boot_seed), hessian=hessian,
         )
 
-    return _fit_from_tables(
+    return fit_from_tables(
         tables,
-        method="cipi",
         lambda_mode=lambda_mode,
         fixed_lambda=fixed_lambda,
         alpha=alpha,
-        hessian_mode=_default_hessian_mode(hessian_mode, mcar),
+        hessian_mode=hessian_mode,
         objective=objective,
         mcar=mcar,
+        method="cipi",
         variance=_bootstrap,
     )

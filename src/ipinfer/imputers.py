@@ -1,9 +1,8 @@
 """Imputation models: fit on training rows, fill missing cells at inference.
 
 All models share one contract: fit() learns state from training rows (which
-may themselves be incomplete), fill() replaces the NaN cells of a query
-matrix using only fitted state and the query row's observed cells, and
-impute() returns the filled target-dimension vector for a single row.
+may themselves be incomplete), and fill() replaces the NaN cells of a query
+matrix using only fitted state and the query row's observed cells.
 Observed cells pass through unchanged, every builtin kind is deterministic
 given its fitted state, and no row's fill depends on the rest of its batch.
 
@@ -16,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError, DimensionError, FitError
-from .patterns import DataRow, PatternedDataset
+from .patterns import PatternedDataset
 
 MEAN_KIND = "mean"
 ZERO_KIND = "zero"
@@ -61,34 +60,29 @@ class ImputationModel:
         self._fill_missing(arr)
         return arr[0] if single else arr
 
-    def impute(self, row) -> np.ndarray:
-        """Filled target-dimension vector for one row (DataRow or array)."""
-        values = row.values if isinstance(row, DataRow) else row
-        return self.fill(values)[list(self.target_dims)]
-
-    def impute_matrix(self, values) -> np.ndarray:
-        """Filled target-dimension columns for a matrix of rows."""
-        return self.fill(values)[:, list(self.target_dims)]
-
     def _fill_missing(self, arr: np.ndarray) -> None:
         raise NotImplementedError
 
 
-def fit(kind: str, train_rows, target_dims, d: int | None = None) -> ImputationModel:
+def fit(kind: str, train_rows, target_dims) -> ImputationModel:
     """Fit an imputation model of the named kind.
 
     Args:
         kind: one of KINDS.
-        train_rows: PatternedDataset, (m, d) float matrix with NaN for
-            missing cells, or iterable of DataRow.
-        target_dims: coordinates impute() must produce.
-        d: row width, required only when train_rows is an empty sequence.
+        train_rows: PatternedDataset, or (m, d) float matrix with NaN for
+            missing cells.
+        target_dims: the coordinates the estimators read from filled rows.
 
     Raises:
         FitError: training rows cannot identify the model (never-observed
             column, degenerate covariance, too few observations).
     """
-    matrix, width = _as_matrix(train_rows, d)
+    if isinstance(train_rows, PatternedDataset):
+        train_rows = train_rows.values
+    matrix = np.asarray(train_rows, dtype=float)
+    if matrix.ndim != 2:
+        raise DimensionError("imputer training rows must be a 2-d matrix")
+    width = matrix.shape[1]
     dims = tuple(sorted({int(t) for t in target_dims}))
     if not dims or dims[0] < 0 or dims[-1] >= width:
         raise ConfigError(f"target_dims {dims} out of range for d={width}")
@@ -104,22 +98,6 @@ def fit(kind: str, train_rows, target_dims, d: int | None = None) -> ImputationM
     if cls is None:
         raise ConfigError(f"unknown imputer kind {kind!r}; expected one of {KINDS}")
     return cls._fit(matrix, dims)
-
-
-def _as_matrix(train_rows, d: int | None) -> tuple[np.ndarray, int]:
-    if isinstance(train_rows, PatternedDataset):
-        return train_rows.values, train_rows.d
-    if isinstance(train_rows, np.ndarray) and train_rows.ndim == 2:
-        return np.asarray(train_rows, dtype=float), train_rows.shape[1]
-    rows = [
-        r.values if isinstance(r, DataRow) else np.asarray(r, dtype=float)
-        for r in train_rows
-    ]
-    if rows:
-        return np.vstack(rows), rows[0].size
-    if d is None:
-        raise ConfigError("empty training set needs an explicit d")
-    return np.empty((0, d)), d
 
 
 def _observed_column_means(matrix: np.ndarray) -> np.ndarray:

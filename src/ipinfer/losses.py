@@ -26,7 +26,7 @@ from .errors import (
     NumericError,
     RankDeficiencyError,
 )
-from .patterns import COMPLETE_PATTERN_ID, PatternedDataset
+from .patterns import PatternedDataset
 
 MEAN = "mean"
 LINEAR = "linear_regression"
@@ -234,11 +234,6 @@ def mean_hessian(loss: LossModel, x_matrix, theta) -> np.ndarray:
     return (covars * w[:, None]).T @ covars / len(covars)
 
 
-def hess(loss: LossModel, x, theta) -> np.ndarray:
-    """Loss Hessian at one target vector, shape (p, p)."""
-    return mean_hessian(loss, np.atleast_2d(x), theta)
-
-
 def _sigmoid(eta: np.ndarray) -> np.ndarray:
     out = np.empty_like(eta)
     pos = eta >= 0
@@ -310,14 +305,11 @@ def solve_complete_case(
     """Complete-case M-estimate: minimize the mean loss over complete rows.
 
     Observed logistic responses must be coded 0/1.  Imputed responses fed to
-    grad/hess elsewhere may be continuous; that is deliberate.
+    the gradients and Hessians elsewhere may be continuous; that is
+    deliberate.
     """
     x = dataset.complete_values()[:, list(dataset.target_dims)]
     if loss.family == LOGISTIC and not np.isin(x[:, loss.response_index], (0.0, 1.0)).all():
         raise ConfigError("observed logistic responses must be coded 0/1")
     return solve_mean_loss(loss, x, tol=tol, max_iter=max_iter)
 
-
-def target_matrix(dataset: PatternedDataset, pattern_id: int = COMPLETE_PATTERN_ID) -> np.ndarray:
-    """Target-column matrix of one pattern group (may contain NaN)."""
-    return dataset.group_values(pattern_id)[:, list(dataset.target_dims)]

@@ -24,11 +24,6 @@ COMPLETE_PATTERN_ID = 0
 _NA_TOKENS = frozenset({"", "NA"})
 
 
-def is_missing(values) -> np.ndarray:
-    """Elementwise missing-cell indicator for a float array."""
-    return np.isnan(np.asarray(values, dtype=float))
-
-
 @dataclass(frozen=True)
 class Pattern:
     """A missingness pattern: a boolean observation mask with an id."""
@@ -65,46 +60,8 @@ class Pattern:
         return self.mask.tobytes()
 
 
-@dataclass(frozen=True)
-class DataRow:
-    """One observation: a length-d float vector with NaN exactly off-mask."""
-
-    values: np.ndarray
-    pattern_id: int
-
-    def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=float)
-        if values.ndim != 1:
-            raise DimensionError("row values must be 1-d")
-        values = values.copy()
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
-
-
-def mask_row(values, pattern: Pattern) -> DataRow:
-    """Apply a pattern to a fully observed row, NaN-ing the unobserved cells.
-
-    Args:
-        values: length-d fully observed (finite) vector.
-        pattern: the mask to apply.
-
-    Returns:
-        A DataRow carrying the masked values and the pattern's id.
-    """
-    v = np.asarray(values, dtype=float)
-    if v.ndim != 1 or v.size != pattern.d:
-        raise DimensionError(
-            f"row has length {v.size}, pattern expects {pattern.d}"
-        )
-    if np.isnan(v).any():
-        raise ValueError("mask_row requires a fully observed row")
-    out = v.copy()
-    out[~pattern.mask] = MISSING
-    return DataRow(out, pattern.pattern_id)
-
-
 def mask_matrix(values: np.ndarray, pattern: Pattern) -> np.ndarray:
-    """Vectorized mask_row over the rows of a fully observed matrix."""
+    """Apply a pattern to every row of a matrix, NaN-ing the unobserved cells."""
     v = np.asarray(values, dtype=float)
     if v.ndim != 2 or v.shape[1] != pattern.d:
         raise DimensionError(
@@ -206,13 +163,6 @@ class PatternedDataset:
 
     def complete_values(self) -> np.ndarray:
         return self.group_values(COMPLETE_PATTERN_ID)
-
-    def row(self, i: int) -> DataRow:
-        return DataRow(self.values[i], int(self.pattern_ids[i]))
-
-    def iter_rows(self):
-        for i in range(self.n_rows):
-            yield self.row(i)
 
     # -- derived datasets ---------------------------------------------------
 
@@ -327,30 +277,6 @@ def build_dataset(
         ids[out_i] = mask_key_to_id[observed[i].tobytes()]
 
     return PatternedDataset(values[kept], ids, tuple(registry), dims, dropped)
-
-
-def dataset_from_rows(rows, target_dims, min_pattern_count: int = 1) -> PatternedDataset:
-    """build_dataset over an iterable of DataRow or raw vectors."""
-    mats = []
-    for row in rows:
-        mats.append(row.values if isinstance(row, DataRow) else np.asarray(row, float))
-    if not mats:
-        raise UnusableDatasetError("dataset has no rows")
-    return build_dataset(np.vstack(mats), target_dims, min_pattern_count)
-
-
-def group_means(dataset: PatternedDataset, fn, pattern_id: int) -> np.ndarray:
-    """Average a row functional over one pattern group.
-
-    Args:
-        dataset: the partitioned data.
-        fn: callable mapping a length-d value vector to a vector.
-        pattern_id: which group to average over.
-    """
-    rows = dataset.rows_of(pattern_id)
-    if rows.size == 0:
-        raise DataError(f"pattern {pattern_id} has no rows")
-    return np.mean([np.asarray(fn(v), float) for v in dataset.values[rows]], axis=0)
 
 
 def _validate_target_dims(target_dims, d: int) -> tuple[int, ...]:

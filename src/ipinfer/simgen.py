@@ -326,9 +326,7 @@ def run_one_trial(config: ExperimentConfig, trial: int, population=None):
             model = imputers.fit(config.imputer, train, target_dims)
             theta_n = solve_complete_case(inference, loss)
             tables = estimators.score_tables(inference, loss, model, theta_n)
-            split_state.update(
-                inference=inference, model=model, theta_n=theta_n, tables=tables
-            )
+            split_state.update(inference=inference, model=model, tables=tables)
         return split_state
 
     out: dict[str, TrialRecord | None] = {}
@@ -375,11 +373,9 @@ def _run_method(method, config, dataset, loss, cc_fit, split_artifacts, trial):
         )
     state = split_artifacts()
     if name == "ipi":
-        return estimators.ipi_fit(
-            state["inference"], loss, state["model"],
-            lambda_mode=arg or "tuned", alpha=config.alpha,
+        return estimators.fit_from_tables(
+            state["tables"], lambda_mode=arg or "tuned", alpha=config.alpha,
             objective=config.objective,
-            theta_n=state["theta_n"], tables=state["tables"],
         )
     if name == "naive":
         return baselines.naive_single_impute_fit(
@@ -388,15 +384,11 @@ def _run_method(method, config, dataset, loss, cc_fit, split_artifacts, trial):
     if name == "single_pattern":
         if arg == "best":
             fit, _ = baselines.best_single_pattern(
-                state["inference"], loss, state["model"], alpha=config.alpha,
-                objective=config.objective,
-                theta_n=state["theta_n"], tables=state["tables"],
+                state["tables"], alpha=config.alpha, objective=config.objective
             )
             return fit
         return baselines.single_pattern_ipi(
-            state["inference"], loss, state["model"], int(arg),
-            alpha=config.alpha, objective=config.objective,
-            theta_n=state["theta_n"], tables=state["tables"],
+            state["tables"], int(arg), alpha=config.alpha, objective=config.objective
         )
     raise ConfigError(f"unknown method {method!r}")
 
@@ -533,17 +525,9 @@ def gen_shift_experiment(
             theta_n = solve_complete_case(inference, loss)
             tables = estimators.score_tables(inference, loss, model, theta_n)
             tables = diagnostics.apply_gradient_shift(tables, shifts)
-            weights, _ = estimators._tune_from_tables(
-                tables, config.objective, tables.h_complete
-            )
-            weighted = diagnostics.t_ipi_test(
-                inference, loss, model, theta_n, weights, tables=tables
-            )
-            full = (
-                diagnostics.t_full_test(inference, loss, model, theta_n, tables=tables)
-                if include_full
-                else None
-            )
+            weights, _ = estimators.tune_lambda(tables, config.objective)
+            weighted = diagnostics.t_ipi_test(tables, weights)
+            full = diagnostics.t_full_test(tables) if include_full else None
         except IpinferError:
             records.append(ShiftTrialRecord(t, None, None))
             continue

@@ -250,7 +250,7 @@ def test_criterion_06_tuning_matches_numeric_minimizer():
         ds, loss, model = _factor_instance(i)
         theta_n = losses.solve_complete_case(ds, loss)
         tables = estimators.score_tables(ds, loss, model, theta_n)
-        weights, comp = estimators.tune_lambda(ds, loss, model, tables=tables)
+        weights, comp = estimators.tune_lambda(tables)
         assert not weights.fallback
 
         numeric = numeric_lambda_minimizer(

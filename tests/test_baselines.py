@@ -25,6 +25,10 @@ from oracles import ols_coefficients
 nan = np.nan
 
 
+def complete_case_tables(ds, loss, model):
+    return score_tables(ds, loss, model, losses.solve_complete_case(ds, loss))
+
+
 class TestCompleteCase:
     def test_frozen_fixture_numbers(self, eight_row):
         fit = complete_case_fit(eight_row.dataset, eight_row.loss)
@@ -104,13 +108,13 @@ class TestSinglePattern:
 
     def test_sliced_tables_match_restricted_dataset(self, rng):
         ds, loss, model = self.dataset(rng)
-        theta_n = losses.solve_complete_case(ds, loss)
-        tables = score_tables(ds, loss, model, theta_n)
+        tables = complete_case_tables(ds, loss, model)
         for r in (1, 2):
-            via_tables = single_pattern_ipi(
-                ds, loss, model, r, theta_n=theta_n, tables=tables
+            via_tables = single_pattern_ipi(tables, r)
+            restricted = ds.restrict_to_patterns([r])
+            via_restrict = single_pattern_ipi(
+                complete_case_tables(restricted, loss, model), 1
             )
-            via_restrict = single_pattern_ipi(ds, loss, model, r)
             assert via_tables.method == f"single_pattern:{r}"
             assert np.allclose(
                 via_tables.theta_hat, via_restrict.theta_hat, rtol=1e-12
@@ -119,10 +123,11 @@ class TestSinglePattern:
 
     def test_best_minimizes_trace_variance(self, rng):
         ds, loss, model = self.dataset(rng)
-        fit, winner = best_single_pattern(ds, loss, model)
+        tables = complete_case_tables(ds, loss, model)
+        fit, winner = best_single_pattern(tables)
         traces = {}
         for r in (1, 2):
-            single = single_pattern_ipi(ds, loss, model, r)
+            single = single_pattern_ipi(tables, r)
             traces[r] = float(np.trace(single.variance))
         assert winner == min(traces, key=traces.get)
         assert fit.method == f"single_pattern:{winner}"
@@ -144,15 +149,18 @@ class TestSinglePattern:
         )
         ds = build_dataset(matrix, target_dims=(2,))
         model = imputers.fit(imputers.MEAN_KIND, matrix, target_dims=(2,))
-        _, winner = best_single_pattern(ds, losses.mean_loss(1), model)
+        _, winner = best_single_pattern(
+            complete_case_tables(ds, losses.mean_loss(1), model)
+        )
         assert winner == 1
 
     def test_no_patterns_rejected(self, rng):
         x = rng.standard_normal((10, 2))
         ds = build_dataset(x, target_dims=(0,))
         model = imputers.fit(imputers.MEAN_KIND, x, target_dims=(0,))
+        tables = complete_case_tables(ds, losses.mean_loss(1), model)
         with pytest.raises(DataError):
-            best_single_pattern(ds, losses.mean_loss(1), model)
+            best_single_pattern(tables)
 
 
 class TestMonomials:

@@ -282,6 +282,20 @@ class TestDataErrors:
         assert "at least 2 rows" in err
 
 
+    def test_cipi_without_covering_fold_split_exits_3(self, capsys, tmp_path, eight_csv):
+        # Four complete rows cannot fill five folds: the data, not the
+        # config, rules the fit out.
+        cfg = write_config(
+            tmp_path / "c.json",
+            {"loss": MEAN_X_LOSS, "method": "cipi", "imputer": "mean",
+             "k_folds": 5, "n_boot": 4},
+        )
+        code, err = run_error(capsys, ["analyze", eight_csv, "--config", cfg])
+        assert code == 3
+        assert err.count("\n") == 1
+        assert "covering every pattern" in err
+
+
 class TestNumericErrors:
     def test_duplicate_covariate_exits_4(self, capsys, tmp_path):
         rows = "y,x1,x2\n1.0,2.0,2.0\n2.0,1.0,1.0\n0.5,3.0,3.0\n1.5,4.0,4.0\n"
@@ -617,6 +631,25 @@ class TestSimulate:
         assert lines[1] == "ipi,n_trials,3"
         metrics = {tuple(l.split(",")[:2]) for l in lines[1:]}
         assert ("complete_case", "coverage") in metrics
+
+    def test_uncoverable_fold_split_counts_as_cipi_failure(self, capsys, tmp_path):
+        # Ten incomplete rows over two patterns: no pattern reaches twelve
+        # rows, so every trial's cross-fit fails and is counted.
+        payload = dict(self.COVERAGE, ratio=0.25, k_folds=12, n_boot=4,
+                       methods=["cipi", "complete_case"])
+        cfg = write_config(tmp_path / "c.json", payload)
+        out = tmp_path / "out"
+        code = cli.main(["simulate", "--config", cfg, "--out", str(out)])
+        assert code == 0
+        capsys.readouterr()
+        methods = {
+            m["method"]: m
+            for m in json.loads((out / "metrics.json").read_text())["methods"]
+        }
+        assert methods["cipi"]["failures"] == 3
+        assert methods["cipi"]["n_trials"] == 0
+        assert methods["complete_case"]["failures"] == 0
+        assert methods["complete_case"]["n_trials"] == 3
 
     def test_records_flag(self, capsys, tmp_path):
         cfg = write_config(tmp_path / "c.json", self.COVERAGE)

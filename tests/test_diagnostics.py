@@ -33,12 +33,13 @@ def fixture_tables(fx):
     return score_tables(fx.dataset, fx.loss, fx.imputer, fx.theta_n)
 
 
+def tables_at_complete_case(ds, loss, model):
+    return score_tables(ds, loss, model, losses.solve_complete_case(ds, loss))
+
+
 class TestWeightedTest:
     def test_fixture_chi_square_frozen(self, eight_row):
-        report = t_ipi_test(
-            eight_row.dataset, eight_row.loss, eight_row.imputer,
-            theta_hat_n=eight_row.theta_n, lambda_hat=[0.2],
-        )
+        report = t_ipi_test(fixture_tables(eight_row), lambda_hat=[0.2])
         assert report.df == 1
         assert report.gaps.shape == (1, 1)
         assert report.gaps[0, 0] == pytest.approx(-4.4, abs=1e-9)
@@ -49,20 +50,20 @@ class TestWeightedTest:
 
     def test_weight_scale_cancels_for_single_pattern(self, eight_row):
         t = fixture_tables(eight_row)
-        a = t_ipi_test(None, None, None, lambda_hat=[0.2], tables=t)
-        b = t_ipi_test(None, None, None, lambda_hat=[1.7], tables=t)
+        a = t_ipi_test(t, lambda_hat=[0.2])
+        b = t_ipi_test(t, lambda_hat=[1.7])
         assert a.chi2_stat == pytest.approx(b.chi2_stat, rel=1e-12)
 
     def test_default_weights_are_tuned(self, eight_row):
         t = fixture_tables(eight_row)
-        default = t_ipi_test(None, None, None, tables=t)
+        default = t_ipi_test(t)
         assert default.chi2_stat == pytest.approx(14.52, abs=1e-6)
 
     def test_no_patterns_returns_trivial_report(self):
         complete = np.array([[1.0, 2.0], [2.0, 1.0], [3.0, 0.0]])
         ds = build_dataset(complete, target_dims=(0,))
         model = imputers.fit(imputers.MEAN_KIND, complete, target_dims=(0,))
-        report = t_ipi_test(ds, losses.mean_loss(1), model)
+        report = t_ipi_test(tables_at_complete_case(ds, losses.mean_loss(1), model))
         assert report.chi2_stat == 0.0
         assert report.p_value == 1.0
         assert report.gaps.shape == (0, 1)
@@ -80,7 +81,7 @@ class TestWeightedTest:
             fold_complete=t.fold_complete, fold_imputed=t.fold_imputed,
             h_complete=t.h_complete, h_folds=t.h_folds,
         )
-        report = t_ipi_test(None, None, None, lambda_hat=[1.0], tables=zeroed)
+        report = t_ipi_test(zeroed, lambda_hat=[1.0])
         assert report.chi2_stat == 0.0
         assert report.p_value == 1.0
 
@@ -88,8 +89,9 @@ class TestWeightedTest:
         matrix = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 1.0], [nan, 4.0]])
         ds = build_dataset(matrix, target_dims=(0,))
         model = imputers.fit(imputers.MEAN_KIND, matrix, target_dims=(0,))
+        t = tables_at_complete_case(ds, losses.mean_loss(1), model)
         with pytest.raises(DataError, match="2 rows"):
-            t_ipi_test(ds, losses.mean_loss(1), model, lambda_hat=[1.0])
+            t_ipi_test(t, lambda_hat=[1.0])
 
 
 class TestScaleInvariance:
@@ -110,8 +112,8 @@ class TestScaleInvariance:
             g_masked=tuple(kappa * g for g in t.g_masked),
             g_imputed=tuple(kappa * g for g in t.g_imputed),
         )
-        base = t_ipi_test(None, None, None, lambda_hat=[0.5, 0.8], tables=t)
-        resc = t_ipi_test(None, None, None, lambda_hat=[0.5, 0.8], tables=scaled)
+        base = t_ipi_test(t, lambda_hat=[0.5, 0.8])
+        resc = t_ipi_test(scaled, lambda_hat=[0.5, 0.8])
         assert resc.chi2_stat == pytest.approx(base.chi2_stat, rel=1e-9)
         assert resc.p_value == pytest.approx(base.p_value, rel=1e-9)
 
@@ -131,9 +133,7 @@ class TestSingularCovariance:
         )
 
     def test_rank_deficient_covariance_gets_ridge_repair(self):
-        report = t_ipi_test(
-            None, None, None, lambda_hat=[1.0], tables=self.crafted_tables()
-        )
+        report = t_ipi_test(self.crafted_tables(), lambda_hat=[1.0])
         assert any("ridge" in w for w in report.warnings)
         assert report.chi2_stat is not None and report.chi2_stat >= 0
         assert 0.0 <= report.p_value <= 1.0
@@ -148,7 +148,7 @@ class TestSingularCovariance:
             fold_complete=t.fold_complete, fold_imputed=t.fold_imputed,
             h_complete=t.h_complete, h_folds=t.h_folds,
         )
-        report = t_ipi_test(None, None, None, lambda_hat=[1.0], tables=constant)
+        report = t_ipi_test(constant, lambda_hat=[1.0])
         assert report.chi2_stat is None
         assert report.p_value is None
         assert any("undefined" in w for w in report.warnings)
@@ -156,10 +156,7 @@ class TestSingularCovariance:
 
 class TestFullTest:
     def test_fixture_matches_weighted_for_single_pattern(self, eight_row):
-        report = t_full_test(
-            eight_row.dataset, eight_row.loss, eight_row.imputer,
-            theta_hat_n=eight_row.theta_n,
-        )
+        report = t_full_test(fixture_tables(eight_row))
         assert report.df == 1
         assert report.chi2_stat == pytest.approx(14.52, abs=1e-6)
         assert report.statistic[0] == pytest.approx(-4.4, abs=1e-9)
@@ -171,7 +168,7 @@ class TestFullTest:
         ds = build_dataset(matrix, target_dims=(0, 1))
         loss = losses.mean_loss(2)
         model = imputers.fit(imputers.MEAN_KIND, matrix, target_dims=(0, 1))
-        report = t_full_test(ds, loss, model)
+        report = t_full_test(tables_at_complete_case(ds, loss, model))
         assert report.df == 4
         assert report.statistic.shape == (4,)
         assert np.array_equal(report.statistic, report.gaps.reshape(-1))
@@ -181,14 +178,15 @@ class TestFullTest:
         matrix = np.array([[1.0, 1.0], [2.0, 2.0], [nan, 3.0], [nan, 4.0]])
         ds = build_dataset(matrix, target_dims=(0,))
         model = imputers.fit(imputers.MEAN_KIND, matrix, target_dims=(0,))
+        t = tables_at_complete_case(ds, losses.mean_loss(1), model)
         with pytest.raises(DataError, match="too large"):
-            t_full_test(ds, losses.mean_loss(1), model)
+            t_full_test(t)
 
     def test_no_patterns_trivial_report(self):
         complete = np.array([[1.0, 2.0], [2.0, 1.0], [3.0, 0.0]])
         ds = build_dataset(complete, target_dims=(0,))
         model = imputers.fit(imputers.MEAN_KIND, complete, target_dims=(0,))
-        report = t_full_test(ds, losses.mean_loss(1), model)
+        report = t_full_test(tables_at_complete_case(ds, losses.mean_loss(1), model))
         assert report.df == 0
         assert report.p_value == 1.0
 
@@ -204,22 +202,15 @@ class TestGradientShift:
     def test_chi_square_follows_shifted_gap(self, eight_row):
         t = fixture_tables(eight_row)
         for c in (0.0, 2.0, 10.0):
-            report = t_ipi_test(
-                None, None, None, lambda_hat=[0.2],
-                tables=apply_gradient_shift(t, c),
-            )
+            report = t_ipi_test(apply_gradient_shift(t, c), lambda_hat=[0.2])
             assert report.chi2_stat == pytest.approx(
                 3.0 * (4.4 - c) ** 2 / 4.0, abs=1e-6
             )
 
     def test_power_grows_with_shift_magnitude(self, eight_row):
         t = fixture_tables(eight_row)
-        p_small = t_ipi_test(
-            None, None, None, lambda_hat=[1.0], tables=apply_gradient_shift(t, 5.0)
-        ).p_value
-        p_large = t_ipi_test(
-            None, None, None, lambda_hat=[1.0], tables=apply_gradient_shift(t, 15.0)
-        ).p_value
+        p_small = t_ipi_test(apply_gradient_shift(t, 5.0), lambda_hat=[1.0]).p_value
+        p_large = t_ipi_test(apply_gradient_shift(t, 15.0), lambda_hat=[1.0]).p_value
         assert p_large < p_small
 
     def test_vector_shift_and_validation(self, eight_row):
@@ -230,10 +221,7 @@ class TestGradientShift:
             apply_gradient_shift(t, [1.0, 2.0])
 
     def test_report_is_immutable_record(self, eight_row):
-        report = t_ipi_test(
-            eight_row.dataset, eight_row.loss, eight_row.imputer,
-            theta_hat_n=eight_row.theta_n, lambda_hat=[1.0],
-        )
+        report = t_ipi_test(fixture_tables(eight_row), lambda_hat=[1.0])
         assert isinstance(report, DiagnosticReport)
         with pytest.raises(AttributeError):
             report.df = 2

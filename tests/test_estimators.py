@@ -25,11 +25,11 @@ from ipinfer.estimators import (
     TuningWeights,
     bootstrap_variance,
     cipi_fit,
-    complete_case_hessian,
     confidence_interval,
     cross_fit,
     effective_sample_size,
     estimate_variance,
+    fit_from_tables,
     full_ipi_hessian,
     ipi_fit,
     ipi_grad,
@@ -57,6 +57,15 @@ LAMBDA_STAR = 0.2 / (1.0 + 1e-8)
 
 def fixture_tables(fx):
     return score_tables(fx.dataset, fx.loss, fx.imputer, fx.theta_n)
+
+
+def complete_case_tables(ds, loss, imputer):
+    """Tables at the solved complete-case estimate, as ipi_fit builds them."""
+    return score_tables(ds, loss, imputer, losses.solve_complete_case(ds, loss))
+
+
+def solved_tables(fx):
+    return complete_case_tables(fx.dataset, fx.loss, fx.imputer)
 
 
 class TestScoreTables:
@@ -104,63 +113,45 @@ class TestWeights:
             w.lam[0] = 2.0
 
     def test_scalar_weight_broadcasts(self, eight_row):
-        est = ipi_point_estimate(
-            eight_row.dataset, eight_row.loss, eight_row.imputer, 0.5
-        )
-        vec = ipi_point_estimate(
-            eight_row.dataset, eight_row.loss, eight_row.imputer, np.array([0.5])
-        )
+        t = solved_tables(eight_row)
+        est = ipi_point_estimate(t, 0.5)
+        vec = ipi_point_estimate(t, np.array([0.5]))
         assert np.array_equal(est, vec)
 
     def test_wrong_length_or_nonfinite_rejected(self, eight_row):
+        t = solved_tables(eight_row)
         with pytest.raises(ConfigError):
-            ipi_point_estimate(
-                eight_row.dataset, eight_row.loss, eight_row.imputer, [0.5, 0.5]
-            )
+            ipi_point_estimate(t, [0.5, 0.5])
         with pytest.raises(ConfigError):
-            ipi_point_estimate(
-                eight_row.dataset, eight_row.loss, eight_row.imputer, [np.inf]
-            )
+            ipi_point_estimate(t, [np.inf])
 
 
 class TestPointEstimate:
     def test_zero_weights_reduce_to_complete_case(self, eight_row):
-        est = ipi_point_estimate(
-            eight_row.dataset, eight_row.loss, eight_row.imputer, 0.0
-        )
+        est = ipi_point_estimate(solved_tables(eight_row), 0.0)
         assert abs(est[0] - 3.0) < 1e-12
 
     def test_one_step_is_linear_in_lambda(self, eight_row):
         # theta(lambda) = 3 + 4.4 * lambda for the fixture
+        t = solved_tables(eight_row)
         for lam in (0.2, 0.5, 1.0):
-            est = ipi_point_estimate(
-                eight_row.dataset, eight_row.loss, eight_row.imputer, lam
-            )
+            est = ipi_point_estimate(t, lam)
             assert est[0] == pytest.approx(3.0 + 4.4 * lam, abs=1e-8)
 
     def test_semi_supervised_identity_rule_is_exact(self, semi_supervised):
-        est = ipi_point_estimate(
-            semi_supervised.dataset,
-            semi_supervised.loss,
-            semi_supervised.imputer,
-            1.0,
-        )
+        est = ipi_point_estimate(solved_tables(semi_supervised), 1.0)
         assert est[0] == 6.0
 
     def test_gradient_matches_weighted_formula(self, eight_row):
         t = fixture_tables(eight_row)
-        g = ipi_grad(eight_row.dataset, eight_row.loss, eight_row.imputer,
-                     eight_row.theta_n, [0.5], tables=t)
+        g = ipi_grad(t, [0.5])
         expected = G_COMPLETE.mean() + 0.5 * (G_IMPUTED.mean() - G_MASKED.mean())
         assert g[0] == pytest.approx(expected, abs=1e-9)
 
     def test_precomputed_tables_give_identical_fit(self, eight_row):
         t = fixture_tables(eight_row)
         direct = ipi_fit(eight_row.dataset, eight_row.loss, eight_row.imputer)
-        reused = ipi_fit(
-            eight_row.dataset, eight_row.loss, eight_row.imputer,
-            theta_n=eight_row.theta_n, tables=t,
-        )
+        reused = fit_from_tables(t)
         assert np.array_equal(direct.theta_hat, reused.theta_hat)
         assert np.array_equal(direct.se, reused.se)
         assert np.array_equal(direct.ci, reused.ci)
@@ -185,10 +176,8 @@ class TestMaskingCancellation:
         assert np.array_equal(tables.g_masked[0], tables.g_complete)
         assert np.array_equal(tables.g_imputed[0], tables.g_complete)
         for lam in (0.3, 0.7, 1.0):
-            est = ipi_point_estimate(ds, loss, model, lam, theta_n=np.array([3.0]),
-                                     tables=tables)
-            base = ipi_point_estimate(ds, loss, model, 0.0, theta_n=np.array([3.0]),
-                                      tables=tables)
+            est = ipi_point_estimate(tables, lam)
+            base = ipi_point_estimate(tables, 0.0)
             assert np.array_equal(est, base)
 
 
@@ -201,10 +190,7 @@ class TestTuning:
         assert comp.b[0] == pytest.approx(4 / 15, abs=1e-9)
 
     def test_closed_form_solution_frozen(self, eight_row):
-        w, comp = tune_lambda(
-            eight_row.dataset, eight_row.loss, eight_row.imputer,
-            theta_n=eight_row.theta_n,
-        )
+        w, comp = tune_lambda(fixture_tables(eight_row))
         assert w.mode == "tuned"
         assert not w.fallback
         assert w.lam[0] == pytest.approx(LAMBDA_STAR, abs=1e-12)
@@ -212,9 +198,7 @@ class TestTuning:
 
     def test_tuned_weight_beats_zero_and_pooled(self, eight_row):
         t = fixture_tables(eight_row)
-        w, comp = tune_lambda(
-            eight_row.dataset, eight_row.loss, eight_row.imputer, tables=t
-        )
+        w, comp = tune_lambda(t)
         pooled = pooled_weights(eight_row.dataset)
         assert comp.objective(w.lam) <= comp.objective(np.zeros(1)) + 1e-12
         assert comp.objective(w.lam) <= comp.objective(pooled.lam) + 1e-12
@@ -227,7 +211,7 @@ class TestTuning:
         model = imputers.fit(imputers.GAUSSIAN_KIND, train, target_dims=(0, 1))
         theta_n = losses.solve_complete_case(ds, loss)
         tables = score_tables(ds, loss, model, theta_n)
-        w, _ = tune_lambda(ds, loss, model, tables=tables)
+        w, _ = tune_lambda(tables)
 
         g_x = tables.g_complete
         n = tables.n_complete
@@ -260,7 +244,7 @@ class TestTuning:
         model = imputers.fit(
             imputers.ZERO_KIND, np.zeros((2, 2)), target_dims=(0,)
         )
-        w, _ = tune_lambda(ds, loss, model)
+        w, _ = tune_lambda(complete_case_tables(ds, loss, model))
         assert w.fallback
         assert np.allclose(w.lam, pooled_weights(ds).lam)
 
@@ -269,30 +253,23 @@ class TestTuning:
         ds = build_dataset(matrix, target_dims=(0,))
         loss = losses.mean_loss(1)
         model = imputers.fit(imputers.MEAN_KIND, matrix, target_dims=(0,))
+        tables = complete_case_tables(ds, loss, model)
         with pytest.raises(DataError, match="2 rows"):
-            tune_lambda(ds, loss, model)
+            tune_lambda(tables)
 
     def test_coordinate_objective_accepts_index(self, eight_row):
-        w_trace, _ = tune_lambda(
-            eight_row.dataset, eight_row.loss, eight_row.imputer, objective="trace"
-        )
-        w_coord, _ = tune_lambda(
-            eight_row.dataset, eight_row.loss, eight_row.imputer, objective=0
-        )
+        t = solved_tables(eight_row)
+        w_trace, _ = tune_lambda(t, objective="trace")
+        w_coord, _ = tune_lambda(t, objective=0)
         assert np.allclose(w_trace.lam, w_coord.lam, atol=1e-15)
         with pytest.raises(ConfigError):
-            tune_lambda(
-                eight_row.dataset, eight_row.loss, eight_row.imputer, objective=5
-            )
+            tune_lambda(t, objective=5)
 
 
 class TestVariance:
     def test_plug_in_matches_hand_formula(self, eight_row):
         lam = np.array([0.2])
-        v = estimate_variance(
-            eight_row.dataset, eight_row.loss, eight_row.imputer,
-            eight_row.theta_n, lam,
-        )
+        v = estimate_variance(fixture_tables(eight_row), lam)
         resid = G_COMPLETE - 0.2 * G_MASKED
         expected = np.var(resid, ddof=1) + 0.2**2 * (4 / 4) * np.var(
             G_IMPUTED, ddof=1
@@ -301,10 +278,7 @@ class TestVariance:
         assert expected == pytest.approx(13.36 / 3, abs=1e-9)
 
     def test_zero_lambda_variance_is_complete_case(self, eight_row):
-        v = estimate_variance(
-            eight_row.dataset, eight_row.loss, eight_row.imputer,
-            eight_row.theta_n, np.array([0.0]),
-        )
+        v = estimate_variance(fixture_tables(eight_row), np.array([0.0]))
         assert v[0, 0] == pytest.approx(np.var(G_COMPLETE, ddof=1), rel=1e-12)
 
     def test_confidence_interval_scaling(self):
@@ -385,14 +359,10 @@ class TestFitBundle:
 
     def test_hessian_helpers_agree_with_tables(self, eight_row):
         t = fixture_tables(eight_row)
-        h_cc = complete_case_hessian(
-            eight_row.dataset, eight_row.loss, eight_row.theta_n
-        )
+        complete = eight_row.dataset.complete_values()[:, [0]]
+        h_cc = losses.mean_hessian(eight_row.loss, complete, eight_row.theta_n)
         assert np.array_equal(h_cc, t.h_complete)
-        h_full = full_ipi_hessian(
-            eight_row.dataset, eight_row.loss, eight_row.imputer,
-            eight_row.theta_n, np.array([0.5]),
-        )
+        h_full = full_ipi_hessian(t, np.array([0.5]))
         assert h_full.shape == (1, 1)
 
     def test_permutation_invariance_with_fixed_imputer(self, rng):
@@ -450,7 +420,7 @@ class TestCrossFit:
             [[1.0, 1.0], [2.0, 2.0], [3.0, 3.0], [nan, 4.0], [nan, 5.0], [5.0, nan]]
         )
         ds = build_dataset(matrix, target_dims=(0, 1))
-        with pytest.raises(ConfigError, match="covering every pattern"):
+        with pytest.raises(DataError, match="covering every pattern"):
             cross_fit(ds, 2, imputers.MEAN_KIND, seed=0)
 
     def test_k_bounds_enforced(self, rng):
@@ -476,7 +446,8 @@ class TestCrossFit:
         ds = self.blockwise(rng)
         folded = cross_fit(ds, 4, imputers.MEAN_KIND, seed=1)
         theta_n = losses.solve_complete_case(ds, losses.mean_loss(2))
-        est = ipi_point_estimate(ds, losses.mean_loss(2), folded, 0.0)
+        tables = score_tables(ds, losses.mean_loss(2), folded, theta_n)
+        est = ipi_point_estimate(tables, 0.0)
         assert np.allclose(est, theta_n, atol=1e-12)
 
 
@@ -520,8 +491,8 @@ class TestFoldedTables:
             grads.append(g)
             hessians.append(h)
 
-        grad = ipi_grad(ds, loss, folded, theta, lam, tables=tables)
-        hess = full_ipi_hessian(ds, loss, folded, theta, lam, tables=tables)
+        grad = ipi_grad(tables, lam)
+        hess = full_ipi_hessian(tables, lam)
         assert np.allclose(grad, np.mean(grads, axis=0), rtol=1e-10, atol=1e-12)
         assert np.allclose(hess, np.mean(hessians, axis=0), rtol=1e-10, atol=1e-12)
 
@@ -557,11 +528,8 @@ class TestFoldedTables:
         theta = losses.solve_complete_case(ds, loss)
         tables = score_tables(ds, loss, imputer, theta)
         lam = np.array([0.7, -0.4])
-        shift = (
-            ipi_grad(ds, loss, imputer, theta, lam, tables=tables)
-            - ipi_grad(ds, loss, imputer, theta, np.zeros(2), tables=tables)
-        )
-        gaps = t_ipi_test(ds, loss, imputer, theta, lam, tables=tables).gaps
+        shift = ipi_grad(tables, lam) - ipi_grad(tables, np.zeros(2))
+        gaps = t_ipi_test(tables, lam).gaps
         expected = (lam[:, None] * gaps).sum(axis=0) / ds.n_patterns
         assert np.allclose(shift, expected, rtol=1e-10, atol=1e-13)
 
@@ -581,7 +549,7 @@ class TestBootstrapVariance:
             imputer=imputers.ZERO_KIND, seed=2,
         )
         model = imputers.fit(imputers.ZERO_KIND, matrix, target_dims=(0, 1))
-        plug = estimate_variance(ds, loss, model, theta_n, lam)
+        plug = estimate_variance(score_tables(ds, loss, model, theta_n), lam)
         assert np.allclose(boot, plug, rtol=1e-12)
 
     def test_seed_determinism(self, rng):

@@ -44,7 +44,7 @@ class TestFitDispatch:
 
     def test_empty_training_set_rejected(self):
         with pytest.raises(FitError, match="empty"):
-            imputers.fit(imputers.MEAN_KIND, np.zeros((0, 2)), target_dims=(0,), d=2)
+            imputers.fit(imputers.MEAN_KIND, np.zeros((0, 2)), target_dims=(0,))
 
     def test_never_observed_column_rejected(self):
         bad = np.array([[1.0, nan], [2.0, nan]])
@@ -92,19 +92,6 @@ class TestFillContract:
         model = imputers.fit(imputers.ZERO_KIND, train_matrix(), target_dims=(0,))
         with pytest.raises(DimensionError):
             model.fill(np.zeros((2, 4)))
-
-    def test_impute_returns_target_dims_only(self):
-        model = imputers.fit(imputers.MEAN_KIND, train_matrix(), target_dims=(0, 2))
-        out = model.impute(np.array([nan, 5.0, nan]))
-        assert out.shape == (2,)
-        means = model.column_means
-        assert out[0] == means[0] and out[1] == means[2]
-
-    def test_impute_matrix_shape(self):
-        model = imputers.fit(imputers.MEAN_KIND, train_matrix(), target_dims=(1,))
-        out = model.impute_matrix(np.array([[1.0, nan, 0.0], [2.0, 3.0, 1.0]]))
-        assert out.shape == (2, 1)
-        assert out[1, 0] == 3.0
 
 
 def blockwise_train_and_query(rng) -> tuple[np.ndarray, np.ndarray]:

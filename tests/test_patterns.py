@@ -13,10 +13,8 @@ from ipinfer.patterns import (
     Pattern,
     PatternedDataset,
     build_dataset,
-    group_means,
     load_csv,
     mask_matrix,
-    mask_row,
 )
 
 nan = np.nan
@@ -60,27 +58,16 @@ class TestPattern:
 
 
 class TestMasking:
-    def test_mask_row_nans_off_mask_cells(self):
-        row = mask_row([1.0, 2.0, 3.0], Pattern(1, [True, False, True]))
-        assert row.pattern_id == 1
-        assert np.array_equal(np.isnan(row.values), [False, True, False])
-        assert row.values[0] == 1.0 and row.values[2] == 3.0
-
-    def test_mask_row_rejects_incomplete_input(self):
-        with pytest.raises(ValueError):
-            mask_row([1.0, nan], Pattern(1, [True, False]))
-
-    def test_mask_row_rejects_wrong_length(self):
+    def test_mask_matrix_rejects_wrong_width(self):
         with pytest.raises(DimensionError):
-            mask_row([1.0, 2.0, 3.0], Pattern(1, [True, False]))
+            mask_matrix(np.array([[1.0, 2.0, 3.0]]), Pattern(1, [True, False]))
 
     def test_mask_matrix_is_vectorized_mask_row(self):
         values = np.array([[1.0, 2.0], [3.0, 4.0]])
         p = Pattern(1, [False, True])
         out = mask_matrix(values, p)
-        for i in range(2):
-            expected = mask_row(values[i], p).values
-            assert np.array_equal(out[i], expected, equal_nan=True)
+        expected = np.array([[nan, 2.0], [nan, 4.0]])
+        assert np.array_equal(out, expected, equal_nan=True)
 
     def test_mask_matrix_leaves_input_untouched(self):
         values = np.array([[1.0, 2.0]])
@@ -191,11 +178,6 @@ class TestPatternedDataset:
         freqs = ds.pattern_frequencies()
         assert freqs.sum() == pytest.approx(1.0)
         assert freqs[0] == pytest.approx(2 / 5)
-
-    def test_group_means_averages_functional(self):
-        ds = build_dataset(small_matrix(), target_dims=(0,))
-        out = group_means(ds, lambda row: row[1:], 1)
-        assert np.allclose(out, [6.0, 7.0])
 
 
 @settings(max_examples=50, deadline=None)
