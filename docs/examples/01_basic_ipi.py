@@ -43,7 +43,7 @@ def main():
     train, inference = estimators.split_train_inference(
         dataset, 0.1, np.random.SeedSequence(3)
     )
-    model = imputers.fit(imputers.GAUSSIAN_KIND, train, target_dims)
+    model = imputers.fit(imputers.GAUSSIAN_KIND, train)
 
     fit = estimators.ipi_fit(inference, loss, model, alpha=0.1)
     cc = baselines.complete_case_fit(inference, loss, alpha=0.1)

@@ -41,14 +41,14 @@ def main():
     train, inference = estimators.split_train_inference(
         dataset, 0.1, np.random.SeedSequence(12)
     )
-    model = imputers.fit(imputers.GAUSSIAN_KIND, train, target_dims)
+    model = imputers.fit(imputers.GAUSSIAN_KIND, train)
 
     theta_n = losses.solve_complete_case(inference, loss)
     tables = estimators.score_tables(inference, loss, model, theta_n)
     tuned, components = estimators.tune_lambda(tables)
     modes = {
         "zero": np.zeros(inference.n_patterns),
-        "pooled": estimators.pooled_weights(inference).lam,
+        "pooled": estimators.resolve_weights(tables, "pooled")[0].lam,
         "tuned": tuned.lam,
     }
     print(f"pattern sizes: {[int(c) for c in inference.pattern_counts()][1:]}")

@@ -50,7 +50,7 @@ def main():
     train, inference = estimators.split_train_inference(
         dataset, 0.2, np.random.SeedSequence(9)
     )
-    model = imputers.fit(imputers.CHAINED_KIND, train, target_dims)
+    model = imputers.fit(imputers.CHAINED_KIND, train)
     plain = estimators.ipi_fit(inference, loss, model, alpha=0.1)
     width_cipi = float(np.mean(np.diff(fit.ci, axis=1)))
     width_plain = float(np.mean(np.diff(plain.ci, axis=1)))

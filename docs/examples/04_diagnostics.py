@@ -33,7 +33,7 @@ def make_matrix(rng, shift=0.0, n_complete=400, per_pattern=600):
 def run(tag, matrix):
     loss, target_dims = losses.loss_for_columns(losses.MEAN, columns=(0, 1))
     dataset = build_dataset(matrix, target_dims)
-    model = imputers.fit(imputers.GAUSSIAN_KIND, dataset.values, target_dims)
+    model = imputers.fit(imputers.GAUSSIAN_KIND, dataset.values)
     theta_n = losses.solve_complete_case(dataset, loss)
     tables = estimators.score_tables(dataset, loss, model, theta_n)
 

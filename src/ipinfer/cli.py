@@ -218,19 +218,42 @@ def build_experiment_config(cfg: dict) -> simgen.ExperimentConfig:
     methods = cfg.get("methods", ["ipi", "complete_case"])
     if not isinstance(methods, list) or not all(isinstance(m, str) for m in methods):
         raise ConfigError("field 'methods' must be a list of method names")
+    for method in methods:
+        name, _, arg = method.partition(":")
+        if name != "single_pattern" or arg == "best":
+            continue
+        try:
+            int(arg)
+        except ValueError:
+            raise ConfigError(
+                f"field 'methods': {method!r} needs a pattern id or 'best' after ':'"
+            ) from None
     mean_cols = _int_list(section, "columns")
     covariates = _int_list(section, "covariates")
+    response = _field(section, "response", int, 2 if family != losses.MEAN else None)
+    if family == losses.MEAN:
+        used = {"columns": mean_cols or []}
+    else:
+        used = {"response": [] if response is None else [response],
+                "covariates": covariates or []}
+    columns = [f"x{j}" for j in range(factor.d)]
+    for key, values in used.items():
+        for value in values:
+            _resolve_column(value, columns, f"loss.{key}")
+    ratio = _field(cfg, "ratio", float, 10.0)
+    if ratio is None or not np.isfinite(ratio):
+        raise ConfigError(f"field 'ratio' must be a finite number, got {ratio!r}")
     trials = _field(cfg, "trials", int, 100)
     if trials is None or trials < 1:
         raise ConfigError(f"field 'trials' must be at least 1, got {trials!r}")
-    return simgen.ExperimentConfig(
+    config = simgen.ExperimentConfig(
         factor=factor,
         n_complete=_field(cfg, "n_complete", int, 200),
-        ratio=_field(cfg, "ratio", float, 10.0),
+        ratio=ratio,
         n_patterns=_field(cfg, "n_patterns", int, 10),
         feature_mask_prob=_field(cfg, "feature_mask_prob", float, 0.2),
         loss_family=family,
-        response=_field(section, "response", int, 2 if family != losses.MEAN else None),
+        response=response,
         covariates=tuple(covariates) if covariates is not None else (0, 1),
         mean_columns=tuple(mean_cols) if mean_cols is not None else None,
         intercept=bool(_field(section, "intercept", bool, False)),
@@ -247,6 +270,13 @@ def build_experiment_config(cfg: dict) -> simgen.ExperimentConfig:
         seed=seed,
         jobs=_field(cfg, "jobs", int, 1),
     )
+    p = config.make_loss()[0].param_dim
+    j = config.target_coordinate
+    if j is None or not 0 <= j < p:
+        raise ConfigError(
+            f"field 'target_coordinate' must be in [0, {p}) for this loss, got {j!r}"
+        )
+    return config
 
 
 def _imputer_kind(cfg) -> str:
@@ -365,12 +395,12 @@ def _trained_imputer(dataset, cfg, warnings):
             "imputer trained on the inference rows (train_frac=0); "
             "set train_frac>0 or use method 'cipi' for honest training"
         )
-        model = imputers.fit(kind, dataset.values, dataset.target_dims)
+        model = imputers.fit(kind, dataset.values)
         return model, dataset
     train, inference = estimators.split_train_inference(
         dataset, train_frac, np.random.SeedSequence((seed, 0))
     )
-    model = imputers.fit(kind, train, dataset.target_dims)
+    model = imputers.fit(kind, train)
     return model, inference
 
 

@@ -77,15 +77,6 @@ def zero_weights(n_patterns: int) -> TuningWeights:
     return TuningWeights(np.zeros(n_patterns), "zero")
 
 
-def pooled_weights(dataset: PatternedDataset) -> TuningWeights:
-    """Weights that make the correction a single pooled imputation average.
-
-    lambda_r = R * n_tilde_r / n_tilde_total, so the weighted pattern
-    average becomes the frequency-weighted pooled mean.
-    """
-    return TuningWeights(_pooled_lam(dataset.pattern_counts()[1:]), "pooled")
-
-
 def as_weights(lam, n_patterns: int) -> TuningWeights:
     """Validated weights from TuningWeights, a scalar (one weight for every
     pattern) or a length-R vector ("fixed" mode)."""
@@ -313,7 +304,10 @@ def ipi_point_estimate(
     """One Newton step from tables.theta (the complete-case estimate) along
     the weighted objective."""
     weights = as_weights(lam, tables.n_patterns)
-    hessian = _select_hessian(tables, weights, hessian_mode)
+    return _one_step(tables, weights, _select_hessian(tables, weights, hessian_mode))
+
+
+def _one_step(tables: ScoreTables, weights: TuningWeights, hessian) -> np.ndarray:
     g = ipi_grad(tables, weights)
     try:
         step = np.linalg.solve(hessian, g)
@@ -643,7 +637,7 @@ def fit_from_tables(
         hessian_mode = COMPLETE_CASE_HESSIAN if mcar else FULL_IPI_HESSIAN
     weights, warnings = resolve_weights(tables, lambda_mode, fixed_lambda, objective)
     hessian = _select_hessian(tables, weights, hessian_mode)
-    theta = ipi_point_estimate(tables, weights, hessian_mode)
+    theta = _one_step(tables, weights, hessian)
     sigma = variance(tables, weights, hessian)
     n = tables.n_complete
     se, ci, chi2_radius = confidence_interval(theta, sigma, n, alpha)
@@ -737,14 +731,12 @@ class FoldedImputers:
 
 
 def _imputer_factory(imputer):
-    """Normalize an imputer argument: kind string or callable(matrix, dims)."""
+    """Normalize an imputer argument: kind string or callable factory(matrix)."""
     if callable(imputer) and not isinstance(imputer, str):
         return imputer
     if isinstance(imputer, str):
-        return lambda matrix, dims: fit_imputer(imputer, matrix, dims)
-    raise ConfigError(
-        "imputer must be a kind string or a callable factory(matrix, target_dims)"
-    )
+        return lambda matrix: fit_imputer(imputer, matrix)
+    raise ConfigError("imputer must be a kind string or a callable factory(matrix)")
 
 
 def cross_fit(
@@ -761,7 +753,7 @@ def cross_fit(
     than k_folds rows, or 100 failed draws, is a DataError.
 
     Args:
-        imputer: imputer kind string or factory(matrix, target_dims).
+        imputer: imputer kind string or factory(matrix).
     """
     n_rows = dataset.n_rows
     if not 2 <= k_folds <= n_rows:
@@ -789,11 +781,8 @@ def cross_fit(
             f"could not find a {k_folds}-fold split covering every pattern "
             f"in {_CROSS_FIT_ATTEMPTS} attempts; reduce k_folds or pool patterns"
         )
-    models = []
-    for k in range(k_folds):
-        train = dataset.values[ids != k]
-        models.append(factory(train, dataset.target_dims))
-    return FoldedImputers(ids, tuple(models))
+    models = tuple(factory(dataset.values[ids != k]) for k in range(k_folds))
+    return FoldedImputers(ids, models)
 
 
 def _folds_cover_patterns(dataset, fold_ids, k_folds) -> bool:
@@ -830,7 +819,7 @@ def bootstrap_variance(
     Args:
         theta: reference parameter (the complete-case estimate).
         lam: pattern weights used by the estimator.
-        imputer: kind string or factory, retrained per resample.
+        imputer: kind string or factory(matrix), retrained per resample.
         hessian: sandwich curvature; defaults to the complete-case Hessian.
 
     Returns:
@@ -868,7 +857,7 @@ def bootstrap_variance(
             "increase n_boot or k_folds"
         )
 
-    models = [factory(dataset.values[idx], dataset.target_dims) for idx in draws]
+    models = [factory(dataset.values[idx]) for idx in draws]
     oob = ~in_bag
 
     def _averaged_fill(j, rows, row_ids):
@@ -907,7 +896,7 @@ def cipi_fit(
     bootstrap model averaging to absorb the imputer's sampling noise.
 
     Args:
-        imputer: imputer kind string or factory(matrix, target_dims).
+        imputer: imputer kind string or factory(matrix).
         seed: drives fold assignment and bootstrap resampling.
     """
     ss = np.random.SeedSequence(seed)

@@ -1,8 +1,10 @@
 """Imputation models: fit on training rows, fill missing cells at inference.
 
-All models share one contract: fit() learns state from training rows (which
-may themselves be incomplete), and fill() replaces the NaN cells of a query
-matrix using only fitted state and the query row's observed cells.
+All models share one contract: fit(kind, matrix) learns state from a training
+matrix (whose rows may themselves be incomplete), and model.fill(rows)
+replaces the NaN cells of a query matrix using only fitted state and the
+query row's observed cells.  A model never sees the estimand: it fills whole
+rows, and the estimators read whichever coordinates their loss acts on.
 Observed cells pass through unchanged, every builtin kind is deterministic
 given its fitted state, and no row's fill depends on the rest of its batch.
 
@@ -15,7 +17,6 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError, DimensionError, FitError
-from .patterns import PatternedDataset
 
 MEAN_KIND = "mean"
 ZERO_KIND = "zero"
@@ -40,9 +41,8 @@ class ImputationModel:
 
     kind = "base"
 
-    def __init__(self, d: int, target_dims: tuple[int, ...]):
+    def __init__(self, d: int):
         self.d = int(d)
-        self.target_dims = tuple(target_dims)
 
     def fill(self, values) -> np.ndarray:
         """Return a copy of values with every NaN cell imputed.
@@ -64,28 +64,21 @@ class ImputationModel:
         raise NotImplementedError
 
 
-def fit(kind: str, train_rows, target_dims) -> ImputationModel:
+def fit(kind: str, matrix) -> ImputationModel:
     """Fit an imputation model of the named kind.
 
     Args:
         kind: one of KINDS.
-        train_rows: PatternedDataset, or (m, d) float matrix with NaN for
-            missing cells.
-        target_dims: the coordinates the estimators read from filled rows.
+        matrix: (m, d) float training matrix with NaN for missing cells.
 
     Raises:
+        DimensionError: the matrix is not 2-d or has no columns.
         FitError: training rows cannot identify the model (never-observed
             column, degenerate covariance, too few observations).
     """
-    if isinstance(train_rows, PatternedDataset):
-        train_rows = train_rows.values
-    matrix = np.asarray(train_rows, dtype=float)
-    if matrix.ndim != 2:
-        raise DimensionError("imputer training rows must be a 2-d matrix")
-    width = matrix.shape[1]
-    dims = tuple(sorted({int(t) for t in target_dims}))
-    if not dims or dims[0] < 0 or dims[-1] >= width:
-        raise ConfigError(f"target_dims {dims} out of range for d={width}")
+    matrix = np.asarray(matrix, dtype=float)
+    if matrix.ndim != 2 or matrix.shape[1] == 0:
+        raise DimensionError("imputer training rows must be a 2-d matrix with columns")
     if matrix.shape[0] == 0:
         raise FitError("imputer training set is empty")
     cls = {
@@ -97,7 +90,7 @@ def fit(kind: str, train_rows, target_dims) -> ImputationModel:
     }.get(kind)
     if cls is None:
         raise ConfigError(f"unknown imputer kind {kind!r}; expected one of {KINDS}")
-    return cls._fit(matrix, dims)
+    return cls._fit(matrix)
 
 
 def _observed_column_means(matrix: np.ndarray) -> np.ndarray:
@@ -115,13 +108,13 @@ class MeanImputer(ImputationModel):
 
     kind = MEAN_KIND
 
-    def __init__(self, d, target_dims, column_means):
-        super().__init__(d, target_dims)
+    def __init__(self, d, column_means):
+        super().__init__(d)
         self.column_means = np.asarray(column_means, dtype=float)
 
     @classmethod
-    def _fit(cls, matrix, dims):
-        return cls(matrix.shape[1], dims, _observed_column_means(matrix))
+    def _fit(cls, matrix):
+        return cls(matrix.shape[1], _observed_column_means(matrix))
 
     def _fill_missing(self, arr):
         miss = np.isnan(arr)
@@ -134,8 +127,8 @@ class ZeroImputer(ImputationModel):
     kind = ZERO_KIND
 
     @classmethod
-    def _fit(cls, matrix, dims):
-        return cls(matrix.shape[1], dims)
+    def _fit(cls, matrix):
+        return cls(matrix.shape[1])
 
     def _fill_missing(self, arr):
         arr[np.isnan(arr)] = 0.0
@@ -152,15 +145,15 @@ class HotDeckImputer(ImputationModel):
 
     kind = HOTDECK_KIND
 
-    def __init__(self, d, target_dims, donors, column_means):
-        super().__init__(d, target_dims)
+    def __init__(self, d, donors, column_means):
+        super().__init__(d)
         self.donors = np.asarray(donors, dtype=float)
         self.donor_observed = ~np.isnan(self.donors)
         self.column_means = np.asarray(column_means, dtype=float)
 
     @classmethod
-    def _fit(cls, matrix, dims):
-        return cls(matrix.shape[1], dims, matrix, _observed_column_means(matrix))
+    def _fit(cls, matrix):
+        return cls(matrix.shape[1], matrix, _observed_column_means(matrix))
 
     def _fill_missing(self, arr):
         donors = self.donors
@@ -200,14 +193,14 @@ class GaussianConditionalImputer(ImputationModel):
 
     kind = GAUSSIAN_KIND
 
-    def __init__(self, d, target_dims, mu, sigma, n_iter):
-        super().__init__(d, target_dims)
+    def __init__(self, d, mu, sigma, n_iter):
+        super().__init__(d)
         self.mu = np.asarray(mu, dtype=float)
         self.sigma = np.asarray(sigma, dtype=float)
         self.n_iter = int(n_iter)
 
     @classmethod
-    def _fit(cls, matrix, dims):
+    def _fit(cls, matrix):
         d = matrix.shape[1]
         observed = ~np.isnan(matrix)
         if (observed.sum(axis=0) < 2).any():
@@ -217,7 +210,7 @@ class GaussianConditionalImputer(ImputationModel):
                 "cannot fit a gaussian model"
             )
         mu, sigma, n_iter = _em_gaussian(matrix, observed)
-        return cls(d, dims, mu, sigma, n_iter)
+        return cls(d, mu, sigma, n_iter)
 
     def _ridge(self) -> float:
         return _EM_RIDGE * float(np.trace(self.sigma)) / self.d
@@ -318,14 +311,14 @@ class ChainedRegressionImputer(ImputationModel):
 
     kind = CHAINED_KIND
 
-    def __init__(self, d, target_dims, intercepts, coefs, n_sweeps):
-        super().__init__(d, target_dims)
+    def __init__(self, d, intercepts, coefs, n_sweeps):
+        super().__init__(d)
         self.intercepts = np.asarray(intercepts, dtype=float)
         self.coefs = np.asarray(coefs, dtype=float)
         self.n_sweeps = int(n_sweeps)
 
     @classmethod
-    def _fit(cls, matrix, dims):
+    def _fit(cls, matrix):
         d = matrix.shape[1]
         miss = np.isnan(matrix)
         filled = np.where(miss, _observed_column_means(matrix), matrix)
@@ -357,7 +350,7 @@ class ChainedRegressionImputer(ImputationModel):
                     filled[rows, j] = pred
             if n_cells == 0 or total_change / n_cells < _CHAIN_TOL:
                 break
-        return cls(d, dims, intercepts, coefs, n_sweeps)
+        return cls(d, intercepts, coefs, n_sweeps)
 
     def _fill_missing(self, arr):
         for key, rows in _pattern_groups(np.isnan(arr)).items():

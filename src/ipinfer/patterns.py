@@ -44,16 +44,8 @@ class Pattern:
         return int(self.mask.size)
 
     @property
-    def is_complete(self) -> bool:
-        return bool(self.mask.all())
-
-    @property
     def observed_indices(self) -> np.ndarray:
         return np.flatnonzero(self.mask)
-
-    @property
-    def missing_indices(self) -> np.ndarray:
-        return np.flatnonzero(~self.mask)
 
     def key(self) -> bytes:
         """Hashable identity of the mask, independent of the id."""
@@ -82,7 +74,7 @@ class PatternedDataset:
         pattern_ids: (N,) int array, each row's pattern id.
         registry: tuple of Pattern, indexed by pattern id; registry[0] is
             the complete pattern.
-        target_dims: sorted coordinate indices the loss and imputers act on.
+        target_dims: sorted coordinate indices the loss acts on.
         dropped_rows: rows removed because their pattern fell below the
             minimum count at construction.
     """
@@ -120,7 +112,7 @@ class PatternedDataset:
 
     @property
     def n_rows(self) -> int:
-        """Total row count N = n + n_tilde_total."""
+        """Total row count N, complete and incomplete rows alike."""
         return int(self.values.shape[0])
 
     @property
@@ -133,22 +125,9 @@ class PatternedDataset:
         """Number of nontrivial patterns R."""
         return len(self.registry) - 1
 
-    @property
-    def n_tilde_total(self) -> int:
-        return self.n_rows - self.n_complete
-
-    def n_tilde(self, pattern_id: int) -> int:
-        """Row count of one nontrivial pattern group."""
-        self._check_pattern_id(pattern_id)
-        return int(self._groups[pattern_id].size)
-
     def pattern_counts(self) -> np.ndarray:
         """Row counts aligned with the registry (index 0 = complete)."""
         return np.array([g.size for g in self._groups], dtype=int)
-
-    def pattern_frequencies(self) -> np.ndarray:
-        """Empirical pattern probabilities over the retained rows."""
-        return self.pattern_counts() / self.n_rows
 
     # -- row access -------------------------------------------------------
 
@@ -157,12 +136,9 @@ class PatternedDataset:
         self._check_pattern_id(pattern_id)
         return self._groups[pattern_id]
 
-    def group_values(self, pattern_id: int) -> np.ndarray:
-        """Value matrix of one pattern group."""
-        return self.values[self.rows_of(pattern_id)]
-
     def complete_values(self) -> np.ndarray:
-        return self.group_values(COMPLETE_PATTERN_ID)
+        """Value matrix of the fully observed rows."""
+        return self.values[self._groups[COMPLETE_PATTERN_ID]]
 
     # -- derived datasets ---------------------------------------------------
 

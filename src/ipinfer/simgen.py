@@ -323,7 +323,7 @@ def run_one_trial(config: ExperimentConfig, trial: int, population=None):
             train, inference = estimators.split_train_inference(
                 dataset, config.train_frac, rng
             )
-            model = imputers.fit(config.imputer, train, target_dims)
+            model = imputers.fit(config.imputer, train)
             theta_n = solve_complete_case(inference, loss)
             tables = estimators.score_tables(inference, loss, model, theta_n)
             split_state.update(inference=inference, model=model, tables=tables)
@@ -521,7 +521,7 @@ def gen_shift_experiment(
             train, inference = estimators.split_train_inference(
                 dataset, config.train_frac, rng
             )
-            model = imputers.fit(config.imputer, train, target_dims)
+            model = imputers.fit(config.imputer, train)
             theta_n = solve_complete_case(inference, loss)
             tables = estimators.score_tables(inference, loss, model, theta_n)
             tables = diagnostics.apply_gradient_shift(tables, shifts)

@@ -47,7 +47,7 @@ def eight_row() -> Fixture:
     matrix = eight_row_matrix()
     dataset = build_dataset(matrix, target_dims=(0,))
     loss = losses.mean_loss(1)
-    model = imputers.fit(imputers.CHAINED_KIND, matrix, target_dims=(0,))
+    model = imputers.fit(imputers.CHAINED_KIND, matrix)
     return Fixture(dataset, loss, model, np.array([3.0]))
 
 
@@ -72,7 +72,7 @@ def semi_supervised() -> Fixture:
     )
     dataset = build_dataset(matrix, target_dims=(0,))
     loss = losses.mean_loss(1)
-    model = imputers.fit(imputers.CHAINED_KIND, train, target_dims=(0,))
+    model = imputers.fit(imputers.CHAINED_KIND, train)
     return Fixture(dataset, loss, model, np.array([2.0]))
 
 

@@ -166,7 +166,7 @@ def test_criterion_05_zero_lambda_reduces_to_complete_case():
             for _ in range(7):
                 matrix = _instance_matrix(rng, family)
                 ds = build_dataset(matrix, target_dims)
-                model = imputers.fit(kind, ds.values, target_dims)
+                model = imputers.fit(kind, ds.values)
                 fit0 = estimators.ipi_fit(
                     ds, loss, model,
                     lambda_mode="fixed",
@@ -218,7 +218,7 @@ def _factor_instance(i):
         min_pattern_count=1,
     )
     ds = simgen.gen_mcar_missingness(matrix, mcfg, target_dims, rng)
-    model = imputers.fit(imputers.GAUSSIAN_KIND, ds.values, target_dims)
+    model = imputers.fit(imputers.GAUSSIAN_KIND, ds.values)
     return ds, loss, model
 
 
@@ -258,7 +258,7 @@ def test_criterion_06_tuning_matches_numeric_minimizer():
         )
         max_gap = max(max_gap, float(np.abs(weights.lam - numeric).max()))
 
-        pooled = estimators.pooled_weights(ds)
+        pooled, _ = estimators.resolve_weights(tables, "pooled")
         tuned_obj = comp.objective(weights.lam)
         assert tuned_obj <= comp.objective(np.zeros(ds.n_patterns)) + 1e-12
         assert tuned_obj <= comp.objective(pooled.lam) + 1e-12

@@ -72,7 +72,6 @@ PUBLIC_NAMES = [
     "mean_loss",
     "monomial_features",
     "naive_single_impute_fit",
-    "pooled_weights",
     "run_trials",
     "score_tables",
     "single_pattern_ipi",
@@ -150,3 +149,33 @@ def test_no_private_names_cross_modules():
     assert len(sources) > 5
     found = [use for path in sources for use in _cross_module_private_uses(path)]
     assert found == []
+
+
+def _package_imports(path: pathlib.Path) -> set[str]:
+    """ipinfer modules a source file imports, as dotted names."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level > 0:
+                base = "ipinfer." + node.module if node.module else "ipinfer"
+            elif (node.module or "").split(".")[0] == "ipinfer":
+                base = node.module
+            else:
+                continue
+            if base == "ipinfer":
+                found.update(f"ipinfer.{alias.name}" for alias in node.names)
+            else:
+                found.add(base)
+        elif isinstance(node, ast.Import):
+            found.update(
+                alias.name for alias in node.names
+                if alias.name.split(".")[0] == "ipinfer"
+            )
+    return found
+
+
+def test_imputers_depend_only_on_errors():
+    # The imputer is a black box to the estimators: it fills matrices and
+    # knows nothing of datasets, losses or estimands.
+    assert _package_imports(PACKAGE_DIR / "imputers.py") == {"ipinfer.errors"}

@@ -70,7 +70,7 @@ class TestNaive:
     def test_bit_exact_complete_case_without_missing_cells(self, rng):
         x = rng.standard_normal((30, 2))
         ds = build_dataset(x, target_dims=(0, 1))
-        model = imputers.fit(imputers.MEAN_KIND, x, target_dims=(0, 1))
+        model = imputers.fit(imputers.MEAN_KIND, x)
         naive = naive_single_impute_fit(ds, losses.mean_loss(2), model)
         cc = complete_case_fit(ds, losses.mean_loss(2))
         assert np.array_equal(naive.theta_hat, cc.theta_hat)
@@ -78,9 +78,7 @@ class TestNaive:
         assert np.array_equal(naive.n_effective, [30.0, 30.0])
 
     def test_zero_fill_shrinks_the_estimate(self, semi_supervised):
-        model = imputers.fit(
-            imputers.ZERO_KIND, semi_supervised.dataset.values, target_dims=(0,)
-        )
+        model = imputers.fit(imputers.ZERO_KIND, semi_supervised.dataset.values)
         fit = naive_single_impute_fit(
             semi_supervised.dataset, semi_supervised.loss, model
         )
@@ -103,7 +101,7 @@ class TestSinglePattern:
     def dataset(self, rng):
         matrix = random_blockwise(rng, n_complete=30, per_pattern=12)
         train = random_blockwise(rng, n_complete=20, per_pattern=8)
-        model = imputers.fit(imputers.GAUSSIAN_KIND, train, target_dims=(0, 1))
+        model = imputers.fit(imputers.GAUSSIAN_KIND, train)
         return build_dataset(matrix, target_dims=(0, 1)), losses.mean_loss(2), model
 
     def test_sliced_tables_match_restricted_dataset(self, rng):
@@ -148,7 +146,7 @@ class TestSinglePattern:
             ]
         )
         ds = build_dataset(matrix, target_dims=(2,))
-        model = imputers.fit(imputers.MEAN_KIND, matrix, target_dims=(2,))
+        model = imputers.fit(imputers.MEAN_KIND, matrix)
         _, winner = best_single_pattern(
             complete_case_tables(ds, losses.mean_loss(1), model)
         )
@@ -157,7 +155,7 @@ class TestSinglePattern:
     def test_no_patterns_rejected(self, rng):
         x = rng.standard_normal((10, 2))
         ds = build_dataset(x, target_dims=(0,))
-        model = imputers.fit(imputers.MEAN_KIND, x, target_dims=(0,))
+        model = imputers.fit(imputers.MEAN_KIND, x)
         tables = complete_case_tables(ds, losses.mean_loss(1), model)
         with pytest.raises(DataError):
             best_single_pattern(tables)

@@ -21,6 +21,8 @@ COMPLETE_CSV = "x,u\n1,2\n2,1\n3,4\n6,3\n"
 
 MEAN_X_LOSS = {"family": "mean", "columns": ["x"]}
 
+LINEAR_LOSS = {"family": "linear_regression", "response": 2, "covariates": [0, 1]}
+
 
 def write(path, text):
     path.write_text(text)
@@ -264,6 +266,31 @@ class TestConfigErrors:
         assert err.count("\n") == 1
         assert "'trials'" in err
 
+    @pytest.mark.parametrize(
+        "change, field",
+        [
+            ({"ratio": float("inf")}, "'ratio'"),
+            ({"ratio": float("nan")}, "'ratio'"),
+            ({"loss": dict(LINEAR_LOSS, response=9)}, "'loss.response'"),
+            ({"loss": dict(LINEAR_LOSS, covariates=[0, 9])}, "'loss.covariates'"),
+            ({"loss": LINEAR_LOSS, "target_coordinate": 5}, "'target_coordinate'"),
+            ({"target_coordinate": -1}, "'target_coordinate'"),
+            ({"methods": ["single_pattern:x"]}, "'methods'"),
+            ({"methods": ["single_pattern:"]}, "'methods'"),
+        ],
+    )
+    def test_simulate_rejects_unusable_field(self, capsys, tmp_path, change, field):
+        # Each of these once ended in a traceback or was silently misread.
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path / "c.json", dict(TestSimulate.COVERAGE, **change))
+        code, err = run_error(capsys, ["simulate", "--config", cfg, "--out", str(out)])
+        assert code == 2
+        assert err.startswith("ipinfer: config error:")
+        assert err.count("\n") == 1
+        assert field in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
 
 class TestDataErrors:
     def test_no_complete_rows(self, capsys, tmp_path, analyze_config):
@@ -381,7 +408,7 @@ class TestAnalyze:
         dataset = build_dataset(matrix, (0,))
         loss = losses.loss_for_columns(losses.MEAN, columns=(0,))[0]
         cc = baselines.complete_case_fit(dataset, loss, alpha=0.1)
-        model = imputers.fit("zero", dataset.values, dataset.target_dims)
+        model = imputers.fit("zero", dataset.values)
         naive = baselines.naive_single_impute_fit(dataset, loss, model, alpha=0.1)
 
         cfg = write_config(

@@ -62,7 +62,7 @@ class TestWeightedTest:
     def test_no_patterns_returns_trivial_report(self):
         complete = np.array([[1.0, 2.0], [2.0, 1.0], [3.0, 0.0]])
         ds = build_dataset(complete, target_dims=(0,))
-        model = imputers.fit(imputers.MEAN_KIND, complete, target_dims=(0,))
+        model = imputers.fit(imputers.MEAN_KIND, complete)
         report = t_ipi_test(tables_at_complete_case(ds, losses.mean_loss(1), model))
         assert report.chi2_stat == 0.0
         assert report.p_value == 1.0
@@ -88,7 +88,7 @@ class TestWeightedTest:
     def test_small_groups_rejected(self):
         matrix = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 1.0], [nan, 4.0]])
         ds = build_dataset(matrix, target_dims=(0,))
-        model = imputers.fit(imputers.MEAN_KIND, matrix, target_dims=(0,))
+        model = imputers.fit(imputers.MEAN_KIND, matrix)
         t = tables_at_complete_case(ds, losses.mean_loss(1), model)
         with pytest.raises(DataError, match="2 rows"):
             t_ipi_test(t, lambda_hat=[1.0])
@@ -103,7 +103,7 @@ class TestScaleInvariance:
         ds = build_dataset(matrix, target_dims=(0, 1))
         loss = losses.mean_loss(2)
         train = random_blockwise(rng, n_complete=20, per_pattern=8)
-        model = imputers.fit(imputers.GAUSSIAN_KIND, train, target_dims=(0, 1))
+        model = imputers.fit(imputers.GAUSSIAN_KIND, train)
         t = score_tables(ds, loss, model, losses.solve_complete_case(ds, loss))
         kappa = 3.7
         scaled = replace(
@@ -167,7 +167,7 @@ class TestFullTest:
         matrix = random_blockwise(rng, n_complete=40, per_pattern=10)
         ds = build_dataset(matrix, target_dims=(0, 1))
         loss = losses.mean_loss(2)
-        model = imputers.fit(imputers.MEAN_KIND, matrix, target_dims=(0, 1))
+        model = imputers.fit(imputers.MEAN_KIND, matrix)
         report = t_full_test(tables_at_complete_case(ds, loss, model))
         assert report.df == 4
         assert report.statistic.shape == (4,)
@@ -177,7 +177,7 @@ class TestFullTest:
     def test_refuses_oversized_statistic(self):
         matrix = np.array([[1.0, 1.0], [2.0, 2.0], [nan, 3.0], [nan, 4.0]])
         ds = build_dataset(matrix, target_dims=(0,))
-        model = imputers.fit(imputers.MEAN_KIND, matrix, target_dims=(0,))
+        model = imputers.fit(imputers.MEAN_KIND, matrix)
         t = tables_at_complete_case(ds, losses.mean_loss(1), model)
         with pytest.raises(DataError, match="too large"):
             t_full_test(t)
@@ -185,7 +185,7 @@ class TestFullTest:
     def test_no_patterns_trivial_report(self):
         complete = np.array([[1.0, 2.0], [2.0, 1.0], [3.0, 0.0]])
         ds = build_dataset(complete, target_dims=(0,))
-        model = imputers.fit(imputers.MEAN_KIND, complete, target_dims=(0,))
+        model = imputers.fit(imputers.MEAN_KIND, complete)
         report = t_full_test(tables_at_complete_case(ds, losses.mean_loss(1), model))
         assert report.df == 0
         assert report.p_value == 1.0

@@ -34,7 +34,7 @@ from ipinfer.estimators import (
     ipi_fit,
     ipi_grad,
     ipi_point_estimate,
-    pooled_weights,
+    resolve_weights,
     score_tables,
     split_train_inference,
     tune_lambda,
@@ -97,7 +97,9 @@ class TestWeights:
         matrix = random_blockwise(np.random.default_rng(0), 10, 4)
         matrix = np.vstack([matrix, matrix[-2:]])  # pattern 2 gets 6 rows
         ds = build_dataset(matrix, target_dims=(0, 1))
-        w = pooled_weights(ds)
+        model = imputers.fit(imputers.MEAN_KIND, ds.values)
+        tables = score_tables(ds, losses.mean_loss(2), model, np.zeros(2))
+        w, _ = resolve_weights(tables, "pooled")
         counts = ds.pattern_counts()[1:]
         assert np.allclose(w.lam, 2 * counts / counts.sum())
         assert w.mode == "pooled"
@@ -171,7 +173,7 @@ class TestMaskingCancellation:
         )
         ds = PatternedDataset(values, ids, registry, target_dims=(0,))
         loss = losses.mean_loss(1)
-        model = imputers.fit(imputers.MEAN_KIND, complete, target_dims=(0,))
+        model = imputers.fit(imputers.MEAN_KIND, complete)
         tables = score_tables(ds, loss, model, np.array([3.0]))
         assert np.array_equal(tables.g_masked[0], tables.g_complete)
         assert np.array_equal(tables.g_imputed[0], tables.g_complete)
@@ -199,7 +201,7 @@ class TestTuning:
     def test_tuned_weight_beats_zero_and_pooled(self, eight_row):
         t = fixture_tables(eight_row)
         w, comp = tune_lambda(t)
-        pooled = pooled_weights(eight_row.dataset)
+        pooled, _ = resolve_weights(t, "pooled")
         assert comp.objective(w.lam) <= comp.objective(np.zeros(1)) + 1e-12
         assert comp.objective(w.lam) <= comp.objective(pooled.lam) + 1e-12
 
@@ -208,7 +210,7 @@ class TestTuning:
         ds = build_dataset(matrix, target_dims=(0, 1))
         loss = losses.mean_loss(2)
         train = random_blockwise(rng, n_complete=30, per_pattern=10)
-        model = imputers.fit(imputers.GAUSSIAN_KIND, train, target_dims=(0, 1))
+        model = imputers.fit(imputers.GAUSSIAN_KIND, train)
         theta_n = losses.solve_complete_case(ds, loss)
         tables = score_tables(ds, loss, model, theta_n)
         w, _ = tune_lambda(tables)
@@ -241,18 +243,17 @@ class TestTuning:
         )
         ds = build_dataset(matrix, target_dims=(0,))
         loss = losses.mean_loss(1)
-        model = imputers.fit(
-            imputers.ZERO_KIND, np.zeros((2, 2)), target_dims=(0,)
-        )
-        w, _ = tune_lambda(complete_case_tables(ds, loss, model))
+        model = imputers.fit(imputers.ZERO_KIND, np.zeros((2, 2)))
+        tables = complete_case_tables(ds, loss, model)
+        w, _ = tune_lambda(tables)
         assert w.fallback
-        assert np.allclose(w.lam, pooled_weights(ds).lam)
+        assert np.allclose(w.lam, resolve_weights(tables, "pooled")[0].lam)
 
     def test_single_row_group_rejected(self):
         matrix = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 1.0], [nan, 4.0]])
         ds = build_dataset(matrix, target_dims=(0,))
         loss = losses.mean_loss(1)
-        model = imputers.fit(imputers.MEAN_KIND, matrix, target_dims=(0,))
+        model = imputers.fit(imputers.MEAN_KIND, matrix)
         tables = complete_case_tables(ds, loss, model)
         with pytest.raises(DataError, match="2 rows"):
             tune_lambda(tables)
@@ -357,6 +358,19 @@ class TestFitBundle:
         assert fit.estimand == "subpopulation"
         assert fit.hessian_mode == FULL_IPI_HESSIAN
 
+    def test_full_hessian_evaluated_once_per_fit(self, eight_row, monkeypatch):
+        calls = []
+
+        def counting(tables, lam):
+            calls.append(1)
+            return full_ipi_hessian(tables, lam)
+
+        monkeypatch.setattr(estimators, "full_ipi_hessian", counting)
+        tables = solved_tables(eight_row)
+        fit = fit_from_tables(tables, mcar=False)
+        assert len(calls) == 1
+        assert np.array_equal(fit.hessian, full_ipi_hessian(tables, fit.weights))
+
     def test_hessian_helpers_agree_with_tables(self, eight_row):
         t = fixture_tables(eight_row)
         complete = eight_row.dataset.complete_values()[:, [0]]
@@ -368,7 +382,7 @@ class TestFitBundle:
     def test_permutation_invariance_with_fixed_imputer(self, rng):
         matrix = random_blockwise(rng, n_complete=25, per_pattern=10)
         train = random_blockwise(rng, n_complete=20, per_pattern=8)
-        model = imputers.fit(imputers.GAUSSIAN_KIND, train, target_dims=(0, 1))
+        model = imputers.fit(imputers.GAUSSIAN_KIND, train)
         loss = losses.mean_loss(2)
         perm = rng.permutation(matrix.shape[0])
         a = ipi_fit(build_dataset(matrix, (0, 1)), loss, model,
@@ -434,9 +448,9 @@ class TestCrossFit:
         ds = self.blockwise(rng)
         calls = []
 
-        def factory(matrix, dims):
+        def factory(matrix):
             calls.append(matrix.shape)
-            return imputers.fit(imputers.MEAN_KIND, matrix, dims)
+            return imputers.fit(imputers.MEAN_KIND, matrix)
 
         folded = cross_fit(ds, 2, factory, seed=5)
         assert len(calls) == 2
@@ -509,8 +523,8 @@ class TestFoldedTables:
                 fills.append(rows.shape[0])
                 return self.model.fill(rows)
 
-        def factory(train, dims):
-            return Counting(imputers.fit(imputers.MEAN_KIND, train, dims))
+        def factory(train):
+            return Counting(imputers.fit(imputers.MEAN_KIND, train))
 
         folded = cross_fit(ds, 3, factory, seed=2)
         score_tables(ds, losses.mean_loss(2), folded, np.zeros(2))
@@ -522,7 +536,7 @@ class TestFoldedTables:
     def test_gradient_shift_is_weighted_gap_sum(self, rng, k_folds):
         ds, loss = self.regression(rng)
         if k_folds == 1:
-            imputer = imputers.fit(imputers.CHAINED_KIND, ds.values, ds.target_dims)
+            imputer = imputers.fit(imputers.CHAINED_KIND, ds.values)
         else:
             imputer = cross_fit(ds, k_folds, imputers.CHAINED_KIND, seed=8)
         theta = losses.solve_complete_case(ds, loss)
@@ -548,7 +562,7 @@ class TestBootstrapVariance:
             ds, loss, theta_n, lam, k_folds=5, n_boot=8,
             imputer=imputers.ZERO_KIND, seed=2,
         )
-        model = imputers.fit(imputers.ZERO_KIND, matrix, target_dims=(0, 1))
+        model = imputers.fit(imputers.ZERO_KIND, matrix)
         plug = estimate_variance(score_tables(ds, loss, model, theta_n), lam)
         assert np.allclose(boot, plug, rtol=1e-12)
 

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from ipinfer import imputers
 from ipinfer.errors import ConfigError, DimensionError, FitError
-from ipinfer.patterns import build_dataset
 
 from conftest import random_blockwise
 from oracles import gaussian_conditional_mean
@@ -40,29 +39,25 @@ def train_matrix() -> np.ndarray:
 class TestFitDispatch:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigError, match="unknown imputer kind"):
-            imputers.fit("oracle", train_matrix(), target_dims=(0,))
+            imputers.fit("oracle", train_matrix())
 
     def test_empty_training_set_rejected(self):
         with pytest.raises(FitError, match="empty"):
-            imputers.fit(imputers.MEAN_KIND, np.zeros((0, 2)), target_dims=(0,))
+            imputers.fit(imputers.MEAN_KIND, np.zeros((0, 2)))
 
     def test_never_observed_column_rejected(self):
         bad = np.array([[1.0, nan], [2.0, nan]])
         with pytest.raises(FitError):
-            imputers.fit(imputers.MEAN_KIND, bad, target_dims=(0,))
+            imputers.fit(imputers.MEAN_KIND, bad)
 
-    def test_bad_target_dims_rejected(self):
-        with pytest.raises(ConfigError):
-            imputers.fit(imputers.MEAN_KIND, train_matrix(), target_dims=(5,))
-
-    def test_accepts_patterned_dataset(self):
-        ds = build_dataset(train_matrix(), target_dims=(0,))
-        model = imputers.fit(imputers.MEAN_KIND, ds, target_dims=(0,))
-        assert model.d == 3
+    @pytest.mark.parametrize("bad", [np.zeros(3), np.zeros((3, 0)), np.zeros((2, 2, 2))])
+    def test_non_matrix_rejected(self, bad):
+        with pytest.raises(DimensionError, match="2-d matrix"):
+            imputers.fit(imputers.MEAN_KIND, bad)
 
     @pytest.mark.parametrize("kind", imputers.KINDS)
     def test_every_kind_fits_and_fills(self, kind):
-        model = imputers.fit(kind, train_matrix(), target_dims=(0, 1))
+        model = imputers.fit(kind, train_matrix())
         out = model.fill(np.array([[nan, 2.0, 1.0]]))
         assert out.shape == (1, 3)
         assert np.isfinite(out).all()
@@ -70,26 +65,26 @@ class TestFitDispatch:
 
 class TestFillContract:
     def test_observed_cells_preserved_bitwise(self):
-        model = imputers.fit(imputers.MEAN_KIND, train_matrix(), target_dims=(0,))
+        model = imputers.fit(imputers.MEAN_KIND, train_matrix())
         query = np.array([[0.125, nan, 7.0], [nan, 1.5, nan]])
         out = model.fill(query)
         obs = ~np.isnan(query)
         assert np.array_equal(out[obs], query[obs])
 
     def test_input_left_untouched(self):
-        model = imputers.fit(imputers.ZERO_KIND, train_matrix(), target_dims=(0,))
+        model = imputers.fit(imputers.ZERO_KIND, train_matrix())
         query = np.array([[nan, 1.0, 2.0]])
         model.fill(query)
         assert np.isnan(query[0, 0])
 
     def test_vector_in_vector_out(self):
-        model = imputers.fit(imputers.ZERO_KIND, train_matrix(), target_dims=(0,))
+        model = imputers.fit(imputers.ZERO_KIND, train_matrix())
         out = model.fill(np.array([nan, 1.0, 2.0]))
         assert out.shape == (3,)
         assert out[0] == 0.0
 
     def test_width_mismatch_raises(self):
-        model = imputers.fit(imputers.ZERO_KIND, train_matrix(), target_dims=(0,))
+        model = imputers.fit(imputers.ZERO_KIND, train_matrix())
         with pytest.raises(DimensionError):
             model.fill(np.zeros((2, 4)))
 
@@ -104,20 +99,20 @@ def blockwise_train_and_query(rng) -> tuple[np.ndarray, np.ndarray]:
 @pytest.mark.parametrize("kind", imputers.KINDS)
 def test_fill_does_not_depend_on_batch(kind, rng):
     train, query = blockwise_train_and_query(rng)
-    model = imputers.fit(kind, train, target_dims=(0,))
+    model = imputers.fit(kind, train)
     alone = np.vstack([model.fill(row) for row in query])
     np.testing.assert_allclose(model.fill(query), alone, rtol=0.0, atol=1e-12)
 
 
 class TestMeanAndZero:
     def test_mean_uses_observed_training_means(self):
-        model = imputers.fit(imputers.MEAN_KIND, train_matrix(), target_dims=(0,))
+        model = imputers.fit(imputers.MEAN_KIND, train_matrix())
         assert np.allclose(model.column_means, [2.5, 4.0, 0.5])
         out = model.fill(np.array([nan, nan, nan]))
         assert np.allclose(out, [2.5, 4.0, 0.5])
 
     def test_zero_fills_zero(self):
-        model = imputers.fit(imputers.ZERO_KIND, train_matrix(), target_dims=(0,))
+        model = imputers.fit(imputers.ZERO_KIND, train_matrix())
         out = model.fill(np.array([nan, 7.0, nan]))
         assert np.array_equal(out, [0.0, 7.0, 0.0])
 
@@ -133,7 +128,7 @@ class TestHotDeck:
         )
 
     def fit(self):
-        return imputers.fit(imputers.HOTDECK_KIND, self.donors(), target_dims=(2,))
+        return imputers.fit(imputers.HOTDECK_KIND, self.donors())
 
     def test_copies_from_nearest_donor(self):
         out = self.fit().fill(np.array([0.9, 1.1, nan]))
@@ -150,7 +145,7 @@ class TestHotDeck:
 
     def test_no_shared_coordinates_falls_back_to_column_means(self):
         donors = np.array([[1.0, nan], [2.0, nan], [3.0, 4.0]])
-        model = imputers.fit(imputers.HOTDECK_KIND, donors, target_dims=(0,))
+        model = imputers.fit(imputers.HOTDECK_KIND, donors)
         out = model.fill(np.array([nan, nan]))
         assert out[0] == pytest.approx(2.0)
         assert out[1] == pytest.approx(4.0)
@@ -163,7 +158,7 @@ class TestGaussianConditional:
 
     def test_complete_training_recovers_ml_moments(self, rng):
         x = self.complete_train(rng)
-        model = imputers.fit(imputers.GAUSSIAN_KIND, x, target_dims=(0,))
+        model = imputers.fit(imputers.GAUSSIAN_KIND, x)
         assert np.allclose(model.mu, x.mean(axis=0), atol=1e-8)
         centered = x - x.mean(axis=0)
         ml_cov = centered.T @ centered / len(x)
@@ -171,7 +166,7 @@ class TestGaussianConditional:
 
     def test_fill_matches_conditional_mean_oracle(self, rng):
         x = self.complete_train(rng)
-        model = imputers.fit(imputers.GAUSSIAN_KIND, x, target_dims=(0,))
+        model = imputers.fit(imputers.GAUSSIAN_KIND, x)
         query = np.array([nan, 0.3, -0.7])
         out = model.fill(query)
         obs = np.array([False, True, True])
@@ -182,14 +177,14 @@ class TestGaussianConditional:
 
     def test_row_with_nothing_observed_gets_unconditional_mean(self, rng):
         x = self.complete_train(rng)
-        model = imputers.fit(imputers.GAUSSIAN_KIND, x, target_dims=(0,))
+        model = imputers.fit(imputers.GAUSSIAN_KIND, x)
         out = model.fill(np.array([nan, nan, nan]))
         assert np.allclose(out, model.mu)
 
     def test_under_observed_column_rejected(self):
         bad = np.array([[1.0, 2.0], [2.0, nan], [3.0, nan]])
         with pytest.raises(FitError, match="fewer than twice"):
-            imputers.fit(imputers.GAUSSIAN_KIND, bad, target_dims=(0,))
+            imputers.fit(imputers.GAUSSIAN_KIND, bad)
 
     def test_em_recovers_parameters_under_mcar(self, rng):
         cov = np.array([[1.0, 0.6], [0.6, 1.0]])
@@ -197,7 +192,7 @@ class TestGaussianConditional:
         holes = rng.random(x.shape) < 0.3
         holes[(holes.all(axis=1)), 0] = False
         x = np.where(holes, nan, x)
-        model = imputers.fit(imputers.GAUSSIAN_KIND, x, target_dims=(0,))
+        model = imputers.fit(imputers.GAUSSIAN_KIND, x)
         assert np.allclose(model.mu, [2.0, -1.0], atol=0.1)
         assert np.allclose(model.sigma, cov, atol=0.15)
 
@@ -218,7 +213,7 @@ class TestChainedRegression:
 
     def test_complete_training_models_every_column(self):
         train = np.array([[0.0, 0.0], [1.0, 2.0], [2.0, 4.0], [3.0, 6.0]])
-        model = imputers.fit(imputers.CHAINED_KIND, train, target_dims=(0, 1))
+        model = imputers.fit(imputers.CHAINED_KIND, train)
         forward = model.fill(np.array([3.0, nan]))
         backward = model.fill(np.array([nan, 4.0]))
         assert forward[1] == pytest.approx(6.0, abs=1e-9)
@@ -230,7 +225,7 @@ class TestChainedRegression:
 
     def test_fill_satisfies_every_stored_regression(self, rng):
         train, query = blockwise_train_and_query(rng)
-        model = imputers.fit(imputers.CHAINED_KIND, train, target_dims=(0,))
+        model = imputers.fit(imputers.CHAINED_KIND, train)
         assert np.array_equal(np.diag(model.coefs), np.zeros(4))
         out = model.fill(query)
         implied = model.intercepts + out @ model.coefs.T
@@ -239,7 +234,7 @@ class TestChainedRegression:
 
     def test_fill_equals_converged_sweep_replay(self, rng):
         train, query = blockwise_train_and_query(rng)
-        model = imputers.fit(imputers.CHAINED_KIND, train, target_dims=(0,))
+        model = imputers.fit(imputers.CHAINED_KIND, train)
         miss = np.isnan(query)
         for pattern in np.unique(miss, axis=0):
             # Gauss-Seidel in column order contracts on this pattern's cells
@@ -274,7 +269,7 @@ class TestChainedRegression:
                 [nan, 5.0, 2.0],
             ]
         )
-        model = imputers.fit(imputers.CHAINED_KIND, train, target_dims=(0,))
+        model = imputers.fit(imputers.CHAINED_KIND, train)
         assert np.array_equal(model.coefs[:, 1], np.zeros(3))
         out = model.fill(np.array([nan, nan, nan]))
         assert out[1] == pytest.approx(5.0, abs=1e-12)
@@ -282,15 +277,15 @@ class TestChainedRegression:
 
     def test_reports_sweeps(self, rng):
         complete = random_blockwise(rng, masks=())
-        model = imputers.fit(imputers.CHAINED_KIND, complete, target_dims=(0,))
+        model = imputers.fit(imputers.CHAINED_KIND, complete)
         assert model.n_sweeps == 1
         train, _ = blockwise_train_and_query(rng)
-        model = imputers.fit(imputers.CHAINED_KIND, train, target_dims=(0,))
+        model = imputers.fit(imputers.CHAINED_KIND, train)
         assert 1 < model.n_sweeps <= 20
 
     def test_deterministic(self):
-        a = imputers.fit(imputers.CHAINED_KIND, train_matrix(), target_dims=(0,))
-        b = imputers.fit(imputers.CHAINED_KIND, train_matrix(), target_dims=(0,))
+        a = imputers.fit(imputers.CHAINED_KIND, train_matrix())
+        b = imputers.fit(imputers.CHAINED_KIND, train_matrix())
         query = np.array([[nan, 3.0, nan], [1.0, nan, 0.0]])
         assert np.array_equal(a.fill(query), b.fill(query))
 
@@ -316,7 +311,7 @@ def test_fill_preserves_observed_and_completes_property(data):
         ),
         dtype=float,
     )
-    model = imputers.fit(imputers.MEAN_KIND, train, target_dims=(0,))
+    model = imputers.fit(imputers.MEAN_KIND, train)
     out = model.fill(query)
     obs = ~np.isnan(query)
     assert np.array_equal(out[obs], query[obs])

@@ -44,10 +44,9 @@ class TestPattern:
     def test_indices_and_completeness(self):
         p = Pattern(2, [True, False, True])
         assert p.d == 3
-        assert not p.is_complete
+        assert not p.mask.all()
         assert list(p.observed_indices) == [0, 2]
-        assert list(p.missing_indices) == [1]
-        assert Pattern(0, [True, True]).is_complete
+        assert Pattern(0, [True, True]).mask.all()
 
     def test_key_ignores_id(self):
         assert Pattern(1, [True, False]).key() == Pattern(5, [True, False]).key()
@@ -84,7 +83,7 @@ class TestBuildDataset:
     def test_ids_follow_first_appearance_with_complete_zero(self):
         ds = build_dataset(small_matrix(), target_dims=(0, 1, 2))
         assert list(ds.pattern_ids) == [0, 1, 0, 1, 2]
-        assert ds.registry[0].is_complete
+        assert ds.registry[0].mask.all()
         assert list(ds.registry[1].mask) == [False, True, True]
         assert list(ds.registry[2].mask) == [True, False, False]
 
@@ -94,8 +93,6 @@ class TestBuildDataset:
         assert ds.n_complete == 2
         assert ds.n_patterns == 2
         assert list(ds.pattern_counts()) == [2, 2, 1]
-        assert ds.n_tilde_total == 3
-        assert ds.n_tilde(1) == 2 and ds.n_tilde(2) == 1
 
     def test_min_pattern_count_drops_rows(self):
         ds = build_dataset(small_matrix(), target_dims=(0,), min_pattern_count=2)
@@ -132,7 +129,7 @@ class TestBuildDataset:
 
         def groups_by_mask(ds):
             rows = lambda pid: sorted(
-                map(tuple, np.nan_to_num(ds.group_values(pid), nan=-1e300))
+                map(tuple, np.nan_to_num(ds.values[ds.rows_of(pid)], nan=-1e300))
             )
             return {ds.registry[pid].key(): rows(pid) for pid in range(ds.n_patterns + 1)}
 
@@ -150,7 +147,7 @@ class TestPatternedDataset:
     def test_complete_values_and_group_values(self):
         ds = build_dataset(small_matrix(), target_dims=(0,))
         assert np.array_equal(ds.complete_values(), [[1.0, 2.0, 3.0], [4.0, 0.0, 1.0]])
-        grp = ds.group_values(1)
+        grp = ds.values[ds.rows_of(1)]
         assert np.array_equal(grp, [[nan, 5.0, 6.0], [nan, 7.0, 8.0]], equal_nan=True)
 
     def test_rows_of_indexes_original_positions(self):
@@ -172,12 +169,6 @@ class TestPatternedDataset:
         assert sub.n_rows == 3
         assert sub.n_complete == 1
         assert np.array_equal(sub.values, small_matrix()[[0, 1, 4]], equal_nan=True)
-
-    def test_pattern_frequencies_sum_to_one(self):
-        ds = build_dataset(small_matrix(), target_dims=(0,))
-        freqs = ds.pattern_frequencies()
-        assert freqs.sum() == pytest.approx(1.0)
-        assert freqs[0] == pytest.approx(2 / 5)
 
 
 @settings(max_examples=50, deadline=None)
