@@ -93,24 +93,28 @@ def _check_keys(cfg: dict, allowed: set, where: str) -> None:
         )
 
 
-def _field(cfg, key, kind, default):
-    """Fetch and type-check one scalar config field."""
+def _field(cfg, key, kind, default, expected=None):
+    """Fetch and type-check one scalar config field; a JSON null is
+    accepted only where the default itself is None."""
     value = cfg.get(key, default)
-    if value is None:
+    if value is None and default is None:
         return None
     if kind is float and isinstance(value, int) and not isinstance(value, bool):
         value = float(value)
     if kind is int and isinstance(value, float) and value.is_integer():
         value = int(value)
     if not isinstance(value, kind) or isinstance(value, bool) and kind is not bool:
-        raise ConfigError(f"field {key!r} must be {kind.__name__}, got {value!r}")
+        shown = "null" if value is None else repr(value)
+        raise ConfigError(
+            f"field {key!r} must be {expected or kind.__name__}, got {shown}"
+        )
     return value
 
 
 def _seed_field(cfg, key, default):
     """A seed field: an integer that numpy's seeding accepts (>= 0)."""
-    value = _field(cfg, key, int, default)
-    if value is None or value < 0:
+    value = _field(cfg, key, int, default, "a non-negative integer")
+    if value < 0:
         raise ConfigError(f"field {key!r} must be a non-negative integer, got {value}")
     return value
 
@@ -121,15 +125,18 @@ def _check_alpha(alpha: float) -> float:
     return alpha
 
 
-def _int_list(cfg, key):
-    value = cfg.get(key)
-    if value is None:
+def _list_field(cfg, key, kind, default=None):
+    """A list field of ints, or of numbers as floats; a JSON null is
+    accepted only where the default is None."""
+    value = cfg.get(key, default)
+    if value is None and default is None:
         return None
+    kinds, what = ((int, float), "numbers") if kind is float else (int, "integers")
     if not isinstance(value, list) or not all(
-        isinstance(v, int) and not isinstance(v, bool) for v in value
+        isinstance(v, kinds) and not isinstance(v, bool) for v in value
     ):
-        raise ConfigError(f"field {key!r} must be a list of integers")
-    return value
+        raise ConfigError(f"field {key!r} must be a list of {what}")
+    return [kind(v) for v in value]
 
 
 def _objective_field(cfg):
@@ -176,7 +183,7 @@ def _loss_from_config(cfg: dict, columns: list) -> tuple:
     family = _field(section, "family", str, None)
     if family is None:
         raise ConfigError("field 'loss.family' is required")
-    intercept = bool(_field(section, "intercept", bool, False))
+    intercept = _field(section, "intercept", bool, False)
     if family == losses.MEAN:
         cols = section.get("columns")
         if not isinstance(cols, list) or not cols:
@@ -228,8 +235,8 @@ def build_experiment_config(cfg: dict) -> simgen.ExperimentConfig:
             raise ConfigError(
                 f"field 'methods': {method!r} needs a pattern id or 'best' after ':'"
             ) from None
-    mean_cols = _int_list(section, "columns")
-    covariates = _int_list(section, "covariates")
+    mean_cols = _list_field(section, "columns", int)
+    covariates = _list_field(section, "covariates", int)
     response = _field(section, "response", int, 2 if family != losses.MEAN else None)
     if family == losses.MEAN:
         used = {"columns": mean_cols or []}
@@ -241,10 +248,10 @@ def build_experiment_config(cfg: dict) -> simgen.ExperimentConfig:
         for value in values:
             _resolve_column(value, columns, f"loss.{key}")
     ratio = _field(cfg, "ratio", float, 10.0)
-    if ratio is None or not np.isfinite(ratio):
+    if not np.isfinite(ratio):
         raise ConfigError(f"field 'ratio' must be a finite number, got {ratio!r}")
     trials = _field(cfg, "trials", int, 100)
-    if trials is None or trials < 1:
+    if trials < 1:
         raise ConfigError(f"field 'trials' must be at least 1, got {trials!r}")
     config = simgen.ExperimentConfig(
         factor=factor,
@@ -256,7 +263,7 @@ def build_experiment_config(cfg: dict) -> simgen.ExperimentConfig:
         response=response,
         covariates=tuple(covariates) if covariates is not None else (0, 1),
         mean_columns=tuple(mean_cols) if mean_cols is not None else None,
-        intercept=bool(_field(section, "intercept", bool, False)),
+        intercept=_field(section, "intercept", bool, False),
         imputer=_imputer_kind(cfg),
         methods=tuple(methods),
         trials=trials,
@@ -272,7 +279,7 @@ def build_experiment_config(cfg: dict) -> simgen.ExperimentConfig:
     )
     p = config.make_loss()[0].param_dim
     j = config.target_coordinate
-    if j is None or not 0 <= j < p:
+    if not 0 <= j < p:
         raise ConfigError(
             f"field 'target_coordinate' must be in [0, {p}) for this loss, got {j!r}"
         )
@@ -296,10 +303,9 @@ def _apply_overrides(cfg: dict, args) -> dict:
         value = getattr(args, key, None)
         if value is not None:
             out[key] = value
-    if getattr(args, "diagnose", False):
-        out["diagnose"] = True
-    if getattr(args, "full", False):
-        out["full"] = True
+    for key in ("diagnose", "full"):
+        if getattr(args, key, False):
+            out[key] = True
     return out
 
 
@@ -404,17 +410,6 @@ def _trained_imputer(dataset, cfg, warnings):
     return model, inference
 
 
-def _fixed_lambda(cfg):
-    value = cfg.get("fixed_lambda")
-    if value is None:
-        return None
-    if not isinstance(value, list) or not all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) for v in value
-    ):
-        raise ConfigError("field 'fixed_lambda' must be a list of numbers")
-    return np.asarray(value, dtype=float)
-
-
 def _coefficient_names(loss, target_dims, columns) -> list:
     names = [columns[i] for i in target_dims]
     if loss.family == losses.MEAN:
@@ -451,9 +446,7 @@ def cmd_simulate(args) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
     out_dir = cfg.pop("out", None) or "."
     experiment = _field(cfg, "experiment", str, "coverage")
-    collect = bool(_field(cfg, "records", bool, False))
-    if getattr(args, "records", False):
-        collect = True
+    collect = _field(cfg, "records", bool, False) or args.records
     if experiment == "coverage":
         for key in ("shift_magnitudes", "include_full"):
             if key in cfg:
@@ -462,22 +455,16 @@ def cmd_simulate(args) -> int:
         raise ConfigError(
             f"field 'experiment' must be 'coverage' or 'shift', got {experiment!r}"
         )
-    shift_mags = cfg.pop("shift_magnitudes", [0.0])
-    include_full = bool(_field(cfg, "include_full", bool, False))
-    cfg.pop("include_full", None)
-    cfg.pop("experiment", None)
-    cfg.pop("records", None)
+    shift_mags = _list_field(cfg, "shift_magnitudes", float, [0.0])
+    include_full = _field(cfg, "include_full", bool, False)
+    for key in ("shift_magnitudes", "include_full", "experiment", "records"):
+        cfg.pop(key, None)
     config = build_experiment_config(cfg)
     os.makedirs(out_dir, exist_ok=True)
     if experiment == "coverage":
         _simulate_coverage(config, collect, out_dir)
     else:
-        if not isinstance(shift_mags, list) or not all(
-            isinstance(v, (int, float)) and not isinstance(v, bool)
-            for v in shift_mags
-        ):
-            raise ConfigError("field 'shift_magnitudes' must be a list of numbers")
-        _simulate_shift(config, [float(v) for v in shift_mags], include_full, out_dir)
+        _simulate_shift(config, shift_mags, include_full, out_dir)
     return EXIT_OK
 
 
@@ -538,10 +525,7 @@ def _simulate_coverage(config, collect, out_dir):
 
 
 def _simulate_shift(config, magnitudes, include_full, out_dir):
-    results = [
-        simgen.gen_shift_experiment(config, mag, include_full=include_full)
-        for mag in magnitudes
-    ]
+    results = simgen.gen_shift_experiment(config, magnitudes, include_full=include_full)
     csv_path = os.path.join(out_dir, "pvalues.csv")
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -555,20 +539,13 @@ def _simulate_shift(config, magnitudes, include_full, out_dir):
                     "" if rec.p_value_full is None else repr(rec.p_value_full),
                 ])
     rates = {
-        "weighted": {
-            f"{level:.2f}": [res.rejection_rate(level, "weighted") for res in results]
+        which: {
+            f"{level:.2f}": [res.rejection_rate(level, which) for res in results]
             for level in _SHIFT_LEVELS
         }
+        for which in (("weighted", "full") if include_full else ("weighted",))
     }
-    if include_full:
-        rates["full"] = {
-            f"{level:.2f}": [res.rejection_rate(level, "full") for res in results]
-            for level in _SHIFT_LEVELS
-        }
-    failures = sum(
-        sum(1 for rec in res.records if rec.p_value_weighted is None)
-        for res in results
-    )
+    failures = sum(rec.p_value_weighted is None for res in results for rec in res.records)
     payload = {
         "schema": "ipinfer/metrics-v1",
         "experiment": "shift",
@@ -590,12 +567,12 @@ def cmd_analyze(args) -> int:
     alpha = _check_alpha(_field(cfg, "alpha", float, 0.1))
     columns, dataset, (loss, target_dims, warnings) = _load_dataset(args.csv, cfg)
     method = _field(cfg, "method", str, "ipi")
-    mcar = bool(_field(cfg, "mcar", bool, True))
+    mcar = _field(cfg, "mcar", bool, True)
     lambda_mode = _field(cfg, "lambda_mode", str, "tuned")
     hessian_mode = _field(cfg, "hessian_mode", str, None)
     objective = _objective_field(cfg)
-    run_diag = bool(_field(cfg, "diagnose", bool, False))
-    run_full = bool(_field(cfg, "full", bool, False))
+    run_diag = _field(cfg, "diagnose", bool, False)
+    run_full = _field(cfg, "full", bool, False)
     seed = _seed_field(cfg, "seed", 0)
     if run_diag and method in ("cipi", "complete_case", "aipw"):
         raise ConfigError(
@@ -616,7 +593,7 @@ def cmd_analyze(args) -> int:
             k_folds=_field(cfg, "k_folds", int, 10),
             n_boot=_field(cfg, "n_boot", int, 50),
             lambda_mode=lambda_mode,
-            fixed_lambda=_fixed_lambda(cfg),
+            fixed_lambda=_list_field(cfg, "fixed_lambda", float),
             alpha=alpha,
             hessian_mode=hessian_mode,
             objective=objective,
@@ -634,7 +611,7 @@ def cmd_analyze(args) -> int:
             fit = estimators.fit_from_tables(
                 tables,
                 lambda_mode=lambda_mode,
-                fixed_lambda=_fixed_lambda(cfg),
+                fixed_lambda=_list_field(cfg, "fixed_lambda", float),
                 alpha=alpha,
                 hessian_mode=hessian_mode,
                 objective=objective,
@@ -684,12 +661,12 @@ def cmd_diagnose(args) -> int:
     _check_keys(cfg, _DIAGNOSE_KEYS, "config")
     out_path = cfg.get("out")
     columns, dataset, (loss, target_dims, warnings) = _load_dataset(args.csv, cfg)
-    run_full = bool(_field(cfg, "full", bool, False))
+    run_full = _field(cfg, "full", bool, False)
     lambda_mode = _field(cfg, "lambda_mode", str, "tuned")
     model, inference = _trained_imputer(dataset, cfg, warnings)
     tables = _score_tables(inference, loss, model)
     weights, tune_warnings = estimators.resolve_weights(
-        tables, lambda_mode, _fixed_lambda(cfg)
+        tables, lambda_mode, _list_field(cfg, "fixed_lambda", float)
     )
     diag = _diagnostics_payload(tables, weights, run_full)
     payload = {

@@ -61,7 +61,7 @@ class DiagnosticReport:
 
 
 def _per_pattern_gaps(tables: ScoreTables) -> np.ndarray:
-    means, _ = tables.group_means()
+    means, _ = tables.group_means
     big_r = tables.n_patterns
     return means[1 + big_r :] - means[1 : 1 + big_r]
 
@@ -72,7 +72,7 @@ def _transfer_rows(tables: ScoreTables) -> list[np.ndarray]:
     h_r,i couples the Hessian mismatch between imputed and masked rows with
     the complete-row score, plus the masked score itself.
     """
-    _, hessians = tables.group_means()
+    _, hessians = tables.group_means
     big_r = tables.n_patterns
     hinv = inverse_hessian(tables.h_complete)
     rows = []

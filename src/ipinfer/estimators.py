@@ -23,6 +23,7 @@ single imputer is the K = 1 case of the same score tables.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import stats
@@ -100,7 +101,7 @@ def as_weights(lam, n_patterns: int) -> TuningWeights:
 # score tables
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScoreTables:
     """Per-row gradients and per-fold mean Hessians at a reference parameter.
 
@@ -152,6 +153,7 @@ class ScoreTables:
         """(R, p, p) fold-averaged mean Hessians of each pattern's own rows."""
         return self.h_folds[:, 1 + self.n_patterns :].mean(axis=0)
 
+    @cached_property
     def group_means(self) -> tuple[np.ndarray, np.ndarray]:
         """Fold-averaged group means of the gradients and the Hessians.
 
@@ -159,7 +161,8 @@ class ScoreTables:
         then the R pattern groups.  Each group is averaged within every fold
         and the K fold means are averaged, so the cross-fitted objective is
         the mean of the K per-fold objectives and unfolded tables (K = 1) give
-        the plain group means.
+        the plain group means.  Computed once per (frozen) tables object and
+        returned read-only.
 
         Returns:
             (gradient means (1 + 2R, p), mean Hessians (1 + 2R, p, p)).
@@ -179,7 +182,10 @@ class ScoreTables:
                 # A masked sum keeps the summation order of rows.mean(axis=0)
                 # when the fold holds every row, so K = 1 gives the same bits.
                 means[j, i] = np.add.reduce(rows, axis=0, where=in_fold[:, None]) / count
-        return means.mean(axis=0), self.h_folds.mean(axis=0)
+        out = means.mean(axis=0), self.h_folds.mean(axis=0)
+        for array in out:
+            array.flags.writeable = False
+        return out
 
 
 def score_tables(
@@ -270,8 +276,8 @@ def ipi_grad(tables: ScoreTables, lam) -> np.ndarray:
     """Gradient of the weighted imputation-powered objective at tables.theta."""
     lam = as_weights(lam, tables.n_patterns).lam
     big_r = tables.n_patterns
-    means, _ = tables.group_means()
-    g = means[0]
+    means, _ = tables.group_means
+    g = means[0].copy()
     for r in range(big_r):
         g = g + (lam[r] / big_r) * (means[1 + big_r + r] - means[1 + r])
     return g
@@ -281,7 +287,7 @@ def full_ipi_hessian(tables: ScoreTables, lam) -> np.ndarray:
     """Hessian of the weighted objective itself (plug-in form)."""
     lam = as_weights(lam, tables.n_patterns).lam
     big_r = tables.n_patterns
-    _, hessians = tables.group_means()
+    _, hessians = tables.group_means
     h = hessians[0].copy()
     for r in range(big_r):
         h += (lam[r] / big_r) * (hessians[1 + big_r + r] - hessians[1 + r])

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import cache, partial
 
 import numpy as np
 
@@ -282,8 +283,52 @@ class ExperimentResult:
         raise KeyError(method)
 
 
-def _trial_seed(master: int, trial: int) -> np.random.SeedSequence:
-    return np.random.SeedSequence((master, 2, trial))
+def _simulate_dataset(config: ExperimentConfig, population, target_dims, trial: int):
+    """Trial `trial`'s masked sample, and the generator that drew it and
+    goes on to draw the split."""
+    rng = np.random.default_rng(np.random.SeedSequence((config.seed, 2, trial)))
+    matrix = population.sample(rng, config.n_total())
+    mcfg = MissingnessConfig(
+        n_complete=config.n_complete,
+        n_patterns=config.n_patterns,
+        feature_mask_prob=config.feature_mask_prob,
+        min_pattern_count=config.min_pattern_count,
+    )
+    return gen_mcar_missingness(matrix, mcfg, target_dims, rng), rng
+
+
+def _split_tables(config: ExperimentConfig, dataset, loss, rng) -> dict:
+    """The train/inference split, the imputer fitted on the training rows,
+    and the inference rows' score tables at the complete-case estimate."""
+    train, inference = estimators.split_train_inference(dataset, config.train_frac, rng)
+    model = imputers.fit(config.imputer, train)
+    theta_n = solve_complete_case(inference, loss)
+    tables = estimators.score_tables(inference, loss, model, theta_n)
+    return {"inference": inference, "model": model, "tables": tables}
+
+
+def _unless_failed(fn, *args):
+    """fn(*args), or None if it fails; a ConfigError is no failure and raises."""
+    try:
+        return fn(*args)
+    except ConfigError:
+        raise
+    except IpinferError:
+        return None
+
+
+def _map_trials(config: ExperimentConfig, trial_fn, population) -> list:
+    """trial_fn(config, t, population=population) for every trial t.
+
+    With jobs > 1 the trials run in worker processes; the outputs come back
+    in trial order either way, so results do not depend on scheduling.
+    """
+    one = partial(trial_fn, config, population=population)
+    if config.jobs > 1:
+        chunk = max(1, config.trials // (4 * config.jobs))
+        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+            return list(pool.map(one, range(config.trials), chunksize=chunk))
+    return [one(t) for t in range(config.trials)]
 
 
 def run_one_trial(config: ExperimentConfig, trial: int, population=None):
@@ -301,43 +346,21 @@ def run_one_trial(config: ExperimentConfig, trial: int, population=None):
     loss, target_dims = config.make_loss()
     theta_star = population.theta_star(loss, target_dims)
     j = config.target_coordinate
-    rng = np.random.default_rng(_trial_seed(config.seed, trial))
-    matrix = population.sample(rng, config.n_total())
-    mcfg = MissingnessConfig(
-        n_complete=config.n_complete,
-        n_patterns=config.n_patterns,
-        feature_mask_prob=config.feature_mask_prob,
-        min_pattern_count=config.min_pattern_count,
-    )
-    dataset = gen_mcar_missingness(matrix, mcfg, target_dims, rng)
+    dataset, rng = _simulate_dataset(config, population, target_dims, trial)
 
     cc_fit = baselines.complete_case_fit(dataset, loss, alpha=config.alpha)
     baseline_width = cc_fit.width[j]
 
-    split_state: dict = {}
-
-    def _split_artifacts():
-        # One train/inference split and one fitted imputer per trial,
-        # shared by every method that needs them.
-        if not split_state:
-            train, inference = estimators.split_train_inference(
-                dataset, config.train_frac, rng
-            )
-            model = imputers.fit(config.imputer, train)
-            theta_n = solve_complete_case(inference, loss)
-            tables = estimators.score_tables(inference, loss, model, theta_n)
-            split_state.update(inference=inference, model=model, tables=tables)
-        return split_state
+    # One split, imputer and table set per trial, built only if a method
+    # needs them and shared by every method that does.
+    split_artifacts = cache(lambda: _split_tables(config, dataset, loss, rng))
 
     out: dict[str, TrialRecord | None] = {}
     for method in config.methods:
-        try:
-            fit = _run_method(
-                method, config, dataset, loss, cc_fit, _split_artifacts, trial
-            )
-        except ConfigError:
-            raise
-        except IpinferError:
+        fit = _unless_failed(
+            _run_method, method, config, dataset, loss, cc_fit, split_artifacts, trial
+        )
+        if fit is None:
             out[method] = None
             continue
         lo, hi = fit.ci[j]
@@ -394,33 +417,16 @@ def _run_method(method, config, dataset, loss, cc_fit, split_artifacts, trial):
 
 
 def run_trials(config: ExperimentConfig, collect_records: bool = False) -> ExperimentResult:
-    """Run the full experiment and aggregate per-method metrics.
-
-    Trials are independent; with jobs > 1 they run in worker processes and
-    are aggregated in trial order either way, so results do not depend on
-    scheduling.
-    """
+    """Run the full experiment and aggregate per-method metrics."""
     population = build_population(config.factor)
     loss, target_dims = config.make_loss()
     theta_star = population.theta_star(loss, target_dims)
-    results: dict[int, dict] = {}
-    if config.jobs > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            for trial, out in pool.map(
-                _trial_worker,
-                ((config, t) for t in range(config.trials)),
-                chunksize=max(1, config.trials // (4 * config.jobs)),
-            ):
-                results[trial] = out
-    else:
-        for t in range(config.trials):
-            trial, out = run_one_trial(config, t, population)
-            results[trial] = out
+    results = [out for _, out in _map_trials(config, run_one_trial, population)]
 
     metrics = []
     records: list[TrialRecord] = []
     for method in config.methods:
-        recs = [results[t][method] for t in range(config.trials)]
+        recs = [out[method] for out in results]
         ok = [r for r in recs if r is not None]
         failures = len(recs) - len(ok)
         if collect_records:
@@ -432,11 +438,6 @@ def run_trials(config: ExperimentConfig, collect_records: bool = False) -> Exper
         metrics=metrics,
         records=records,
     )
-
-
-def _trial_worker(args):
-    config, trial = args
-    return run_one_trial(config, trial)
 
 
 def _aggregate(method: str, ok: list[TrialRecord], failures: int) -> MethodMetrics:
@@ -496,50 +497,64 @@ def gen_shift_experiment(
     config: ExperimentConfig,
     shifts,
     include_full: bool = False,
-) -> ShiftExperimentResult:
-    """Repeated transfer-gap tests under injected per-pattern score shifts.
+) -> list[ShiftExperimentResult]:
+    """Repeated transfer-gap tests under injected per-pattern score shifts:
+    one ShiftExperimentResult per setting in `shifts`, in order.
 
-    Each trial simulates data, fits the imputer on the training split,
-    shifts the imputed-score tables by the per-pattern constants (the shift
-    hits only each pattern's own rows), tunes the weights on the shifted
-    tables, and records the test p-values.
+    A setting is a number (applied to every pattern) or a length-n_patterns
+    vector; any other shape is a ConfigError before any trial.  Each trial
+    simulates data, fits the imputer on the training split and builds the
+    score tables once.  Per setting it then shifts each pattern's own
+    imputed scores (masked complete rows stay put), tunes the weights on the
+    shifted tables and records the test p-values.  Trials run in the pool
+    when jobs > 1.
     """
-    population = build_population(config.factor)
-    loss, target_dims = config.make_loss()
-    records = []
-    for t in range(config.trials):
-        rng = np.random.default_rng(_trial_seed(config.seed, t))
-        matrix = population.sample(rng, config.n_total())
-        mcfg = MissingnessConfig(
-            n_complete=config.n_complete,
-            n_patterns=config.n_patterns,
-            feature_mask_prob=config.feature_mask_prob,
-            min_pattern_count=config.min_pattern_count,
-        )
-        try:
-            dataset = gen_mcar_missingness(matrix, mcfg, target_dims, rng)
-            train, inference = estimators.split_train_inference(
-                dataset, config.train_frac, rng
-            )
-            model = imputers.fit(config.imputer, train)
-            theta_n = solve_complete_case(inference, loss)
-            tables = estimators.score_tables(inference, loss, model, theta_n)
-            tables = diagnostics.apply_gradient_shift(tables, shifts)
-            weights, _ = estimators.tune_lambda(tables, config.objective)
-            weighted = diagnostics.t_ipi_test(tables, weights)
-            full = diagnostics.t_full_test(tables) if include_full else None
-        except IpinferError:
-            records.append(ShiftTrialRecord(t, None, None))
-            continue
-        records.append(
-            ShiftTrialRecord(
-                t,
-                weighted.p_value,
-                full.p_value if full is not None else None,
-            )
-        )
     big_r = config.n_patterns
-    arr = np.asarray(shifts, dtype=float)
-    if arr.ndim == 0:
-        arr = np.full(big_r, float(arr))
-    return ShiftExperimentResult(config=config, shifts=arr, records=records)
+    if np.isscalar(shifts):
+        raise ConfigError("shifts must be a list of settings, not one number")
+    settings = [np.asarray(s, dtype=float) for s in shifts]
+    for s in settings:
+        if s.shape not in ((), (big_r,)):
+            raise ConfigError(
+                f"each shift setting must be a number or {big_r} values "
+                f"(one per pattern), got shape {s.shape}"
+            )
+    trial_fn = partial(_shift_trial, settings=settings, include_full=include_full)
+    p_values = _map_trials(config, trial_fn, build_population(config.factor))
+    return [
+        ShiftExperimentResult(
+            config=config,
+            shifts=np.broadcast_to(s, (big_r,)).copy(),
+            records=[ShiftTrialRecord(t, *p[i]) for t, p in enumerate(p_values)],
+        )
+        for i, s in enumerate(settings)
+    ]
+
+
+def _shift_trial(config, trial, population, settings, include_full) -> list:
+    """One trial's (weighted, full) p-values under every shift setting;
+    (None, None) where the build or that setting's tests failed."""
+    loss, target_dims = config.make_loss()
+
+    def build():
+        dataset, rng = _simulate_dataset(config, population, target_dims, trial)
+        return _split_tables(config, dataset, loss, rng)["tables"]
+
+    tables = _unless_failed(build)
+    if tables is None:
+        return [(None, None)] * len(settings)
+    return [
+        _unless_failed(_shift_p_values, tables, s, config.objective, include_full)
+        or (None, None)
+        for s in settings
+    ]
+
+
+def _shift_p_values(tables, shift, objective, include_full):
+    # A number is applied as a number, so it covers every pattern the
+    # trial's data hold.
+    shifted = diagnostics.apply_gradient_shift(tables, shift)
+    weights, _ = estimators.tune_lambda(shifted, objective)
+    weighted = diagnostics.t_ipi_test(shifted, weights).p_value
+    full = diagnostics.t_full_test(shifted).p_value if include_full else None
+    return weighted, full

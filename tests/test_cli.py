@@ -225,6 +225,41 @@ class TestConfigErrors:
         assert err.count("\n") == 1
         assert f"'{key}'" in err and "non-negative" in err
 
+    @pytest.mark.parametrize(
+        "command, key, extra",
+        [
+            ("simulate", key, {})
+            for key in (
+                "n_complete", "d", "alpha", "train_frac", "n_patterns", "jobs",
+                "k_folds", "n_boot", "ratio", "trials", "target_coordinate",
+                "records", "experiment",
+            )
+        ]
+        + [
+            ("analyze", key, {})
+            for key in ("mcar", "train_frac", "min_pattern_count", "alpha", "method")
+        ]
+        + [("analyze", key, {"method": "cipi"}) for key in ("k_folds", "n_boot")]
+        + [("diagnose", key, {}) for key in ("train_frac", "full", "lambda_mode")],
+    )
+    def test_null_field_rejected(self, capsys, tmp_path, eight_csv, command, key, extra):
+        # A JSON null once ended in a traceback, or silently took a value
+        # other than the field's default.
+        if command == "simulate":
+            payload = dict(TestSimulate.COVERAGE)
+            argv = ["simulate", "--out", str(tmp_path / "out")]
+        else:
+            payload = {"loss": MEAN_X_LOSS, "imputer": "mean", **extra}
+            argv = [command, eight_csv]
+        payload[key] = None
+        argv += ["--config", write_config(tmp_path / "c.json", payload)]
+        code, err = run_error(capsys, argv)
+        assert code == 2
+        assert err.startswith("ipinfer: config error:")
+        assert err.count("\n") == 1
+        assert f"'{key}'" in err and "got null" in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("method", ["cipi", "complete_case", "aipw"])
     def test_diagnose_flag_rejected_for_method(
         self, capsys, tmp_path, eight_csv, method

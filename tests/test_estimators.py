@@ -13,6 +13,8 @@ lambda = 0.2 / (1 + 1e-8), and one-step estimate 3 + 4.4 * lambda.
 
 from __future__ import annotations
 
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -22,6 +24,7 @@ from ipinfer.errors import ConfigError, DataError
 from ipinfer.estimators import (
     COMPLETE_CASE_HESSIAN,
     FULL_IPI_HESSIAN,
+    ScoreTables,
     TuningWeights,
     bootstrap_variance,
     cipi_fit,
@@ -41,7 +44,7 @@ from ipinfer.estimators import (
     tuning_components,
     zero_weights,
 )
-from ipinfer.diagnostics import t_ipi_test
+from ipinfer.diagnostics import apply_gradient_shift, t_full_test, t_ipi_test
 from ipinfer.patterns import Pattern, PatternedDataset, build_dataset, mask_matrix
 
 from conftest import random_blockwise
@@ -370,6 +373,36 @@ class TestFitBundle:
         fit = fit_from_tables(tables, mcar=False)
         assert len(calls) == 1
         assert np.array_equal(fit.hessian, full_ipi_hessian(tables, fit.weights))
+
+    def test_group_means_computed_once_per_tables(self, rng, monkeypatch):
+        # The fold-averaged group means are cached on the frozen tables: a
+        # full-Hessian fit and both diagnostics share one computation, and
+        # shifted tables (a new object) compute their own.
+        matrix = random_blockwise(rng, n_complete=30, per_pattern=15)
+        ds = build_dataset(matrix, target_dims=(0, 1))
+        folded = cross_fit(ds, 3, imputers.MEAN_KIND, seed=4)
+        tables = score_tables(ds, losses.mean_loss(2), folded, np.zeros(2))
+        cached = vars(ScoreTables)["group_means"]
+        compute = cached.func
+        fresh = compute(tables)
+        calls = []
+
+        def counting(t):
+            calls.append(1)
+            return compute(t)
+
+        monkeypatch.setattr(cached, "func", counting)
+        fit = fit_from_tables(tables, mcar=False)
+        t_ipi_test(tables, fit.weights)
+        t_full_test(tables)
+        assert len(calls) == 1
+        for means, expected in zip(tables.group_means, fresh):
+            assert np.array_equal(means, expected)
+            assert not means.flags.writeable
+        t_ipi_test(apply_gradient_shift(tables, 0.5))
+        assert len(calls) == 2
+        with pytest.raises(FrozenInstanceError):
+            tables.g_complete = tables.g_complete + 1.0
 
     def test_hessian_helpers_agree_with_tables(self, eight_row):
         t = fixture_tables(eight_row)

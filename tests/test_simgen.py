@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from ipinfer import losses
+from ipinfer import losses, simgen
 from ipinfer.errors import ConfigError
 from ipinfer.simgen import (
     ExperimentConfig,
@@ -207,6 +207,16 @@ class TestRunTrials:
         parallel = run_trials(small_config(trials=4, jobs=2))
         for ms, mp in zip(serial.metrics, parallel.metrics):
             assert ms == mp
+        settings = [0.0, [0.5, 1.0]]
+        serial = gen_shift_experiment(
+            small_config(trials=4, n_patterns=2), settings, include_full=True
+        )
+        parallel = gen_shift_experiment(
+            small_config(trials=4, n_patterns=2, jobs=2), settings, include_full=True
+        )
+        for rs, rp in zip(serial, parallel):
+            assert rs.records == rp.records
+            assert rs.p_values().size == 4
 
     def test_unknown_method_raises_config_error(self):
         # A config error would fail every trial; it is not a trial failure.
@@ -237,7 +247,7 @@ class TestRunTrials:
 class TestShiftExperiment:
     def test_null_and_alternative_records(self):
         cfg = small_config(trials=8, n_patterns=2)
-        null = gen_shift_experiment(cfg, 0.0)
+        [null] = gen_shift_experiment(cfg, [0.0])
         assert len(null.records) == 8
         assert null.shifts.shape == (2,)
         p_null = null.p_values()
@@ -246,26 +256,57 @@ class TestShiftExperiment:
 
     def test_shift_raises_rejections(self):
         cfg = small_config(trials=12, n_patterns=2, n_complete=80, ratio=3.0)
-        null = gen_shift_experiment(cfg, 0.0)
-        shifted = gen_shift_experiment(cfg, 1.0)
+        null, shifted = gen_shift_experiment(cfg, [0.0, 1.0])
         assert shifted.rejection_rate(0.05) >= null.rejection_rate(0.05)
         assert shifted.rejection_rate(0.05) > 0.5
 
     def test_include_full_populates_second_test(self):
         cfg = small_config(trials=4, n_patterns=2)
-        out = gen_shift_experiment(cfg, 0.0, include_full=True)
+        [out] = gen_shift_experiment(cfg, [0.0], include_full=True)
         assert out.p_values("full").size == 4
 
     def test_failed_trials_recorded_as_none(self):
-        # d=6 cannot supply 100 distinct patterns, so every trial fails.
-        cfg = small_config(trials=3, n_patterns=100)
-        out = gen_shift_experiment(cfg, 0.0)
+        # One incomplete row leaves a pattern group too small to tune on.
+        cfg = small_config(trials=3, n_patterns=2, ratio=0.02)
+        [out] = gen_shift_experiment(cfg, [0.0])
         assert len(out.records) == 3
         assert out.p_values().size == 0
         assert np.isnan(out.rejection_rate(0.05))
 
+    @pytest.mark.parametrize(
+        "change, shifts, match",
+        [
+            # d=6 cannot supply 100 distinct patterns.
+            ({"n_patterns": 100}, [0.0], "distinct nontrivial"),
+            ({}, [[0.1, 0.2]], "3 values"),
+            ({}, [0.0, [0.1, 0.2, 0.3, 0.4]], "3 values"),
+            ({}, 0.0, "list of settings"),
+        ],
+    )
+    def test_config_errors_raise(self, change, shifts, match):
+        cfg = small_config(trials=3, **change)
+        with pytest.raises(ConfigError, match=match):
+            gen_shift_experiment(cfg, shifts)
+
+    def test_settings_checked_before_any_trial(self, monkeypatch):
+        def no_trials(*args, **kwargs):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(simgen, "_shift_trial", no_trials)
+        with pytest.raises(ConfigError):
+            gen_shift_experiment(small_config(trials=3), [0.0, [0.1, 0.2]])
+
+    @pytest.mark.parametrize("setting", [0.5, [0.5, 1.0]])
+    def test_one_call_matches_separate_calls(self, setting):
+        cfg = small_config(trials=5, n_patterns=2)
+        together = gen_shift_experiment(cfg, [0.0, setting], include_full=True)
+        for joint, single in zip(together, [0.0, setting]):
+            [alone] = gen_shift_experiment(cfg, [single], include_full=True)
+            assert joint.records == alone.records
+            assert np.array_equal(joint.shifts, alone.shifts)
+
     def test_deterministic(self):
         cfg = small_config(trials=5, n_patterns=2)
-        a = gen_shift_experiment(cfg, 0.5)
-        b = gen_shift_experiment(cfg, 0.5)
+        [a] = gen_shift_experiment(cfg, [0.5])
+        [b] = gen_shift_experiment(cfg, [0.5])
         assert np.array_equal(a.p_values(), b.p_values())
