@@ -1,13 +1,14 @@
 """Command-line entry points: simulate, analyze, diagnose.
 
 Each subcommand reads a declarative JSON config (unknown keys rejected),
-applies any overriding flags, and writes machine-readable output: metrics
-CSV/JSON for simulations, schema-versioned result JSON for analyses, and a
-diagnostics JSON for the transfer-gap tests.  Outputs carry no timestamps
-and use sorted keys, so a rerun with the same config and seed is
-byte-identical.
+applies any overriding flags, and checks every field before any work.  It
+writes machine-readable output: metrics CSV/JSON for simulations,
+schema-versioned result JSON for analyses, and a diagnostics JSON for the
+transfer-gap tests.  Outputs carry no timestamps and use sorted keys, so a
+rerun with the same config and seed is byte-identical.
 
-Exit codes: 0 success, 2 config or usage error, 3 data insufficiency,
+Exit codes: 0 success, 2 config or usage error (an unreadable config or
+data file or an unwritable output included), 3 data insufficiency,
 4 numerical failure.
 """
 
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import os
 import sys
@@ -42,6 +44,10 @@ _SHIFT_LEVELS = (0.01, 0.05, 0.10)
 
 _LOSS_KEYS = {"family", "response", "covariates", "columns", "intercept"}
 
+# simulate's loss when the config has no 'loss' section, and its values for
+# the fields a section leaves out
+_SIMULATE_LOSS = {"family": losses.LINEAR, "response": 2, "covariates": [0, 1]}
+
 _SIMULATE_KEYS = {
     "experiment", "d", "n_factors", "variance_explained", "population_seed",
     "n_complete", "ratio", "n_patterns", "feature_mask_prob", "loss",
@@ -67,11 +73,11 @@ _DIAGNOSE_KEYS = {
 
 
 def load_config(path: str) -> dict:
-    """Parse a JSON config file; malformed content is a ConfigError."""
+    """Parse a JSON config file; unreadable or malformed content is a ConfigError."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             raw = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     try:
         cfg = json.loads(raw)
@@ -111,6 +117,16 @@ def _field(cfg, key, kind, default, expected=None):
     return value
 
 
+def _choice_field(cfg, key, choices, default):
+    """A string field that must name one of `choices`."""
+    value = _field(cfg, key, str, default)
+    if value not in choices:
+        raise ConfigError(
+            f"field {key!r} must be one of {', '.join(choices)}; got {value!r}"
+        )
+    return value
+
+
 def _seed_field(cfg, key, default):
     """A seed field: an integer that numpy's seeding accepts (>= 0)."""
     value = _field(cfg, key, int, default, "a non-negative integer")
@@ -125,18 +141,18 @@ def _check_alpha(alpha: float) -> float:
     return alpha
 
 
-def _list_field(cfg, key, kind, default=None):
-    """A list field of ints, or of numbers as floats; a JSON null is
-    accepted only where the default is None."""
-    value = cfg.get(key, default)
-    if value is None and default is None:
-        return None
-    kinds, what = ((int, float), "numbers") if kind is float else (int, "integers")
+def _list_field(cfg, key, default=None):
+    """A list of numbers, read as floats; absent gives the default, and a
+    JSON null is an error."""
+    if key not in cfg:
+        return default
+    value = cfg[key]
     if not isinstance(value, list) or not all(
-        isinstance(v, kinds) and not isinstance(v, bool) for v in value
+        isinstance(v, (int, float)) and not isinstance(v, bool) for v in value
     ):
-        raise ConfigError(f"field {key!r} must be a list of {what}")
-    return [kind(v) for v in value]
+        shown = "null" if value is None else repr(value)
+        raise ConfigError(f"field {key!r} must be a list of numbers, got {shown}")
+    return [float(v) for v in value]
 
 
 def _objective_field(cfg):
@@ -170,37 +186,39 @@ def _resolve_column(token, columns, key):
         ) from None
 
 
-def _loss_from_config(cfg: dict, columns: list) -> tuple:
-    """Build (loss, target_dims) from the 'loss' config section.
+def _loss_from_config(section, columns: list, fallback=None) -> dict:
+    """Resolve a 'loss' section to the raw column indices it names.
 
-    For analyze/diagnose, `columns` is the CSV header and entries may be
-    names; for simulate it is the synthetic x0..x{d-1} list.
+    Returns the keyword arguments of `losses.loss_for_columns`.  Entries
+    are names in `columns` (the CSV header, or x0..x{d-1} for simulate) or
+    indices into it, and every entry given is resolved, whichever family
+    reads it.  A field the section leaves out takes its value from
+    `fallback` (simulate's; analyze and diagnose have none), except that a
+    mean loss takes no fallback response.
     """
-    section = cfg.get("loss")
+    fallback = fallback or {}
     if not isinstance(section, dict):
         raise ConfigError("config needs a 'loss' object")
     _check_keys(section, _LOSS_KEYS, "loss")
-    family = _field(section, "family", str, None)
+    family = _field(section, "family", str, fallback.get("family"))
     if family is None:
         raise ConfigError("field 'loss.family' is required")
-    intercept = _field(section, "intercept", bool, False)
-    if family == losses.MEAN:
-        cols = section.get("columns")
-        if not isinstance(cols, list) or not cols:
-            raise ConfigError("mean loss needs 'columns' (list)")
-        idx = [_resolve_column(c, columns, "columns") for c in cols]
-        return losses.loss_for_columns(family, columns=idx)
-    response = section.get("response")
-    covariates = section.get("covariates")
-    if response is None or not isinstance(covariates, list) or not covariates:
-        raise ConfigError(
-            f"{family} loss needs 'response' and 'covariates' (list)"
-        )
-    r = _resolve_column(response, columns, "response")
-    c = [_resolve_column(v, columns, "covariates") for v in covariates]
-    return losses.loss_for_columns(
-        family, response=r, covariates=c, intercept=intercept
-    )
+    spec = {"family": family, "intercept": _field(section, "intercept", bool, False)}
+    for key in ("response", "covariates", "columns"):
+        default = None if key == "response" and family == losses.MEAN else fallback.get(key)
+        value = section.get(key, default)
+        where = f"loss.{key}"
+        if value is None:
+            if default is not None:
+                raise ConfigError(f"field {where!r} must not be null")
+            spec[key] = None
+        elif key == "response":
+            spec[key] = _resolve_column(value, columns, where)
+        elif isinstance(value, list):
+            spec[key] = tuple(_resolve_column(v, columns, where) for v in value)
+        else:
+            raise ConfigError(f"field {where!r} must be a list of column names or indices")
+    return spec
 
 
 def build_experiment_config(cfg: dict) -> simgen.ExperimentConfig:
@@ -214,14 +232,11 @@ def build_experiment_config(cfg: dict) -> simgen.ExperimentConfig:
         variance_explained=_field(cfg, "variance_explained", float, 0.5),
         seed=pop_seed,
     )
-    section = cfg.get(
-        "loss",
-        {"family": losses.LINEAR, "response": 2, "covariates": [0, 1]},
+    loss = _loss_from_config(
+        cfg.get("loss", _SIMULATE_LOSS),
+        [f"x{j}" for j in range(factor.d)],
+        _SIMULATE_LOSS,
     )
-    if not isinstance(section, dict):
-        raise ConfigError("field 'loss' must be an object")
-    _check_keys(section, _LOSS_KEYS, "loss")
-    family = _field(section, "family", str, losses.LINEAR)
     methods = cfg.get("methods", ["ipi", "complete_case"])
     if not isinstance(methods, list) or not all(isinstance(m, str) for m in methods):
         raise ConfigError("field 'methods' must be a list of method names")
@@ -235,18 +250,6 @@ def build_experiment_config(cfg: dict) -> simgen.ExperimentConfig:
             raise ConfigError(
                 f"field 'methods': {method!r} needs a pattern id or 'best' after ':'"
             ) from None
-    mean_cols = _list_field(section, "columns", int)
-    covariates = _list_field(section, "covariates", int)
-    response = _field(section, "response", int, 2 if family != losses.MEAN else None)
-    if family == losses.MEAN:
-        used = {"columns": mean_cols or []}
-    else:
-        used = {"response": [] if response is None else [response],
-                "covariates": covariates or []}
-    columns = [f"x{j}" for j in range(factor.d)]
-    for key, values in used.items():
-        for value in values:
-            _resolve_column(value, columns, f"loss.{key}")
     ratio = _field(cfg, "ratio", float, 10.0)
     if not np.isfinite(ratio):
         raise ConfigError(f"field 'ratio' must be a finite number, got {ratio!r}")
@@ -259,12 +262,12 @@ def build_experiment_config(cfg: dict) -> simgen.ExperimentConfig:
         ratio=ratio,
         n_patterns=_field(cfg, "n_patterns", int, 10),
         feature_mask_prob=_field(cfg, "feature_mask_prob", float, 0.2),
-        loss_family=family,
-        response=response,
-        covariates=tuple(covariates) if covariates is not None else (0, 1),
-        mean_columns=tuple(mean_cols) if mean_cols is not None else None,
-        intercept=_field(section, "intercept", bool, False),
-        imputer=_imputer_kind(cfg),
+        loss_family=loss["family"],
+        response=loss["response"],
+        covariates=loss["covariates"],
+        mean_columns=loss["columns"],
+        intercept=loss["intercept"],
+        imputer=_choice_field(cfg, "imputer", imputers.KINDS, imputers.GAUSSIAN_KIND),
         methods=tuple(methods),
         trials=trials,
         alpha=_check_alpha(_field(cfg, "alpha", float, 0.1)),
@@ -286,14 +289,21 @@ def build_experiment_config(cfg: dict) -> simgen.ExperimentConfig:
     return config
 
 
-def _imputer_kind(cfg) -> str:
-    kind = _field(cfg, "imputer", str, imputers.GAUSSIAN_KIND)
-    if kind not in imputers.KINDS:
-        raise ConfigError(
-            f"field 'imputer' must be one of {', '.join(imputers.KINDS)}; "
-            f"got {kind!r}"
-        )
-    return kind
+def _data_fields(cfg: dict, allowed: set) -> dict:
+    """Check an analyze or diagnose config's keys and read the fields the
+    two commands share."""
+    _check_keys(cfg, allowed, "config")
+    return {
+        "loss": cfg.get("loss"),
+        "min_count": _field(cfg, "min_pattern_count", int, 1),
+        "kind": _choice_field(cfg, "imputer", imputers.KINDS, imputers.GAUSSIAN_KIND),
+        "train_frac": _field(cfg, "train_frac", float, 0.0),
+        "seed": _seed_field(cfg, "seed", 0),
+        "lambda_mode": _field(cfg, "lambda_mode", str, "tuned"),
+        "fixed_lambda": _list_field(cfg, "fixed_lambda"),
+        "full": _field(cfg, "full", bool, False),
+        "out": _field(cfg, "out", str, None),
+    }
 
 
 def _apply_overrides(cfg: dict, args) -> dict:
@@ -335,13 +345,21 @@ def _dump_json(payload: dict) -> str:
     return json.dumps(_clean(payload), sort_keys=True, indent=2) + "\n"
 
 
+def _write(path: str, text: str) -> None:
+    """Write one output file; a path that cannot be written is a ConfigError."""
+    try:
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
+        raise ConfigError(f"cannot write output {path}: {exc}") from None
+
+
 def _emit(payload: dict, out_path: str | None) -> None:
     text = _dump_json(payload)
     if out_path is None:
         sys.stdout.write(text)
     else:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+        _write(out_path, text)
 
 
 def schema_text(name: str) -> str:
@@ -350,27 +368,24 @@ def schema_text(name: str) -> str:
     return ref.read_text()
 
 
-def _report_payload(report: diagnostics.DiagnosticReport | None):
-    if report is None:
-        return None
-    return {
-        "statistic": report.statistic,
-        "chi2_stat": report.chi2_stat,
-        "df": int(report.df),
-        "p_value": report.p_value,
-        "gaps": report.gaps,
-        "warnings": list(report.warnings),
-    }
+def _report_payload(report: diagnostics.DiagnosticReport) -> dict:
+    names = ("statistic", "chi2_stat", "df", "p_value", "gaps", "warnings")
+    return {name: getattr(report, name) for name in names}
 
 
 # ---------------------------------------------------------------------------
 # shared analyze/diagnose plumbing
 
 
-def _load_dataset(csv_path: str, cfg: dict) -> tuple[list, PatternedDataset, list]:
-    columns, matrix = load_csv(csv_path)
-    loss, target_dims = _loss_from_config(cfg, columns)
-    min_count = _field(cfg, "min_pattern_count", int, 1)
+def _load_dataset(csv_path: str, loss_section, min_count: int):
+    """Read the data CSV and build the dataset the loss section asks for;
+    returns (dataset, loss, coefficient names, warnings)."""
+    try:
+        columns, matrix = load_csv(csv_path)
+    except OSError as exc:
+        raise ConfigError(f"cannot read data {csv_path}: {exc}") from None
+    spec = _loss_from_config(loss_section, columns)
+    loss, target_dims = losses.loss_for_columns(**spec)
     dataset = build_dataset(matrix, target_dims, min_pattern_count=min_count)
     if dataset.n_rows < 2:
         raise DataError(
@@ -383,48 +398,57 @@ def _load_dataset(csv_path: str, cfg: dict) -> tuple[list, PatternedDataset, lis
             f"dropped {dataset.dropped_rows} rows in patterns below "
             f"min_pattern_count={min_count}"
         )
-    return columns, dataset, [loss, target_dims, warnings]
+    names = [columns[i] for i in target_dims]
+    if loss.family != losses.MEAN:
+        names = [names[i] for i in loss.covariate_indices]
+        if loss.intercept:
+            names.append("intercept")
+    return dataset, loss, names, warnings
 
 
-def _trained_imputer(dataset, cfg, warnings):
-    """Fit the configured imputer, splitting off training rows if asked.
+def _trained_imputer(dataset, kind, train_frac, seed, warnings):
+    """Fit the imputer, splitting off training rows if asked; returns
+    (model, inference dataset).
 
     train_frac=0 trains in-sample: fine for diagnostics and unbiased
     imputers, but tuning and intervals may be optimistic for flexible
     imputers; the cross-fitted method avoids the issue entirely.
     """
-    kind = _imputer_kind(cfg)
-    train_frac = _field(cfg, "train_frac", float, 0.0)
-    seed = _seed_field(cfg, "seed", 0)
     if train_frac == 0.0:
         warnings.append(
             "imputer trained on the inference rows (train_frac=0); "
             "set train_frac>0 or use method 'cipi' for honest training"
         )
-        model = imputers.fit(kind, dataset.values)
-        return model, dataset
+        return imputers.fit(kind, dataset.values), dataset
     train, inference = estimators.split_train_inference(
         dataset, train_frac, np.random.SeedSequence((seed, 0))
     )
-    model = imputers.fit(kind, train)
-    return model, inference
+    if not len(train):
+        raise ConfigError(
+            f"field 'train_frac': {train_frac} of {dataset.n_rows} rows "
+            "leaves no imputer training rows"
+        )
+    return imputers.fit(kind, train), inference
 
 
-def _coefficient_names(loss, target_dims, columns) -> list:
-    names = [columns[i] for i in target_dims]
-    if loss.family == losses.MEAN:
-        out = names
-    else:
-        out = [names[i] for i in loss.covariate_indices]
-        if loss.intercept:
-            out = out + ["intercept"]
-    return out
+def _ipi_tables(dataset, loss, fields, warnings, score=True):
+    """Analyze's ipi pipeline after loading, which diagnose runs too: train
+    the imputer, then score the inference rows at the complete-case
+    estimate unless `score` is false.  Returns (model, inference, tables)."""
+    model, inference = _trained_imputer(
+        dataset, fields["kind"], fields["train_frac"], fields["seed"], warnings
+    )
+    if not score:
+        return model, inference, None
+    theta_n = losses.solve_complete_case(inference, loss)
+    return model, inference, estimators.score_tables(inference, loss, model, theta_n)
 
 
-def _score_tables(dataset, loss, model):
-    """Score tables at the complete-case estimate."""
-    theta_n = losses.solve_complete_case(dataset, loss)
-    return estimators.score_tables(dataset, loss, model, theta_n)
+def _dataset_summary(inference: PatternedDataset) -> dict:
+    """The row and pattern counts both result payloads report."""
+    names = ("n_rows", "n_complete", "n_patterns", "dropped_rows")
+    return {"pattern_counts": inference.pattern_counts(),
+            **{name: getattr(inference, name) for name in names}}
 
 
 def _diagnostics_payload(tables, weights, run_full):
@@ -444,57 +468,51 @@ def _diagnostics_payload(tables, weights, run_full):
 
 def cmd_simulate(args) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
-    out_dir = cfg.pop("out", None) or "."
-    experiment = _field(cfg, "experiment", str, "coverage")
+    config = build_experiment_config(cfg)
+    out_dir = _field(cfg, "out", str, None) or "."
+    experiment = _choice_field(cfg, "experiment", ("coverage", "shift"), "coverage")
     collect = _field(cfg, "records", bool, False) or args.records
+    shift_mags = _list_field(cfg, "shift_magnitudes", [0.0])
+    include_full = _field(cfg, "include_full", bool, False)
     if experiment == "coverage":
         for key in ("shift_magnitudes", "include_full"):
             if key in cfg:
                 raise ConfigError(f"field {key!r} only applies to experiment='shift'")
-    elif experiment != "shift":
-        raise ConfigError(
-            f"field 'experiment' must be 'coverage' or 'shift', got {experiment!r}"
-        )
-    shift_mags = _list_field(cfg, "shift_magnitudes", float, [0.0])
-    include_full = _field(cfg, "include_full", bool, False)
-    for key in ("shift_magnitudes", "include_full", "experiment", "records"):
-        cfg.pop(key, None)
-    config = build_experiment_config(cfg)
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot write output {out_dir}: {exc}") from None
     if experiment == "coverage":
-        _simulate_coverage(config, collect, out_dir)
+        outputs = _simulate_coverage(config, collect)
     else:
-        _simulate_shift(config, shift_mags, include_full, out_dir)
+        outputs = _simulate_shift(config, shift_mags, include_full)
+    for name, text in outputs.items():
+        _write(os.path.join(out_dir, name), text)
     return EXIT_OK
 
 
-def _config_echo(config: simgen.ExperimentConfig) -> dict:
-    echo = asdict(config)
-    echo["objective"] = (
-        config.objective if isinstance(config.objective, (str, int)) else None
-    )
-    return echo
+def _csv_text(rows) -> str:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
 
 
-def _simulate_coverage(config, collect, out_dir):
+def _simulate_coverage(config, collect) -> dict:
+    """The coverage run's output files, by name."""
     result = simgen.run_trials(config, collect_records=collect)
     fields = (
         "coverage", "coverage_se", "mean_width", "width_se",
         "mean_n_effective", "n_effective_se", "mean_estimate",
     )
-    csv_path = os.path.join(out_dir, "metrics.csv")
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["method", "metric", "value"])
-        for m in result.metrics:
-            writer.writerow([m.method, "n_trials", m.n_trials])
-            writer.writerow([m.method, "failures", m.failures])
-            for name in fields:
-                writer.writerow([m.method, name, repr(float(getattr(m, name)))])
+    rows = [["method", "metric", "value"]]
+    for m in result.metrics:
+        rows.append([m.method, "n_trials", m.n_trials])
+        rows.append([m.method, "failures", m.failures])
+        rows.extend([m.method, name, repr(float(getattr(m, name)))] for name in fields)
     payload = {
         "schema": "ipinfer/metrics-v1",
         "experiment": "coverage",
-        "config": _config_echo(config),
+        "config": asdict(config),
         "theta_star": result.theta_star,
         "methods": [
             {
@@ -520,24 +538,21 @@ def _simulate_coverage(config, collect, out_dir):
         ],
         "warnings": [],
     }
-    with open(os.path.join(out_dir, "metrics.json"), "w") as fh:
-        fh.write(_dump_json(payload))
+    return {"metrics.csv": _csv_text(rows), "metrics.json": _dump_json(payload)}
 
 
-def _simulate_shift(config, magnitudes, include_full, out_dir):
+def _simulate_shift(config, magnitudes, include_full) -> dict:
+    """The shift run's output files, by name."""
     results = simgen.gen_shift_experiment(config, magnitudes, include_full=include_full)
-    csv_path = os.path.join(out_dir, "pvalues.csv")
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["magnitude", "trial", "p_value_weighted", "p_value_full"])
-        for mag, res in zip(magnitudes, results):
-            for rec in res.records:
-                writer.writerow([
-                    repr(mag),
-                    rec.trial,
-                    "" if rec.p_value_weighted is None else repr(rec.p_value_weighted),
-                    "" if rec.p_value_full is None else repr(rec.p_value_full),
-                ])
+    rows = [["magnitude", "trial", "p_value_weighted", "p_value_full"]]
+    for mag, res in zip(magnitudes, results):
+        for rec in res.records:
+            rows.append([
+                repr(mag),
+                rec.trial,
+                "" if rec.p_value_weighted is None else repr(rec.p_value_weighted),
+                "" if rec.p_value_full is None else repr(rec.p_value_full),
+            ])
     rates = {
         which: {
             f"{level:.2f}": [res.rejection_rate(level, which) for res in results]
@@ -549,31 +564,36 @@ def _simulate_shift(config, magnitudes, include_full, out_dir):
     payload = {
         "schema": "ipinfer/metrics-v1",
         "experiment": "shift",
-        "config": _config_echo(config),
+        "config": asdict(config),
         "shifts": magnitudes,
         "rejection_rates": rates,
         "n_trials": config.trials,
         "failures": failures,
         "warnings": [],
     }
-    with open(os.path.join(out_dir, "shift.json"), "w") as fh:
-        fh.write(_dump_json(payload))
+    return {"pvalues.csv": _csv_text(rows), "shift.json": _dump_json(payload)}
 
 
 def cmd_analyze(args) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
-    _check_keys(cfg, _ANALYZE_KEYS, "config")
-    out_path = cfg.get("out")
-    alpha = _check_alpha(_field(cfg, "alpha", float, 0.1))
-    columns, dataset, (loss, target_dims, warnings) = _load_dataset(args.csv, cfg)
-    method = _field(cfg, "method", str, "ipi")
-    mcar = _field(cfg, "mcar", bool, True)
-    lambda_mode = _field(cfg, "lambda_mode", str, "tuned")
-    hessian_mode = _field(cfg, "hessian_mode", str, None)
-    objective = _objective_field(cfg)
+    fields = _data_fields(cfg, _ANALYZE_KEYS)
+    method = _choice_field(
+        cfg, "method", ("complete_case", "aipw", "cipi", "ipi", "naive"), "ipi"
+    )
+    k_folds = _field(cfg, "k_folds", int, 10)
+    n_boot = _field(cfg, "n_boot", int, 50)
     run_diag = _field(cfg, "diagnose", bool, False)
-    run_full = _field(cfg, "full", bool, False)
-    seed = _seed_field(cfg, "seed", 0)
+    alpha = _check_alpha(_field(cfg, "alpha", float, 0.1))
+    mcar = _field(cfg, "mcar", bool, True)
+    # the options the cipi and ipi fits share
+    options = {
+        "lambda_mode": fields["lambda_mode"],
+        "fixed_lambda": fields["fixed_lambda"],
+        "alpha": alpha,
+        "hessian_mode": _field(cfg, "hessian_mode", str, None),
+        "objective": _objective_field(cfg),
+        "mcar": mcar,
+    }
     if run_diag and method in ("cipi", "complete_case", "aipw"):
         raise ConfigError(
             f"--diagnose is not available with method {method!r}: its estimate "
@@ -581,60 +601,36 @@ def cmd_analyze(args) -> int:
             "use method 'ipi'"
         )
 
-    inference = dataset
-    tables = None
+    dataset, loss, names, warnings = _load_dataset(
+        args.csv, fields["loss"], fields["min_count"]
+    )
+    inference, tables = dataset, None
     if method == "complete_case":
         fit = baselines.complete_case_fit(dataset, loss, alpha=alpha, mcar=mcar)
     elif method == "aipw":
         fit = baselines.aipw_fit(dataset, loss, alpha=alpha, mcar=mcar)
     elif method == "cipi":
         fit = estimators.cipi_fit(
-            dataset, loss, _imputer_kind(cfg),
-            k_folds=_field(cfg, "k_folds", int, 10),
-            n_boot=_field(cfg, "n_boot", int, 50),
-            lambda_mode=lambda_mode,
-            fixed_lambda=_list_field(cfg, "fixed_lambda", float),
-            alpha=alpha,
-            hessian_mode=hessian_mode,
-            objective=objective,
-            mcar=mcar,
-            seed=(seed, 0),
+            dataset, loss, fields["kind"], k_folds=k_folds, n_boot=n_boot,
+            seed=(fields["seed"], 0), **options,
         )
-    elif method in ("ipi", "naive"):
-        model, inference = _trained_imputer(dataset, cfg, warnings)
+    else:
+        model, inference, tables = _ipi_tables(
+            dataset, loss, fields, warnings, score=method == "ipi" or run_diag
+        )
         if method == "naive":
             fit = baselines.naive_single_impute_fit(
                 inference, loss, model, alpha=alpha, mcar=mcar
             )
         else:
-            tables = _score_tables(inference, loss, model)
-            fit = estimators.fit_from_tables(
-                tables,
-                lambda_mode=lambda_mode,
-                fixed_lambda=_list_field(cfg, "fixed_lambda", float),
-                alpha=alpha,
-                hessian_mode=hessian_mode,
-                objective=objective,
-                mcar=mcar,
-            )
-    else:
-        raise ConfigError(
-            f"field 'method' must be one of complete_case, aipw, cipi, ipi, "
-            f"naive; got {method!r}"
-        )
-
-    diag = None
-    if run_diag:
-        if tables is None:
-            tables = _score_tables(inference, loss, model)
-        diag = _diagnostics_payload(tables, fit.weights, run_full)
+            fit = estimators.fit_from_tables(tables, **options)
 
     payload = {
         "schema": "ipinfer/result-v1",
         "method": fit.method,
         "estimand": fit.estimand,
         "alpha": fit.alpha,
-        "coefficients": _coefficient_names(loss, target_dims, columns),
+        "coefficients": names,
         "theta_hat": fit.theta_hat,
         "theta_complete": fit.theta_complete,
         "se": fit.se,
@@ -644,44 +640,33 @@ def cmd_analyze(args) -> int:
         "lambda_mode": fit.weights.mode if fit.weights is not None else None,
         "hessian_mode": fit.hessian_mode,
         "n_effective": fit.n_effective,
-        "n_rows": inference.n_rows,
-        "n_complete": inference.n_complete,
-        "n_patterns": inference.n_patterns,
-        "pattern_counts": inference.pattern_counts(),
-        "dropped_rows": dataset.dropped_rows,
-        "diagnostics": diag,
+        **_dataset_summary(inference),
+        "diagnostics": (
+            _diagnostics_payload(tables, fit.weights, fields["full"]) if run_diag else None
+        ),
         "warnings": warnings + list(fit.warnings),
     }
-    _emit(payload, out_path)
+    _emit(payload, fields["out"])
     return EXIT_OK
 
 
 def cmd_diagnose(args) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
-    _check_keys(cfg, _DIAGNOSE_KEYS, "config")
-    out_path = cfg.get("out")
-    columns, dataset, (loss, target_dims, warnings) = _load_dataset(args.csv, cfg)
-    run_full = _field(cfg, "full", bool, False)
-    lambda_mode = _field(cfg, "lambda_mode", str, "tuned")
-    model, inference = _trained_imputer(dataset, cfg, warnings)
-    tables = _score_tables(inference, loss, model)
-    weights, tune_warnings = estimators.resolve_weights(
-        tables, lambda_mode, _list_field(cfg, "fixed_lambda", float)
+    fields = _data_fields(cfg, _DIAGNOSE_KEYS)
+    dataset, loss, _, warnings = _load_dataset(
+        args.csv, fields["loss"], fields["min_count"]
     )
-    diag = _diagnostics_payload(tables, weights, run_full)
+    _, inference, tables = _ipi_tables(dataset, loss, fields, warnings)
+    weights, tune_warnings = estimators.resolve_weights(
+        tables, fields["lambda_mode"], fields["fixed_lambda"]
+    )
     payload = {
         "schema": "ipinfer/diagnostics-v1",
-        "weighted": diag["weighted"],
-        "full": diag["full"],
-        "lambda": diag["lambda"],
-        "n_rows": inference.n_rows,
-        "n_complete": inference.n_complete,
-        "n_patterns": inference.n_patterns,
-        "pattern_counts": inference.pattern_counts(),
-        "dropped_rows": dataset.dropped_rows,
+        **_diagnostics_payload(tables, weights, fields["full"]),
+        **_dataset_summary(inference),
         "warnings": warnings + tune_warnings,
     }
-    _emit(payload, out_path)
+    _emit(payload, fields["out"])
     return EXIT_OK
 
 

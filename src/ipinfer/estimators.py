@@ -515,6 +515,8 @@ def confidence_interval(theta, variance, n: int, alpha: float):
         raise NumericError("negative variance estimate")
     se = np.sqrt(np.maximum(diag, 0.0) / n)
     z = stats.norm.ppf(1.0 - alpha / 2.0)
+    if not np.isfinite(z):
+        raise ConfigError(f"alpha {alpha} is too small for a bounded interval")
     ci = np.column_stack([theta - z * se, theta + z * se])
     chi2_radius = float(stats.chi2.ppf(1.0 - alpha, df=theta.size) / n)
     return se, ci, chi2_radius

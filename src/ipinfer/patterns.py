@@ -270,42 +270,45 @@ def load_csv(path) -> tuple[list[str], np.ndarray]:
     Returns:
         (column names, (N, d) float matrix with NaN for missing cells).
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        columns = [c.strip() for c in header]
-        if len(set(columns)) != len(columns):
-            raise DataError(f"{path}: duplicate column names")
-        rows = []
-        for lineno, rec in enumerate(reader, start=2):
-            if not rec:
-                continue
-            if len(rec) != len(columns):
-                raise DataError(
-                    f"{path}:{lineno}: expected {len(columns)} cells, got {len(rec)}"
-                )
-            vals = np.empty(len(columns))
-            for j, tok in enumerate(rec):
-                tok = tok.strip()
-                if tok in _NA_TOKENS:
-                    vals[j] = MISSING
-                else:
-                    try:
-                        vals[j] = float(tok)
-                    except ValueError:
-                        raise DataError(
-                            f"{path}:{lineno}: cannot parse {tok!r} in column "
-                            f"{columns[j]!r}"
-                        ) from None
-                    if not np.isfinite(vals[j]):
-                        raise DataError(
-                            f"{path}:{lineno}: non-finite value in column "
-                            f"{columns[j]!r}; use '' or 'NA' for missing"
-                        )
-            rows.append(vals)
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise DataError(f"{path}: empty file") from None
+            columns = [c.strip() for c in header]
+            if len(set(columns)) != len(columns):
+                raise DataError(f"{path}: duplicate column names")
+            rows = []
+            for lineno, rec in enumerate(reader, start=2):
+                if not rec:
+                    continue
+                if len(rec) != len(columns):
+                    raise DataError(
+                        f"{path}:{lineno}: expected {len(columns)} cells, got {len(rec)}"
+                    )
+                vals = np.empty(len(columns))
+                for j, tok in enumerate(rec):
+                    tok = tok.strip()
+                    if tok in _NA_TOKENS:
+                        vals[j] = MISSING
+                    else:
+                        try:
+                            vals[j] = float(tok)
+                        except ValueError:
+                            raise DataError(
+                                f"{path}:{lineno}: cannot parse {tok!r} in column "
+                                f"{columns[j]!r}"
+                            ) from None
+                        if not np.isfinite(vals[j]):
+                            raise DataError(
+                                f"{path}:{lineno}: non-finite value in column "
+                                f"{columns[j]!r}; use '' or 'NA' for missing"
+                            )
+                rows.append(vals)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: {exc}") from None
     if not rows:
         raise DataError(f"{path}: no data rows")
     return columns, np.vstack(rows)

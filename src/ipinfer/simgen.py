@@ -301,6 +301,11 @@ def _split_tables(config: ExperimentConfig, dataset, loss, rng) -> dict:
     """The train/inference split, the imputer fitted on the training rows,
     and the inference rows' score tables at the complete-case estimate."""
     train, inference = estimators.split_train_inference(dataset, config.train_frac, rng)
+    if not len(train):
+        raise ConfigError(
+            f"field 'train_frac': {config.train_frac} of {dataset.n_rows} rows "
+            "leaves no imputer training rows"
+        )
     model = imputers.fit(config.imputer, train)
     theta_n = solve_complete_case(inference, loss)
     tables = estimators.score_tables(inference, loss, model, theta_n)
@@ -502,12 +507,14 @@ def gen_shift_experiment(
     one ShiftExperimentResult per setting in `shifts`, in order.
 
     A setting is a number (applied to every pattern) or a length-n_patterns
-    vector; any other shape is a ConfigError before any trial.  Each trial
-    simulates data, fits the imputer on the training split and builds the
-    score tables once.  Per setting it then shifts each pattern's own
-    imputed scores (masked complete rows stay put), tunes the weights on the
-    shifted tables and records the test p-values.  Trials run in the pool
-    when jobs > 1.
+    vector; any other shape is a ConfigError before any trial.  Entry r of
+    a vector shifts whichever pattern is numbered r + 1 in that trial:
+    every trial draws and numbers its patterns afresh, so a vector names no
+    fixed mask.  Each trial simulates data, fits the imputer on the
+    training split and builds the score tables once.  Per setting it then
+    shifts each pattern's own imputed scores (masked complete rows stay
+    put), tunes the weights on the shifted tables and records the test
+    p-values.  Trials run in the pool when jobs > 1.
     """
     big_r = config.n_patterns
     if np.isscalar(shifts):

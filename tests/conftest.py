@@ -6,9 +6,16 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from ipinfer import imputers, losses
 from ipinfer.patterns import PatternedDataset, build_dataset
+
+# Fixed examples for the CLI config fuzz test, so every run checks the same
+# configs: `@settings(settings.get_profile("cli_fuzz"))`.
+settings.register_profile(
+    "cli_fuzz", derandomize=True, deadline=None, max_examples=100, database=None
+)
 
 
 @dataclass(frozen=True)

@@ -5,14 +5,21 @@ exit code instead of raising SystemExit, so commands and their error
 paths can be exercised in-process.
 """
 
+import contextlib
+import io
 import json
+import os
+import pathlib
+import tempfile
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import eight_row_matrix
-from ipinfer import baselines, cli, imputers, losses
+from ipinfer import baselines, cli, estimators, imputers, losses
 from ipinfer.patterns import build_dataset
 
 
@@ -240,7 +247,13 @@ class TestConfigErrors:
             for key in ("mcar", "train_frac", "min_pattern_count", "alpha", "method")
         ]
         + [("analyze", key, {"method": "cipi"}) for key in ("k_folds", "n_boot")]
-        + [("diagnose", key, {}) for key in ("train_frac", "full", "lambda_mode")],
+        + [("diagnose", key, {}) for key in ("train_frac", "full", "lambda_mode")]
+        # fields the chosen method never reads are checked all the same
+        + [("analyze", key, {}) for key in ("k_folds", "n_boot")]
+        + [
+            ("analyze", key, {"method": "complete_case"})
+            for key in ("imputer", "fixed_lambda")
+        ],
     )
     def test_null_field_rejected(self, capsys, tmp_path, eight_csv, command, key, extra):
         # A JSON null once ended in a traceback, or silently took a value
@@ -325,6 +338,99 @@ class TestConfigErrors:
         assert field in err
         assert "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "case, expected_code, fragment",
+        [
+            ("csv_missing", 2, "cannot read data"),
+            ("csv_is_directory", 2, "cannot read data"),
+            ("csv_not_utf8", 3, "not UTF-8"),
+            ("config_not_utf8", 2, "cannot read config"),
+            ("analyze_out_in_missing_dir", 2, "cannot write output"),
+            ("simulate_out_is_file", 2, "cannot write output"),
+            ("analyze_out_not_string", 2, "'out'"),
+            ("simulate_out_not_string", 2, "'out'"),
+            ("analyze_out_with_nul", 2, "cannot write output"),
+            ("simulate_out_with_nul", 2, "cannot write output"),
+        ],
+    )
+    def test_file_errors_exit_with_documented_code(
+        self, capsys, tmp_path, eight_csv, case, expected_code, fragment
+    ):
+        # Each of these once ended in a traceback with exit status 1, or
+        # wrote to file descriptor 7.
+        cfg = write_config(tmp_path / "c.json", {"loss": MEAN_X_LOSS, "imputer": "mean"})
+        sim_cfg = write_config(tmp_path / "s.json", TestSimulate.COVERAGE)
+        (tmp_path / "bad.csv").write_bytes(b"x,u\n1,2\n\xff,3\n")
+        (tmp_path / "bad.json").write_bytes(b'{"loss": "\xff"}')
+        (tmp_path / "taken").write_text("")
+        argv = {
+            "csv_missing": ["analyze", str(tmp_path / "none.csv"), "--config", cfg],
+            "csv_is_directory": ["diagnose", str(tmp_path), "--config", cfg],
+            "csv_not_utf8": ["analyze", str(tmp_path / "bad.csv"), "--config", cfg],
+            "config_not_utf8": ["analyze", eight_csv, "--config", str(tmp_path / "bad.json")],
+            "analyze_out_in_missing_dir": [
+                "analyze", eight_csv, "--config", cfg,
+                "--out", str(tmp_path / "missing" / "r.json"),
+            ],
+            "simulate_out_is_file": [
+                "simulate", "--config", sim_cfg, "--out", str(tmp_path / "taken"),
+            ],
+            "analyze_out_not_string": [
+                "analyze", eight_csv, "--config",
+                write_config(tmp_path / "o.json", {"loss": MEAN_X_LOSS, "out": 7}),
+            ],
+            "simulate_out_not_string": [
+                "simulate", "--config",
+                write_config(tmp_path / "so.json", dict(TestSimulate.COVERAGE, out=7)),
+            ],
+            "analyze_out_with_nul": [
+                "analyze", eight_csv, "--config",
+                write_config(tmp_path / "n.json", {"loss": MEAN_X_LOSS, "out": "r\0.json"}),
+            ],
+            "simulate_out_with_nul": [
+                "simulate", "--config",
+                write_config(tmp_path / "sn.json", dict(TestSimulate.COVERAGE, out="o\0")),
+            ],
+        }[case]
+        code, err = run_error(capsys, argv)
+        assert code == expected_code
+        assert err.count("\n") == 1
+        assert fragment in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "missing").exists()
+        assert not (tmp_path / "metrics.csv").exists()
+
+    @pytest.mark.parametrize("command", ["analyze", "diagnose"])
+    def test_split_without_training_rows_exits_2(
+        self, capsys, tmp_path, eight_csv, command
+    ):
+        # 0.01 of eight rows is no row; the imputer fit once failed on the
+        # empty training set with exit 4.
+        cfg = write_config(
+            tmp_path / "c.json",
+            {"loss": MEAN_X_LOSS, "imputer": "mean", "train_frac": 0.01},
+        )
+        code, err = run_error(capsys, [command, eight_csv, "--config", cfg])
+        assert code == 2
+        assert err.count("\n") == 1
+        assert "'train_frac'" in err
+
+    @pytest.mark.parametrize("method", ["ipi", "naive"])
+    def test_simulate_split_without_training_rows_exits_2(
+        self, capsys, tmp_path, method
+    ):
+        # Every trial once failed and the run exited 0.
+        out = tmp_path / "out"
+        cfg = write_config(
+            tmp_path / "c.json",
+            dict(TestSimulate.COVERAGE, methods=[method, "complete_case"], train_frac=0.0),
+        )
+        code, err = run_error(capsys, ["simulate", "--config", cfg, "--out", str(out)])
+        assert code == 2
+        assert err.count("\n") == 1
+        assert "'train_frac'" in err
+        assert not (out / "metrics.csv").exists()
 
 
 class TestDataErrors:
@@ -713,6 +819,32 @@ class TestSimulate:
         assert methods["complete_case"]["failures"] == 0
         assert methods["complete_case"]["n_trials"] == 3
 
+    def test_train_frac_zero_without_split_methods(self, capsys, tmp_path):
+        # cipi and complete_case split off no training rows.
+        payload = dict(self.COVERAGE, methods=["cipi", "complete_case"],
+                       train_frac=0.0, k_folds=2, n_boot=4)
+        cfg = write_config(tmp_path / "c.json", payload)
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        capsys.readouterr()
+        for m in json.loads((out / "metrics.json").read_text())["methods"]:
+            assert m["n_trials"] == 3
+            assert m["failures"] == 0
+
+    def test_loss_columns_by_name_or_index(self, capsys, tmp_path):
+        # simulate reads the loss section with analyze's parser, over the
+        # synthetic columns x0..x{d-1}.
+        outputs = []
+        for name, columns in (("index", [1]), ("name", ["x1"])):
+            payload = dict(self.COVERAGE, loss={"family": "mean", "columns": columns})
+            cfg = write_config(tmp_path / f"{name}.json", payload)
+            out = tmp_path / name
+            assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+            outputs.append((out / "metrics.json").read_bytes())
+        capsys.readouterr()
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[1])["config"]["mean_columns"] == [1]
+
     def test_records_flag(self, capsys, tmp_path):
         cfg = write_config(tmp_path / "c.json", self.COVERAGE)
         out = tmp_path / "out"
@@ -787,3 +919,81 @@ class TestSimulate:
         lines = (out / "pvalues.csv").read_text().splitlines()
         assert lines[0] == "magnitude,trial,p_value_weighted,p_value_full"
         assert len(lines) == 1 + 2 * 3
+
+
+# The config fuzz test draws each field from bounded values of its own
+# type, then overwrites up to one field with a value of any JSON type.
+INTS = st.integers(-2, 12)
+FLOATS = st.floats(0, 1) | st.floats(-2, 12) | st.sampled_from(
+    [float("nan"), float("inf"), -float("inf")]
+)
+SCALARS = st.one_of(st.none(), st.booleans(), INTS, FLOATS, st.text(max_size=6))
+JUNK = st.one_of(
+    SCALARS,
+    st.lists(INTS | FLOATS | st.text(max_size=3), max_size=3),
+    st.dictionaries(st.sampled_from(sorted(cli._LOSS_KEYS)), SCALARS, max_size=3),
+)
+TYPED = {
+    "loss": st.sampled_from([
+        MEAN_X_LOSS,
+        {"family": "mean", "columns": [0, "u"]},
+        {"family": "linear_regression", "response": "x", "covariates": ["u"]},
+        {"family": "linear_regression", "response": 0, "covariates": [1],
+         "intercept": True},
+        {"family": "logistic_regression", "response": "x", "covariates": ["u"]},
+    ]),
+    "method": st.sampled_from(["ipi", "cipi", "naive", "complete_case", "aipw"]),
+    "imputer": st.sampled_from(imputers.KINDS),
+    "lambda_mode": st.sampled_from(["tuned", "pooled", "zero", "fixed"]),
+    "fixed_lambda": st.lists(FLOATS, max_size=3),
+    "hessian_mode": st.sampled_from(estimators.HESSIAN_MODES),
+    "objective": st.just("trace") | INTS,
+    "alpha": FLOATS,
+    "train_frac": FLOATS,
+    "k_folds": INTS,
+    "n_boot": INTS,
+    "min_pattern_count": INTS,
+    "seed": INTS,
+    "mcar": st.booleans(),
+    "diagnose": st.booleans(),
+    "full": st.booleans(),
+    # a string names a file in the test's own directory, never the cwd
+    "out": st.sampled_from(["r.json", "missing/r.json", ""]),
+}
+
+
+@st.composite
+def cli_runs(draw):
+    command = draw(st.sampled_from(["analyze", "diagnose"]))
+    keys = sorted(cli._ANALYZE_KEYS if command == "analyze" else cli._DIAGNOSE_KEYS)
+    config = {"loss": draw(TYPED["loss"])}
+    config.update({key: draw(TYPED[key]) for key in keys if draw(st.booleans())})
+    key = draw(st.none() | st.sampled_from(keys))
+    if key is not None:
+        config[key] = draw(JUNK)
+    flags = ["--full"] if draw(st.booleans()) else []
+    if command == "analyze" and draw(st.booleans()):
+        flags.append("--diagnose")
+    return command, config, flags
+
+
+@settings(settings.get_profile("cli_fuzz"))
+@given(run=cli_runs())
+def test_any_config_ends_in_a_documented_exit_code(run):
+    """Whatever the config holds, the CLI exits 0, 2, 3 or 4; a failure
+    writes one stderr line and nothing prints a traceback."""
+    command, config, flags = run
+    with tempfile.TemporaryDirectory() as tmp:
+        if isinstance(config.get("out"), str):
+            # keep the path inside tmp: drop root, '.' and '..' parts
+            parts = [p for p in config["out"].split("/") if p not in ("", ".", "..")]
+            config["out"] = os.path.join(tmp, *parts)
+        csv_path = write(pathlib.Path(tmp, "eight.csv"), EIGHT_CSV)
+        cfg = write(pathlib.Path(tmp, "c.json"), json.dumps(config))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main([command, csv_path, "--config", cfg, *flags])
+    assert code in (0, 2, 3, 4)
+    if code:
+        assert err.getvalue().count("\n") == 1
+    assert "Traceback" not in out.getvalue() + err.getvalue()

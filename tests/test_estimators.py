@@ -298,6 +298,9 @@ class TestVariance:
     def test_confidence_interval_validation(self):
         with pytest.raises(ConfigError):
             confidence_interval(np.zeros(1), np.eye(1), 4, alpha=1.5)
+        # 1 - alpha/2 rounds to 1, so the normal quantile is infinite
+        with pytest.raises(ConfigError, match="too small"):
+            confidence_interval(np.zeros(1), np.eye(1), 4, alpha=1e-20)
         with pytest.raises(DataError):
             confidence_interval(np.zeros(1), np.eye(1), 0, alpha=0.1)
 
