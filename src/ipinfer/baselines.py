@@ -211,7 +211,6 @@ def aipw_fit(
     dataset: PatternedDataset,
     loss: LossModel,
     alpha: float = 0.1,
-    c1=None,
     mcar: bool = True,
 ) -> IPIFit:
     """Augmented inverse-probability-weighted one-step estimator.
@@ -219,12 +218,9 @@ def aipw_fit(
     Starts from the complete-case estimate, projects the weighted score
     onto a per-pattern degree-two monomial augmentation by least squares,
     and takes one Newton step against the projected estimating equation.
-    Restricted to the linear regression loss.
-
-    The optional preconditioner c1 (a p x p matrix, or "optimize") is
-    accepted for completeness: under the full least-squares projection the
-    one-step estimate and sandwich are invariant to any nonsingular c1, so
-    "optimize" simply uses the inverse Hessian.
+    Restricted to the linear regression loss.  Under the full least-squares
+    projection the estimate and the sandwich do not depend on a
+    preconditioner of the score, so none is applied.
 
     Raises:
         DataError: when the stacked augmentation dimension exceeds N/2 (the
@@ -255,18 +251,6 @@ def aipw_fit(
     psi = np.zeros((n_rows, p))
     psi[complete_idx] = g / p0_hat
 
-    if c1 is None:
-        c1_matrix = np.eye(p)
-    elif isinstance(c1, str):
-        if c1 != "optimize":
-            raise ConfigError(f"unknown c1 option {c1!r}")
-        c1_matrix = inverse_hessian(hessian)
-    else:
-        c1_matrix = np.asarray(c1, dtype=float)
-        if c1_matrix.shape != (p, p):
-            raise ConfigError(f"c1 must be ({p}, {p})")
-
-    score = psi @ c1_matrix.T
     if big_r > 0:
         aug = np.zeros((n_rows, q_a))
         col = 0
@@ -282,19 +266,18 @@ def aipw_fit(
                 -monomial_features(dataset.values[np.ix_(rows_r, obs)]) / p_r_hat
             )
             col += width
-        beta = _project(aug, score, warnings)
-        phi = score - aug @ beta
+        beta = _project(aug, psi, warnings)
+        phi = psi - aug @ beta
     else:
-        phi = score
+        phi = psi
 
-    effective_h = c1_matrix @ hessian
     try:
-        step = np.linalg.solve(effective_h, phi.mean(axis=0))
+        step = np.linalg.solve(hessian, phi.mean(axis=0))
     except np.linalg.LinAlgError:
         raise RankDeficiencyError("singular Hessian in the one-step update") from None
     theta = theta_n - step
-    ehinv = inverse_hessian(effective_h)
-    sigma = ehinv @ sample_cov(phi) @ ehinv.T
+    hinv = inverse_hessian(hessian)
+    sigma = hinv @ sample_cov(phi) @ hinv.T
     se, ci, chi2_radius = confidence_interval(theta, sigma, n_rows, alpha)
     cc = complete_case_fit(dataset, loss, alpha=alpha, mcar=mcar)
     return IPIFit(
@@ -307,7 +290,7 @@ def aipw_fit(
         variance=sigma,
         n_scale=n_rows,
         chi2_radius=chi2_radius,
-        hessian=effective_h,
+        hessian=hessian,
         hessian_mode=COMPLETE_CASE_HESSIAN,
         n_effective=effective_sample_size(cc.width, ci[:, 1] - ci[:, 0], cc.n_scale),
         theta_complete=theta_n,

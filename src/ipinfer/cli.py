@@ -42,6 +42,8 @@ EXIT_NUMERIC = 4
 
 _SHIFT_LEVELS = (0.01, 0.05, 0.10)
 
+_LAMBDA_MODES = ("tuned", "pooled", "zero", "fixed")
+
 _LOSS_KEYS = {"family", "response", "covariates", "columns", "intercept"}
 
 # simulate's loss when the config has no 'loss' section, and its values for
@@ -118,9 +120,10 @@ def _field(cfg, key, kind, default, expected=None):
 
 
 def _choice_field(cfg, key, choices, default):
-    """A string field that must name one of `choices`."""
+    """A string field that must name one of `choices`; absent or null only
+    where the default is None."""
     value = _field(cfg, key, str, default)
-    if value not in choices:
+    if value is not None and value not in choices:
         raise ConfigError(
             f"field {key!r} must be one of {', '.join(choices)}; got {value!r}"
         )
@@ -135,10 +138,29 @@ def _seed_field(cfg, key, default):
     return value
 
 
-def _check_alpha(alpha: float) -> float:
-    if not 0.0 < alpha < 1.0:
-        raise ConfigError(f"field 'alpha' must be in (0, 1), got {alpha}")
-    return alpha
+def _ranged_field(cfg, key, kind, default, ok, expected):
+    """A scalar field whose value must pass `ok`; `expected` says what
+    passes."""
+    value = _field(cfg, key, kind, default)
+    if not ok(value):
+        raise ConfigError(f"field {key!r} must be {expected}, got {value!r}")
+    return value
+
+
+def _alpha_field(cfg):
+    return _ranged_field(cfg, "alpha", float, 0.1, lambda a: 0.0 < a < 1.0, "in (0, 1)")
+
+
+def _train_frac_field(cfg, default):
+    return _ranged_field(
+        cfg, "train_frac", float, default, lambda f: 0.0 <= f < 1.0, "in [0, 1)"
+    )
+
+
+def _at_least(cfg, key, default, minimum):
+    return _ranged_field(
+        cfg, key, int, default, lambda v: v >= minimum, f"at least {minimum}"
+    )
 
 
 def _list_field(cfg, key, default=None):
@@ -164,6 +186,15 @@ def _objective_field(cfg):
     raise ConfigError(
         f"field 'objective' must be 'trace' or a coordinate index, got {value!r}"
     )
+
+
+def _check_coordinate(key, value, p):
+    """A coordinate field ('objective' may also be 'trace') must index one
+    of the loss's p parameters."""
+    if value != "trace" and not 0 <= value < p:
+        raise ConfigError(
+            f"field {key!r} must be in [0, {p}) for this loss, got {value!r}"
+        )
 
 
 def _resolve_column(token, columns, key):
@@ -250,16 +281,10 @@ def build_experiment_config(cfg: dict) -> simgen.ExperimentConfig:
             raise ConfigError(
                 f"field 'methods': {method!r} needs a pattern id or 'best' after ':'"
             ) from None
-    ratio = _field(cfg, "ratio", float, 10.0)
-    if not np.isfinite(ratio):
-        raise ConfigError(f"field 'ratio' must be a finite number, got {ratio!r}")
-    trials = _field(cfg, "trials", int, 100)
-    if trials < 1:
-        raise ConfigError(f"field 'trials' must be at least 1, got {trials!r}")
     config = simgen.ExperimentConfig(
         factor=factor,
         n_complete=_field(cfg, "n_complete", int, 200),
-        ratio=ratio,
+        ratio=_ranged_field(cfg, "ratio", float, 10.0, np.isfinite, "a finite number"),
         n_patterns=_field(cfg, "n_patterns", int, 10),
         feature_mask_prob=_field(cfg, "feature_mask_prob", float, 0.2),
         loss_family=loss["family"],
@@ -269,23 +294,20 @@ def build_experiment_config(cfg: dict) -> simgen.ExperimentConfig:
         intercept=loss["intercept"],
         imputer=_choice_field(cfg, "imputer", imputers.KINDS, imputers.GAUSSIAN_KIND),
         methods=tuple(methods),
-        trials=trials,
-        alpha=_check_alpha(_field(cfg, "alpha", float, 0.1)),
-        train_frac=_field(cfg, "train_frac", float, 0.1),
-        k_folds=_field(cfg, "k_folds", int, 10),
-        n_boot=_field(cfg, "n_boot", int, 50),
+        trials=_at_least(cfg, "trials", 100, 1),
+        alpha=_alpha_field(cfg),
+        train_frac=_train_frac_field(cfg, 0.1),
+        k_folds=_at_least(cfg, "k_folds", 10, 2),
+        n_boot=_at_least(cfg, "n_boot", 50, 2),
         objective=_objective_field(cfg),
         target_coordinate=_field(cfg, "target_coordinate", int, 0),
         min_pattern_count=_field(cfg, "min_pattern_count", int, 1),
         seed=seed,
-        jobs=_field(cfg, "jobs", int, 1),
+        jobs=_at_least(cfg, "jobs", 1, 1),
     )
     p = config.make_loss()[0].param_dim
-    j = config.target_coordinate
-    if not 0 <= j < p:
-        raise ConfigError(
-            f"field 'target_coordinate' must be in [0, {p}) for this loss, got {j!r}"
-        )
+    _check_coordinate("target_coordinate", config.target_coordinate, p)
+    _check_coordinate("objective", config.objective, p)
     return config
 
 
@@ -297,9 +319,9 @@ def _data_fields(cfg: dict, allowed: set) -> dict:
         "loss": cfg.get("loss"),
         "min_count": _field(cfg, "min_pattern_count", int, 1),
         "kind": _choice_field(cfg, "imputer", imputers.KINDS, imputers.GAUSSIAN_KIND),
-        "train_frac": _field(cfg, "train_frac", float, 0.0),
+        "train_frac": _train_frac_field(cfg, 0.0),
         "seed": _seed_field(cfg, "seed", 0),
-        "lambda_mode": _field(cfg, "lambda_mode", str, "tuned"),
+        "lambda_mode": _choice_field(cfg, "lambda_mode", _LAMBDA_MODES, "tuned"),
         "fixed_lambda": _list_field(cfg, "fixed_lambda"),
         "full": _field(cfg, "full", bool, False),
         "out": _field(cfg, "out", str, None),
@@ -580,17 +602,19 @@ def cmd_analyze(args) -> int:
     method = _choice_field(
         cfg, "method", ("complete_case", "aipw", "cipi", "ipi", "naive"), "ipi"
     )
-    k_folds = _field(cfg, "k_folds", int, 10)
-    n_boot = _field(cfg, "n_boot", int, 50)
+    k_folds = _at_least(cfg, "k_folds", 10, 2)
+    n_boot = _at_least(cfg, "n_boot", 50, 2)
     run_diag = _field(cfg, "diagnose", bool, False)
-    alpha = _check_alpha(_field(cfg, "alpha", float, 0.1))
+    alpha = _alpha_field(cfg)
     mcar = _field(cfg, "mcar", bool, True)
     # the options the cipi and ipi fits share
     options = {
         "lambda_mode": fields["lambda_mode"],
         "fixed_lambda": fields["fixed_lambda"],
         "alpha": alpha,
-        "hessian_mode": _field(cfg, "hessian_mode", str, None),
+        "hessian_mode": _choice_field(
+            cfg, "hessian_mode", estimators.HESSIAN_MODES, None
+        ),
         "objective": _objective_field(cfg),
         "mcar": mcar,
     }
@@ -604,6 +628,7 @@ def cmd_analyze(args) -> int:
     dataset, loss, names, warnings = _load_dataset(
         args.csv, fields["loss"], fields["min_count"]
     )
+    _check_coordinate("objective", options["objective"], loss.param_dim)
     inference, tables = dataset, None
     if method == "complete_case":
         fit = baselines.complete_case_fit(dataset, loss, alpha=alpha, mcar=mcar)

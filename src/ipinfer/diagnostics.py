@@ -9,6 +9,17 @@ every gap jointly.  The first stays calibrated as R grows; the second is
 more sensitive to sparse single-pattern shifts but anti-conservative in
 high dimensions.  Both read the score tables the estimator itself uses
 (estimators.score_tables at the complete-case estimate).
+
+Both tests share one covariance.  With (joint, imputed) = tables.score_cov,
+H the complete-case Hessian and B_r = (H_imputed_r - H_masked_r) H^-1, the
+stacked gaps have the (pR, pR) covariance
+
+    V = T joint T' + blockdiag((n / n_r) imputed_r),
+
+where row block r of T is [B_r, e_r (x) I_p]: the complete-row score coupled
+through the Hessian mismatch, plus pattern r's masked score.  The full test
+uses V as it is; the weighted test projects it with W = (lambda / R) (x) I_p
+to W V W'.
 """
 
 from __future__ import annotations
@@ -16,14 +27,13 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import stats
+from scipy import linalg, stats
 
 from .errors import DataError
 from .estimators import (
     ScoreTables,
     as_weights,
     inverse_hessian,
-    sample_cov,
     tune_lambda,
 )
 
@@ -60,26 +70,19 @@ class DiagnosticReport:
     warnings: tuple[str, ...] = ()
 
 
-def _per_pattern_gaps(tables: ScoreTables) -> np.ndarray:
-    means, _ = tables.group_means
-    big_r = tables.n_patterns
-    return means[1 + big_r :] - means[1 : 1 + big_r]
-
-
-def _transfer_rows(tables: ScoreTables) -> list[np.ndarray]:
-    """Per-pattern complete-row contributions h_r used by both covariances.
-
-    h_r,i couples the Hessian mismatch between imputed and masked rows with
-    the complete-row score, plus the masked score itself.
-    """
-    _, hessians = tables.group_means
-    big_r = tables.n_patterns
-    hinv = inverse_hessian(tables.h_complete)
-    rows = []
-    for r in range(big_r):
-        b = (hessians[1 + big_r + r] - hessians[1 + r]) @ hinv
-        rows.append(tables.g_complete @ b.T + tables.g_masked[r])
-    return rows
+def _gap_moments(tables: ScoreTables) -> tuple[np.ndarray, np.ndarray]:
+    """The (R, p) per-pattern gaps and the (pR, pR) covariance V of the
+    stacked gaps (see the module docstring)."""
+    means, hessians = tables.group_means
+    big_r, p, n = tables.n_patterns, tables.param_dim, tables.n_complete
+    joint, imputed = tables.score_cov
+    mismatch = (hessians[1 + big_r :] - hessians[1 : 1 + big_r]) @ inverse_hessian(
+        tables.h_complete
+    )
+    transfer = np.hstack((mismatch.reshape(-1, p), np.eye(big_r * p)))
+    scaled = [(n / n_r) * cov for n_r, cov in zip(tables.counts, imputed)]
+    v = transfer @ joint @ transfer.T + linalg.block_diag(*scaled)
+    return means[1 + big_r :] - means[1 : 1 + big_r], v
 
 
 def _chi_square(statistic, v, n, df):
@@ -108,9 +111,8 @@ def _chi_square(statistic, v, n, df):
 def t_ipi_test(tables: ScoreTables, lambda_hat=None) -> DiagnosticReport:
     """Weighted transfer-gap test with chi-square df = p.
 
-    The statistic averages the per-pattern gaps with weights lambda_r / R;
-    its covariance combines the complete-row variance of the weighted
-    transfer rows with the per-pattern imputed-score variances.
+    The statistic averages the per-pattern gaps with weights lambda_r / R,
+    W times the stacked gaps; its covariance is W V W' (module docstring).
 
     Args:
         lambda_hat: weights to aggregate with; defaults to tuned weights.
@@ -134,22 +136,12 @@ def t_ipi_test(tables: ScoreTables, lambda_hat=None) -> DiagnosticReport:
         weights, _ = tune_lambda(tables)
     else:
         weights = as_weights(lambda_hat, big_r)
-    _check_group_sizes(tables)
-    gaps = _per_pattern_gaps(tables)
-    lam = weights.lam
-    statistic = (lam[:, None] * gaps).sum(axis=0) / big_r
+    gaps, v = _gap_moments(tables)
+    w = np.kron(weights.lam / big_r, np.eye(p))
+    statistic = w @ gaps.reshape(-1)
+    v_t = w @ v @ w.T
 
-    transfer = _transfer_rows(tables)
-    weighted = np.zeros_like(tables.g_complete)
-    for r in range(big_r):
-        weighted += (lam[r] / big_r) * transfer[r]
-    n = tables.n_complete
-    v_t = sample_cov(weighted)
-    for r in range(big_r):
-        n_r = int(tables.counts[r])
-        v_t += (lam[r] / big_r) ** 2 * (n / n_r) * sample_cov(tables.g_imputed[r])
-
-    chi2_stat, p_value, warnings = _chi_square(statistic, v_t, n, p)
+    chi2_stat, p_value, warnings = _chi_square(statistic, v_t, tables.n_complete, p)
     return DiagnosticReport(
         statistic=statistic,
         v_t=v_t,
@@ -164,9 +156,10 @@ def t_ipi_test(tables: ScoreTables, lambda_hat=None) -> DiagnosticReport:
 def t_full_test(tables: ScoreTables) -> DiagnosticReport:
     """Stacked per-pattern transfer-gap test with chi-square df = p * R.
 
-    Tests all R gaps jointly without weighting.  The covariance couples
-    patterns through the complete rows (they share the masked scores) and
-    adds each pattern's own imputed-score variance on its diagonal block.
+    Tests all R gaps jointly without weighting.  The covariance V (module
+    docstring) couples patterns through the complete rows (they share the
+    masked scores) and adds each pattern's own imputed-score variance on its
+    diagonal block.
 
     Raises:
         DataError: when p * R >= n / 2; the statistic's dimension makes the
@@ -190,16 +183,8 @@ def t_full_test(tables: ScoreTables) -> DiagnosticReport:
             f"stacked statistic dimension {df} is too large for {n} complete "
             "rows; use the weighted test instead"
         )
-    _check_group_sizes(tables)
-    gaps = _per_pattern_gaps(tables)
+    gaps, v_t = _gap_moments(tables)
     statistic = gaps.reshape(-1)
-
-    transfer = np.hstack(_transfer_rows(tables))  # (n, p * R)
-    v_t = sample_cov(transfer)
-    for r in range(big_r):
-        n_r = int(tables.counts[r])
-        block = slice(r * p, (r + 1) * p)
-        v_t[block, block] += (n / n_r) * sample_cov(tables.g_imputed[r])
 
     chi2_stat, p_value, warnings = _chi_square(statistic, v_t, n, df)
     return DiagnosticReport(
@@ -211,11 +196,6 @@ def t_full_test(tables: ScoreTables) -> DiagnosticReport:
         gaps=gaps,
         warnings=tuple(warnings),
     )
-
-
-def _check_group_sizes(tables: ScoreTables) -> None:
-    if tables.n_complete < 2 or (tables.counts < 2).any():
-        raise DataError("diagnostics need at least 2 rows in every group")
 
 
 def apply_gradient_shift(tables: ScoreTables, shifts) -> ScoreTables:

@@ -187,6 +187,38 @@ class ScoreTables:
             array.flags.writeable = False
         return out
 
+    @cached_property
+    def score_cov(self) -> tuple[np.ndarray, np.ndarray]:
+        """Sample covariances of the per-row scores: the one input of the
+        sandwich variance, the weight tuning and both transfer-gap tests.
+
+        Computed once per (frozen) tables object and returned read-only.
+
+        Returns:
+            (joint ((1 + R) p, (1 + R) p): the covariance of each complete
+            row's stacked scores [g_complete, g_masked[0], ...,
+            g_masked[R-1]]; imputed (R, p, p): the covariance of each
+            pattern's own imputed scores).
+
+        Raises:
+            DataError: when the complete rows or a pattern hold fewer than
+                2 rows.
+        """
+        groups = [("complete rows", self.g_complete)]
+        groups += [(f"pattern {r + 1}", g) for r, g in enumerate(self.g_imputed)]
+        for where, rows in groups:
+            if rows.shape[0] < 2:
+                raise DataError(
+                    f"{where} has {rows.shape[0]} rows; the score covariances "
+                    "need at least 2 rows per group"
+                )
+        p = self.param_dim
+        joint = sample_cov(np.hstack((self.g_complete, *self.g_masked)))
+        imputed = np.array([sample_cov(g) for g in self.g_imputed]).reshape(-1, p, p)
+        for array in (joint, imputed):
+            array.flags.writeable = False
+        return joint, imputed
+
 
 def score_tables(
     dataset: PatternedDataset,
@@ -345,30 +377,26 @@ def inverse_hessian(hessian: np.ndarray) -> np.ndarray:
 def estimate_variance(tables: ScoreTables, lam, hessian=None) -> np.ndarray:
     """Plug-in sandwich estimate of the asymptotic covariance of the estimator.
 
-    The middle term combines the covariance of the lambda-corrected
-    complete-row scores with the per-pattern imputed-score covariances,
-    scaled by (lambda_r / R)^2 * n / n_r.  Divide by the complete-row count
+    With (joint, imputed) = tables.score_cov and U = [1, -lambda / R] (x) I_p,
+    the estimate is
+
+        H^-1 (U joint U' + sum_r (lambda_r / R)^2 (n / n_r) imputed_r) H^-1,
+
+    the covariance of the lambda-corrected complete-row scores plus the
+    per-pattern imputed-score covariances.  Divide by the complete-row count
     to get the finite-sample covariance of the estimate.
 
     Args:
-        hessian: sandwich curvature; defaults to the complete-case Hessian.
+        hessian: sandwich curvature H; defaults to the complete-case Hessian.
     """
     lam = as_weights(lam, tables.n_patterns).lam
     if hessian is None:
         hessian = tables.h_complete
     big_r = tables.n_patterns
-    n = tables.n_complete
-    resid = tables.g_complete.copy()
-    for r in range(big_r):
-        resid -= (lam[r] / big_r) * tables.g_masked[r]
-    v = sample_cov(resid)
-    for r in range(big_r):
-        n_r = int(tables.counts[r])
-        if n_r < 2:
-            raise DataError(
-                f"pattern {r + 1} has {n_r} rows; variance needs at least 2"
-            )
-        v += (lam[r] / big_r) ** 2 * (n / n_r) * sample_cov(tables.g_imputed[r])
+    joint, imputed = tables.score_cov
+    u = np.kron(np.concatenate(([1.0], -lam / big_r)), np.eye(tables.param_dim))
+    scale = (lam / big_r) ** 2 * (tables.n_complete / tables.counts)
+    v = u @ joint @ u.T + np.tensordot(scale, imputed, axes=1)
     hinv = inverse_hessian(np.asarray(hessian, dtype=float))
     return hinv @ v @ hinv
 
@@ -381,7 +409,14 @@ def estimate_variance(tables: ScoreTables, lam, hessian=None) -> np.ndarray:
 class TuningComponents:
     """Quadratic pieces of the variance in lambda, summed over the target
     coordinates: variance(lambda) / n = const + lam' (a + c) lam / R^2
-    - 2 b' lam / R."""
+    - 2 b' lam / R.
+
+    With M the rows of H^-1 (H the complete-case Hessian) at the target
+    coordinates, (joint, imputed) = tables.score_cov and joint_rs its (p, p)
+    block for stacked scores r and s (0 the complete score, 1..R the masked
+    ones): a_rr = tr(M imputed_r M') / n_r, b_r = tr(M joint_0r M') / n and
+    c_rs = tr(M joint_rs M') / n.
+    """
 
     a: np.ndarray  # (R, R) diagonal: imputed-score variances / n_r
     c: np.ndarray  # (R, R): masked-score covariances / n
@@ -394,9 +429,7 @@ class TuningComponents:
         return float(quad - 2.0 * self.b @ lam / big_r)
 
 
-def tuning_components(
-    tables: ScoreTables, hessian, objective=TRACE_OBJECTIVE
-) -> TuningComponents:
+def tuning_components(tables: ScoreTables, objective=TRACE_OBJECTIVE) -> TuningComponents:
     """Assemble the per-pattern variance components for weight tuning.
 
     Args:
@@ -404,38 +437,13 @@ def tuning_components(
             index to target one parameter.
     """
     coords = objective_coords(objective, tables.param_dim)
-    hinv = inverse_hessian(np.asarray(hessian, dtype=float))
-    n = tables.n_complete
-    big_r = tables.n_patterns
-    t_x = tables.g_complete @ hinv.T
-    t_x = t_x - t_x.mean(axis=0)
-    a = np.zeros((big_r, big_r))
-    b = np.zeros(big_r)
-    masked_centered = []
-    for r in range(big_r):
-        t_imp = tables.g_imputed[r] @ hinv.T
-        t_imp = t_imp - t_imp.mean(axis=0)
-        n_r = int(tables.counts[r])
-        if n_r < 2 or n < 2:
-            raise DataError("weight tuning needs at least 2 rows per group")
-        a[r, r] = float(
-            np.sum(t_imp[:, coords] ** 2) / (n_r - 1) / n_r
-        )
-        t_msk = tables.g_masked[r] @ hinv.T
-        masked_centered.append(t_msk - t_msk.mean(axis=0))
-        b[r] = float(
-            np.sum(t_x[:, coords] * masked_centered[r][:, coords]) / (n - 1) / n
-        )
-    c = np.zeros((big_r, big_r))
-    for r in range(big_r):
-        for s in range(r, big_r):
-            c[r, s] = float(
-                np.sum(masked_centered[r][:, coords] * masked_centered[s][:, coords])
-                / (n - 1)
-                / n
-            )
-            c[s, r] = c[r, s]
-    return TuningComponents(a, c, b)
+    m = inverse_hessian(tables.h_complete)[coords]
+    big_r, p = tables.n_patterns, tables.param_dim
+    joint, imputed = tables.score_cov
+    blocks = joint.reshape(1 + big_r, p, 1 + big_r, p)
+    traced = np.einsum("jk,akbl,jl->ab", m, blocks, m) / tables.n_complete
+    a = np.diag(np.einsum("jk,rkl,jl->r", m, imputed, m) / tables.counts)
+    return TuningComponents(a, traced[1:, 1:], traced[0, 1:])
 
 
 def objective_coords(objective, p: int) -> np.ndarray:
@@ -459,17 +467,14 @@ def _pooled_lam(counts: np.ndarray) -> np.ndarray:
 
 
 def tune_lambda(
-    tables: ScoreTables, objective=TRACE_OBJECTIVE, hessian=None
+    tables: ScoreTables, objective=TRACE_OBJECTIVE
 ) -> tuple[TuningWeights, TuningComponents | None]:
     """Closed-form variance-minimizing pattern weights.
 
     Solves ((A + C) / R + eps I) lambda = b with a relative ridge
     eps = 1e-8 * trace(A + C) / R.  If the system is singular or produces
-    non-finite weights, falls back to pooled weights and flags it.
-
-    Args:
-        hessian: curvature of the sandwich being minimized; defaults to
-            the complete-case Hessian.
+    non-finite weights, falls back to pooled weights and flags it.  The
+    sandwich being minimized has the complete-case Hessian.
 
     Returns:
         (weights, components); components is None when R = 0.
@@ -477,9 +482,7 @@ def tune_lambda(
     big_r = tables.n_patterns
     if big_r == 0:
         return TuningWeights(np.zeros(0), "tuned"), None
-    if hessian is None:
-        hessian = tables.h_complete
-    comp = tuning_components(tables, hessian, objective)
+    comp = tuning_components(tables, objective)
     m = (comp.a + comp.c) / big_r
     eps = _TUNING_RIDGE * float(np.trace(comp.a + comp.c)) / big_r
     m = m + eps * np.eye(big_r)

@@ -281,7 +281,7 @@ def solve_mean_loss(
                 break
             scale *= 0.5
         theta, value = cand, cand_value
-        if np.linalg.norm(theta) > _SEPARATION_NORM:
+        if loss.family == LOGISTIC and np.linalg.norm(theta) > _SEPARATION_NORM:
             raise ConvergenceError(
                 "iterates diverged; the problem looks separable or degenerate"
             )

@@ -309,6 +309,8 @@ def load_csv(path) -> tuple[list[str], np.ndarray]:
                 rows.append(vals)
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text: {exc}") from None
+    except csv.Error as exc:  # e.g. a cell beyond the csv module's field limit
+        raise DataError(f"{path}:{reader.line_num}: unreadable CSV: {exc}") from None
     if not rows:
         raise DataError(f"{path}: no data rows")
     return columns, np.vstack(rows)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from ipinfer import imputers, losses
+from ipinfer import estimators, imputers, losses
 from ipinfer.patterns import PatternedDataset, build_dataset
 
 # Fixed examples for the CLI config fuzz test, so every run checks the same
@@ -99,6 +99,25 @@ def random_blockwise(
         block[:, ~np.asarray(mask, dtype=bool)] = np.nan
         blocks.append(block)
     return np.vstack(blocks)
+
+
+def three_pattern_tables(rng: np.random.Generator):
+    """R = 3, p = 2 score tables at the complete-case estimate: a linear
+    regression of column 0 on column 1 with an intercept (so the Hessian is
+    not the identity), filled by a Gaussian imputer trained on other rows."""
+    masks = (
+        (True, True, False, True),
+        (False, True, True, True),
+        (True, False, True, False),
+    )
+    matrix = random_blockwise(rng, n_complete=40, per_pattern=15, masks=masks)
+    dataset = build_dataset(matrix, target_dims=(0, 1))
+    loss = losses.linear_regression_loss(2, 0, (1,), intercept=True)
+    train = random_blockwise(rng, n_complete=30, per_pattern=10, masks=masks)
+    model = imputers.fit(imputers.GAUSSIAN_KIND, train)
+    return estimators.score_tables(
+        dataset, loss, model, losses.solve_complete_case(dataset, loss)
+    )
 
 
 @pytest.fixture

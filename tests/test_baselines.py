@@ -254,23 +254,6 @@ class TestAipw:
         assert np.allclose(fit.variance, sigma, rtol=1e-6)
         assert fit.n_scale == n_rows
 
-    def test_preconditioner_invariance(self, rng):
-        ds, loss = self.simulate(rng)
-        base = aipw_fit(ds, loss)
-        opt = aipw_fit(ds, loss, c1="optimize")
-        c1 = rng.standard_normal((2, 2)) + 3 * np.eye(2)
-        arbitrary = aipw_fit(ds, loss, c1=c1)
-        for other in (opt, arbitrary):
-            assert np.allclose(base.theta_hat, other.theta_hat, rtol=1e-8)
-            assert np.allclose(base.se, other.se, rtol=1e-6)
-
-    def test_c1_validation(self, rng):
-        ds, loss = self.simulate(rng)
-        with pytest.raises(ConfigError, match="c1"):
-            aipw_fit(ds, loss, c1="newton")
-        with pytest.raises(ConfigError, match="c1"):
-            aipw_fit(ds, loss, c1=np.eye(3))
-
     def test_oversized_augmentation_rejected(self):
         matrix = np.array(
             [[1.0, 1.0], [2.0, 2.0], [3.0, 2.5], [nan, 4.0], [nan, 5.0]]

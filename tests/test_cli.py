@@ -273,6 +273,48 @@ class TestConfigErrors:
         assert f"'{key}'" in err and "got null" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "command, key, value",
+        [
+            ("analyze", "lambda_mode", "bogus"),
+            ("analyze", "hessian_mode", "bogus"),
+            ("analyze", "train_frac", 5),
+            ("analyze", "objective", 99),
+            ("analyze", "objective", -1),
+            ("analyze", "k_folds", -1),
+            ("analyze", "n_boot", 0),
+            ("diagnose", "lambda_mode", "bogus"),
+            ("diagnose", "train_frac", -0.5),
+            ("simulate", "train_frac", 5),
+            ("simulate", "k_folds", -1),
+            ("simulate", "n_boot", 0),
+            ("simulate", "objective", 99),
+            ("simulate", "jobs", 0),
+            ("simulate", "jobs", -3),
+        ],
+    )
+    def test_out_of_range_field_rejected(
+        self, capsys, tmp_path, eight_csv, command, key, value
+    ):
+        # Fields the chosen method never reads are range-checked all the
+        # same: complete_case uses none of these, and they once exited 0.
+        if command == "simulate":
+            payload = dict(TestSimulate.COVERAGE, methods=["complete_case"])
+            argv = ["simulate", "--out", str(tmp_path / "out")]
+        else:
+            payload = {"loss": MEAN_X_LOSS, "imputer": "mean"}
+            if command == "analyze":
+                payload["method"] = "complete_case"
+            argv = [command, eight_csv]
+        payload[key] = value
+        argv += ["--config", write_config(tmp_path / "c.json", payload)]
+        code, err = run_error(capsys, argv)
+        assert code == 2
+        assert err.startswith("ipinfer: config error:")
+        assert err.count("\n") == 1
+        assert f"'{key}'" in err and repr(value) in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("method", ["cipi", "complete_case", "aipw"])
     def test_diagnose_flag_rejected_for_method(
         self, capsys, tmp_path, eight_csv, method
@@ -989,6 +1031,52 @@ def test_any_config_ends_in_a_documented_exit_code(run):
             parts = [p for p in config["out"].split("/") if p not in ("", ".", "..")]
             config["out"] = os.path.join(tmp, *parts)
         csv_path = write(pathlib.Path(tmp, "eight.csv"), EIGHT_CSV)
+        cfg = write(pathlib.Path(tmp, "c.json"), json.dumps(config))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main([command, csv_path, "--config", cfg, *flags])
+    assert code in (0, 2, 3, 4)
+    if code:
+        assert err.getvalue().count("\n") == 1
+    assert "Traceback" not in out.getvalue() + err.getvalue()
+
+
+# The CSV fuzz test writes mostly numeric cells, with special tokens, junk
+# text and whitespace mixed in, some rows one cell short or long, and some
+# headers with duplicate or empty names.
+NUMBER_CELLS = st.floats(-1e6, 1e6).map(repr) | st.integers(-5, 5).map(str)
+ODD_CELLS = st.one_of(
+    st.sampled_from(["", "NA", "inf", "-inf", "nan", "NaN", "1e400", "-1e400"]),
+    # "1" * 140_000 passes the csv module's field size limit
+    st.sampled_from([" ", "\t", " 3 ", "1 2", "--1", "0x1", "1" * 140_000]),
+    st.text(max_size=4),
+)
+HEADERS = st.sampled_from(["x,u", "x,u", "x,u,v", "x", "x,x", ",u", " x,x", "x,"])
+
+
+@st.composite
+def csv_texts(draw):
+    header = draw(HEADERS)
+    lines = [header]
+    for _ in range(draw(st.integers(0, 12))):
+        width = header.count(",") + 1 + draw(st.sampled_from([0] * 38 + [-1, 1]))
+        cells = [
+            draw(ODD_CELLS if draw(st.integers(0, 9)) == 0 else NUMBER_CELLS)
+            for _ in range(width)
+        ]
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+@settings(settings.get_profile("cli_fuzz"))
+@given(text=csv_texts(), command=st.sampled_from(["analyze", "diagnose"]))
+def test_any_csv_ends_in_a_documented_exit_code(text, command):
+    """Whatever the data CSV holds, a fixed valid config exits 0, 2, 3 or
+    4; a failure writes one stderr line and nothing prints a traceback."""
+    config = {"loss": {"family": "mean", "columns": [0]}, "imputer": "mean"}
+    flags = ["--full", "--diagnose"] if command == "analyze" else ["--full"]
+    with tempfile.TemporaryDirectory() as tmp:
+        csv_path = write(pathlib.Path(tmp, "data.csv"), text)
         cfg = write(pathlib.Path(tmp, "c.json"), json.dumps(config))
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

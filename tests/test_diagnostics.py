@@ -94,6 +94,24 @@ class TestWeightedTest:
             t_ipi_test(t, lambda_hat=[1.0])
 
 
+class TestSharedCovariance:
+    def test_weighted_test_projects_full_test(self, rng):
+        # R = 3, p = 2, unequal weights: the weighted statistic and its
+        # covariance are W times the stacked ones, W = (lambda / R) (x) I_p.
+        from conftest import three_pattern_tables
+
+        t = three_pattern_tables(rng)
+        lam = np.array([0.3, 1.1, -0.4])
+        full = t_full_test(t)
+        weighted = t_ipi_test(t, lambda_hat=lam)
+        w = np.kron(lam / 3, np.eye(2))
+        assert full.df == 6 and weighted.df == 2
+        assert np.allclose(
+            weighted.statistic, w @ full.statistic, rtol=1e-12, atol=0
+        )
+        assert np.allclose(weighted.v_t, w @ full.v_t @ w.T, rtol=1e-12, atol=0)
+
+
 class TestScaleInvariance:
     def test_chi_square_invariant_under_gradient_rescaling(self, rng):
         from conftest import random_blockwise

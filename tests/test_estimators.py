@@ -47,7 +47,7 @@ from ipinfer.estimators import (
 from ipinfer.diagnostics import apply_gradient_shift, t_full_test, t_ipi_test
 from ipinfer.patterns import Pattern, PatternedDataset, build_dataset, mask_matrix
 
-from conftest import random_blockwise
+from conftest import random_blockwise, three_pattern_tables
 from oracles import numeric_lambda_minimizer
 
 nan = np.nan
@@ -189,7 +189,7 @@ class TestMaskingCancellation:
 class TestTuning:
     def test_components_match_hand_values(self, eight_row):
         t = fixture_tables(eight_row)
-        comp = tuning_components(t, t.h_complete)
+        comp = tuning_components(t)
         assert comp.a[0, 0] == pytest.approx(16 / 15, abs=1e-9)
         assert comp.c[0, 0] == pytest.approx(4 / 15, abs=1e-9)
         assert comp.b[0] == pytest.approx(4 / 15, abs=1e-9)
@@ -271,6 +271,27 @@ class TestTuning:
 
 
 class TestVariance:
+    def test_matches_independent_covariance(self, rng):
+        # R = 3, p = 2, unequal weights and a non-identity Hessian: the
+        # sandwich from score_cov equals np.cov of the lambda-corrected
+        # complete-row scores plus the imputed terms.
+        tables = three_pattern_tables(rng)
+        lam = np.array([0.3, 1.1, -0.4])
+        big_r, n = 3, tables.n_complete
+        resid = tables.g_complete - sum(
+            lam[r] / big_r * tables.g_masked[r] for r in range(big_r)
+        )
+        middle = np.cov(resid, rowvar=False, ddof=1)
+        for r in range(big_r):
+            middle += (lam[r] / big_r) ** 2 * (n / tables.counts[r]) * np.cov(
+                tables.g_imputed[r], rowvar=False, ddof=1
+            )
+        hinv = np.linalg.inv(tables.h_complete)
+        assert not np.allclose(tables.h_complete, np.eye(2))
+        assert np.allclose(
+            estimate_variance(tables, lam), hinv @ middle @ hinv, rtol=1e-12, atol=0
+        )
+
     def test_plug_in_matches_hand_formula(self, eight_row):
         lam = np.array([0.2])
         v = estimate_variance(fixture_tables(eight_row), lam)
@@ -406,6 +427,28 @@ class TestFitBundle:
         assert len(calls) == 2
         with pytest.raises(FrozenInstanceError):
             tables.g_complete = tables.g_complete + 1.0
+
+    def test_score_covariances_computed_once_per_tables(self, rng, monkeypatch):
+        # The variance, the tuning and both diagnostics read one cached
+        # score_cov: 1 + R sample covariances per tables object.
+        tables = three_pattern_tables(rng)
+        calls = []
+        compute = estimators.sample_cov
+
+        def counting(rows):
+            calls.append(rows.shape)
+            return compute(rows)
+
+        monkeypatch.setattr(estimators, "sample_cov", counting)
+        fit = fit_from_tables(tables, mcar=False)
+        t_ipi_test(tables)
+        t_ipi_test(tables, fit.weights)
+        t_full_test(tables)
+        assert len(calls) == 1 + tables.n_patterns
+        assert calls[0] == (tables.n_complete, 2 * (1 + tables.n_patterns))
+        joint, imputed = tables.score_cov
+        assert joint.shape == (8, 8) and imputed.shape == (3, 2, 2)
+        assert not joint.flags.writeable and not imputed.flags.writeable
 
     def test_hessian_helpers_agree_with_tables(self, eight_row):
         t = fixture_tables(eight_row)

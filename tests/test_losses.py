@@ -81,6 +81,14 @@ class TestMeanLoss:
         theta = losses.solve_mean_loss(loss, x)
         assert np.allclose(theta, x.mean(axis=0), atol=1e-12)
 
+    def test_large_scale_data_solve(self, rng):
+        # A mean far from zero is no divergence: the separation guard
+        # applies to the logistic loss only.
+        loss = losses.mean_loss(2)
+        x = 2e5 + 1e3 * rng.standard_normal((20, 2))
+        theta = losses.solve_mean_loss(loss, x)
+        assert np.allclose(theta, x.mean(axis=0), rtol=1e-12)
+
     def test_hessian_is_identity(self, rng):
         loss = losses.mean_loss(2)
         h = losses.mean_hessian(loss, rng.standard_normal((5, 2)), np.zeros(2))

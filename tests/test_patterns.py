@@ -232,6 +232,12 @@ class TestLoadCsv:
         with pytest.raises(DataError):
             load_csv(self.write(tmp_path, "x,u\n"))
 
+    def test_cell_beyond_csv_field_limit_rejected(self, tmp_path):
+        # The csv module raises its own error past its field size limit.
+        path = self.write(tmp_path, "x,u\n1,2\n" + "1" * 140_000 + ",2\n")
+        with pytest.raises(DataError, match=r"data\.csv:3.*field limit"):
+            load_csv(path)
+
     def test_ragged_row_rejected(self, tmp_path):
         path = self.write(tmp_path, "x,u\n1,2\n3\n")
         with pytest.raises(DataError, match=r":3"):
