@@ -7,24 +7,20 @@ interchangeably.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 
 from .errors import ConfigError, DataError, RankDeficiencyError
 from .estimators import (
     COMPLETE_CASE_HESSIAN,
     IPIFit,
-    POPULATION,
-    SUBPOPULATION,
     ScoreTables,
     TRACE_OBJECTIVE,
-    confidence_interval,
-    effective_sample_size,
     fit_from_tables,
     inverse_hessian,
     objective_coords,
+    one_step,
     sample_cov,
+    summarize_fit,
 )
 
 # Kept bound here because perfbench/selftest.py checks that the benchmark's
@@ -43,45 +39,32 @@ from .patterns import COMPLETE_PATTERN_ID, PatternedDataset
 _GRAM_RIDGE = 1e-8
 
 
-def _plain_sandwich(
-    loss: LossModel, x_matrix: np.ndarray, alpha: float, method: str, mcar: bool
-) -> IPIFit:
-    """M-estimate plus sandwich intervals treating x_matrix as observed."""
-    theta = solve_mean_loss(loss, x_matrix)
+def _sandwich(loss: LossModel, x_matrix: np.ndarray, theta: np.ndarray):
+    """Per-row scores, mean Hessian and sandwich variance at theta, treating
+    x_matrix as observed."""
     g = grad_matrix(loss, x_matrix, theta)
     h = mean_hessian(loss, x_matrix, theta)
     hinv = inverse_hessian(h)
-    sigma = hinv @ sample_cov(g) @ hinv
-    n = x_matrix.shape[0]
-    se, ci, chi2_radius = confidence_interval(theta, sigma, n, alpha)
-    return IPIFit(
-        method=method,
-        estimand=POPULATION if mcar else SUBPOPULATION,
-        theta_hat=theta,
-        se=se,
-        ci=ci,
-        alpha=alpha,
-        variance=sigma,
-        n_scale=n,
-        chi2_radius=chi2_radius,
-        hessian=h,
-        hessian_mode=COMPLETE_CASE_HESSIAN,
-        theta_complete=theta,
-    )
+    return g, h, hinv @ sample_cov(g) @ hinv
+
+
+def _complete_case(dataset: PatternedDataset, loss: LossModel):
+    """The complete-case fit's pieces: (theta, scores, Hessian, sandwich
+    variance) over the complete rows, in dataset order."""
+    theta = solve_complete_case(dataset, loss)
+    x = dataset.complete_values()[:, list(dataset.target_dims)]
+    return (theta, *_sandwich(loss, x, theta))
 
 
 def complete_case_fit(
     dataset: PatternedDataset, loss: LossModel, alpha: float = 0.1, mcar: bool = True
 ) -> IPIFit:
     """Drop all incomplete rows and run the standard sandwich fit."""
-    x = dataset.complete_values()[:, list(dataset.target_dims)]
-    fit = _plain_sandwich(loss, x, alpha, "complete_case", mcar)
-    n_eff = np.full(loss.param_dim, float(fit.n_scale))
-    return _with_n_effective(fit, n_eff)
-
-
-def _with_n_effective(fit: IPIFit, n_eff: np.ndarray) -> IPIFit:
-    return replace(fit, n_effective=n_eff)
+    theta, _, h, sigma = _complete_case(dataset, loss)
+    return summarize_fit(
+        "complete_case", theta, sigma, dataset.n_complete, alpha, mcar,
+        hessian=h, hessian_mode=COMPLETE_CASE_HESSIAN,
+    )
 
 
 def naive_single_impute_fit(
@@ -97,11 +80,15 @@ def naive_single_impute_fit(
     the point of this baseline: its intervals undercover whenever the
     imputations carry error.
     """
+    theta_cc, _, _, sigma_cc = _complete_case(dataset, loss)
     filled = imputer.fill(dataset.values)[:, list(dataset.target_dims)]
-    fit = _plain_sandwich(loss, filled, alpha, "naive", mcar)
-    cc = complete_case_fit(dataset, loss, alpha=alpha, mcar=mcar)
-    n_eff = effective_sample_size(cc.width, fit.width, cc.n_scale)
-    return _with_n_effective(fit, n_eff)
+    theta = solve_mean_loss(loss, filled)
+    _, h, sigma = _sandwich(loss, filled, theta)
+    return summarize_fit(
+        "naive", theta, sigma, filled.shape[0], alpha, mcar,
+        baseline=(theta_cc, sigma_cc, dataset.n_complete),
+        hessian=h, hessian_mode=COMPLETE_CASE_HESSIAN,
+    )
 
 
 def _slice_tables(tables: ScoreTables, r: int) -> ScoreTables:
@@ -239,12 +226,8 @@ def aipw_fit(
             f"{n_rows}; the projection is unstable"
         )
 
-    theta_n = solve_complete_case(dataset, loss)
-    tdims = list(dataset.target_dims)
+    theta_n, g, hessian, sigma_cc = _complete_case(dataset, loss)
     complete_idx = dataset.rows_of(COMPLETE_PATTERN_ID)
-    x_complete = dataset.values[complete_idx][:, tdims]
-    g = grad_matrix(loss, x_complete, theta_n)
-    hessian = mean_hessian(loss, x_complete, theta_n)
     p = loss.param_dim
 
     p0_hat = n / n_rows
@@ -271,29 +254,13 @@ def aipw_fit(
     else:
         phi = psi
 
-    try:
-        step = np.linalg.solve(hessian, phi.mean(axis=0))
-    except np.linalg.LinAlgError:
-        raise RankDeficiencyError("singular Hessian in the one-step update") from None
-    theta = theta_n - step
+    theta = one_step(theta_n, hessian, phi.mean(axis=0))
     hinv = inverse_hessian(hessian)
-    sigma = hinv @ sample_cov(phi) @ hinv.T
-    se, ci, chi2_radius = confidence_interval(theta, sigma, n_rows, alpha)
-    cc = complete_case_fit(dataset, loss, alpha=alpha, mcar=mcar)
-    return IPIFit(
-        method="aipw",
-        estimand=POPULATION if mcar else SUBPOPULATION,
-        theta_hat=theta,
-        se=se,
-        ci=ci,
-        alpha=alpha,
-        variance=sigma,
-        n_scale=n_rows,
-        chi2_radius=chi2_radius,
+    return summarize_fit(
+        "aipw", theta, hinv @ sample_cov(phi) @ hinv.T, n_rows, alpha, mcar,
+        baseline=(theta_n, sigma_cc, n),
         hessian=hessian,
         hessian_mode=COMPLETE_CASE_HESSIAN,
-        n_effective=effective_sample_size(cc.width, ci[:, 1] - ci[:, 0], cc.n_scale),
-        theta_complete=theta_n,
         warnings=tuple(warnings),
     )
 

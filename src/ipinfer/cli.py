@@ -536,28 +536,8 @@ def _simulate_coverage(config, collect) -> dict:
         "experiment": "coverage",
         "config": asdict(config),
         "theta_star": result.theta_star,
-        "methods": [
-            {
-                "method": m.method,
-                "n_trials": m.n_trials,
-                "failures": m.failures,
-                **{name: getattr(m, name) for name in fields},
-            }
-            for m in result.metrics
-        ],
-        "records": [
-            {
-                "method": r.method,
-                "trial": r.trial,
-                "estimate": r.estimate,
-                "lower": r.lower,
-                "upper": r.upper,
-                "covered": r.covered,
-                "width": r.width,
-                "n_effective": r.n_effective,
-            }
-            for r in result.records
-        ],
+        "methods": [asdict(m) for m in result.metrics],
+        "records": [asdict(r) for r in result.records],
         "warnings": [],
     }
     return {"metrics.csv": _csv_text(rows), "metrics.json": _dump_json(payload)}

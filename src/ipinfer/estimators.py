@@ -342,16 +342,17 @@ def ipi_point_estimate(
     """One Newton step from tables.theta (the complete-case estimate) along
     the weighted objective."""
     weights = as_weights(lam, tables.n_patterns)
-    return _one_step(tables, weights, _select_hessian(tables, weights, hessian_mode))
+    hessian = _select_hessian(tables, weights, hessian_mode)
+    return one_step(tables.theta, hessian, ipi_grad(tables, weights))
 
 
-def _one_step(tables: ScoreTables, weights: TuningWeights, hessian) -> np.ndarray:
-    g = ipi_grad(tables, weights)
+def one_step(theta, hessian, gradient) -> np.ndarray:
+    """One Newton step from theta: theta - hessian^-1 gradient."""
     try:
-        step = np.linalg.solve(hessian, g)
+        step = np.linalg.solve(hessian, gradient)
     except np.linalg.LinAlgError:
         raise RankDeficiencyError("singular Hessian in the one-step update") from None
-    return tables.theta - step
+    return theta - step
 
 
 # ---------------------------------------------------------------------------
@@ -531,7 +532,10 @@ def effective_sample_size(baseline_width, method_width, n: int) -> np.ndarray:
     wb = np.asarray(baseline_width, dtype=float)
     wm = np.asarray(method_width, dtype=float)
     if (wb <= 0).any() or (wm <= 0).any():
-        raise ConfigError("interval widths must be positive")
+        raise DataError(
+            "zero-width interval: effective sample sizes need positive "
+            "interval widths; does a coordinate have no spread in the data?"
+        )
     return n * (wb / wm) ** 2
 
 
@@ -577,10 +581,49 @@ class IPIFit:
         return self.ci[:, 1] - self.ci[:, 0]
 
 
-def _complete_case_widths(tables: ScoreTables, alpha: float) -> np.ndarray:
-    sigma_cc = estimate_variance(tables, zero_weights(tables.n_patterns))
-    _, ci, _ = confidence_interval(tables.theta, sigma_cc, tables.n_complete, alpha)
-    return ci[:, 1] - ci[:, 0]
+def summarize_fit(
+    method: str,
+    theta,
+    variance,
+    n: int,
+    alpha: float,
+    mcar: bool,
+    baseline=None,
+    **detail,
+) -> IPIFit:
+    """The one builder of IPIFit: intervals, estimand label and effective
+    sample size for a point estimate and its variance.
+
+    Args:
+        n: the count dividing the variance (n_scale).
+        baseline: the complete-case (theta, variance, n) on the same rows,
+            which n_effective and theta_complete report against; None when
+            the fit is the complete-case fit itself, so n_effective = n.
+        detail: the other IPIFit fields.
+    """
+    se, ci, chi2_radius = confidence_interval(theta, variance, n, alpha)
+    if baseline is None:
+        theta_complete, n_effective = theta, np.full(se.size, float(n))
+    else:
+        theta_complete, variance_cc, n_cc = baseline
+        _, ci_cc, _ = confidence_interval(theta_complete, variance_cc, n_cc, alpha)
+        n_effective = effective_sample_size(
+            ci_cc[:, 1] - ci_cc[:, 0], ci[:, 1] - ci[:, 0], n_cc
+        )
+    return IPIFit(
+        method=method,
+        estimand=POPULATION if mcar else SUBPOPULATION,
+        theta_hat=theta,
+        se=se,
+        ci=ci,
+        alpha=alpha,
+        variance=variance,
+        n_scale=n,
+        chi2_radius=chi2_radius,
+        n_effective=n_effective,
+        theta_complete=theta_complete,
+        **detail,
+    )
 
 
 def resolve_weights(
@@ -648,27 +691,16 @@ def fit_from_tables(
         hessian_mode = COMPLETE_CASE_HESSIAN if mcar else FULL_IPI_HESSIAN
     weights, warnings = resolve_weights(tables, lambda_mode, fixed_lambda, objective)
     hessian = _select_hessian(tables, weights, hessian_mode)
-    theta = _one_step(tables, weights, hessian)
+    theta = one_step(tables.theta, hessian, ipi_grad(tables, weights))
     sigma = variance(tables, weights, hessian)
+    sigma_cc = estimate_variance(tables, zero_weights(tables.n_patterns))
     n = tables.n_complete
-    se, ci, chi2_radius = confidence_interval(theta, sigma, n, alpha)
-    width_cc = _complete_case_widths(tables, alpha)
-    n_eff = effective_sample_size(width_cc, ci[:, 1] - ci[:, 0], n)
-    return IPIFit(
-        method=method,
-        estimand=POPULATION if mcar else SUBPOPULATION,
-        theta_hat=theta,
-        se=se,
-        ci=ci,
-        alpha=alpha,
-        variance=sigma,
-        n_scale=n,
-        chi2_radius=chi2_radius,
+    return summarize_fit(
+        method, theta, sigma, n, alpha, mcar,
+        baseline=(tables.theta, sigma_cc, n),
         weights=weights,
         hessian=hessian,
         hessian_mode=hessian_mode,
-        n_effective=n_eff,
-        theta_complete=tables.theta,
         warnings=tuple(warnings),
     )
 

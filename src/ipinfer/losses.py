@@ -37,6 +37,10 @@ _FAMILIES = (MEAN, LINEAR, LOGISTIC)
 # Newton iterates beyond this norm indicate separation (logistic only).
 _SEPARATION_NORM = 1e4
 
+# The mean gradient cannot be computed more exactly than a few ulps of the
+# per-row gradients it averages; stopping tests use this many ulps.
+_ROUNDING_ULPS = 64.0
+
 
 @dataclass(frozen=True)
 class LossModel:
@@ -252,8 +256,11 @@ def solve_mean_loss(
     """Minimize the empirical mean loss over the given target rows by Newton.
 
     Damped Newton with step-halving on the objective; stops when the mean
-    gradient's max-norm falls below tol, then takes one undamped polishing
-    step so the returned point sits at the root to machine precision.
+    gradient's max-norm falls below tol, or below its rounding floor
+    (64 ulps of the largest per-coordinate mean absolute per-row gradient)
+    when the data's scale puts tol out of reach, then takes one undamped
+    polishing step so the returned point sits at the root to machine
+    precision.
 
     Raises:
         ConvergenceError: no convergence in max_iter iterations, or the
@@ -265,8 +272,10 @@ def solve_mean_loss(
     theta = np.zeros(p)
     value = float(np.mean(loss_value_matrix(loss, x_matrix, theta)))
     for _ in range(max_iter):
-        g = grad_matrix(loss, x_matrix, theta).mean(axis=0)
-        if np.max(np.abs(g)) <= tol:
+        rows = grad_matrix(loss, x_matrix, theta)
+        g = rows.mean(axis=0)
+        floor = _ROUNDING_ULPS * np.finfo(float).eps * np.abs(rows).mean(axis=0).max()
+        if np.max(np.abs(g)) <= max(tol, floor):
             polished = theta - _newton_step(loss, x_matrix, theta, g)
             g_pol = grad_matrix(loss, x_matrix, polished).mean(axis=0)
             if np.max(np.abs(g_pol)) <= np.max(np.abs(g)):

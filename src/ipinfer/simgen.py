@@ -360,16 +360,10 @@ def run_one_trial(config: ExperimentConfig, trial: int, population=None):
     # needs them and shared by every method that does.
     split_artifacts = cache(lambda: _split_tables(config, dataset, loss, rng))
 
-    out: dict[str, TrialRecord | None] = {}
-    for method in config.methods:
-        fit = _unless_failed(
-            _run_method, method, config, dataset, loss, cc_fit, split_artifacts, trial
-        )
-        if fit is None:
-            out[method] = None
-            continue
+    def _record(method):
+        fit = _run_method(method, config, dataset, loss, cc_fit, split_artifacts, trial)
         lo, hi = fit.ci[j]
-        out[method] = TrialRecord(
+        return TrialRecord(
             method=method,
             trial=trial,
             estimate=float(fit.theta_hat[j]),
@@ -378,9 +372,13 @@ def run_one_trial(config: ExperimentConfig, trial: int, population=None):
             covered=bool(lo <= theta_star[j] <= hi),
             width=float(hi - lo),
             n_effective=float(
-                cc_fit.n_scale * (baseline_width / (hi - lo)) ** 2
+                estimators.effective_sample_size(baseline_width, hi - lo, cc_fit.n_scale)
             ),
         )
+
+    # A method whose fit or record fails (a zero-width interval, say) is
+    # marked failed; the other methods still run.
+    out = {method: _unless_failed(_record, method) for method in config.methods}
     return trial, out
 
 

@@ -179,3 +179,22 @@ def test_imputers_depend_only_on_errors():
     # The imputer is a black box to the estimators: it fills matrices and
     # knows nothing of datasets, losses or estimands.
     assert _package_imports(PACKAGE_DIR / "imputers.py") == {"ipinfer.errors"}
+
+
+def test_fits_are_built_in_one_function():
+    # Every estimator reports through one builder, so the interval, the
+    # estimand label and the effective sample size have one definition.
+    builders = set()
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(func):
+                if (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id == "IPIFit"
+                ):
+                    builders.add(f"{path.name}:{func.name}")
+    assert builders == {"estimators.py:summarize_fit"}

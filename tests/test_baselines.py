@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from ipinfer import imputers, losses
+from ipinfer import baselines, imputers, losses
 from ipinfer.baselines import (
     aipw_fit,
     augmentation_dimension,
@@ -95,6 +95,13 @@ class TestNaive:
         assert fit.n_scale == 8
         filled = eight_row.imputer.fill(eight_row.dataset.values)
         assert fit.theta_hat[0] == pytest.approx(filled[:, 0].mean(), abs=1e-12)
+
+    def test_theta_complete_is_the_complete_case_estimate(self, eight_row):
+        fit = naive_single_impute_fit(
+            eight_row.dataset, eight_row.loss, eight_row.imputer
+        )
+        assert np.array_equal(fit.theta_complete, [3.0])
+        assert fit.theta_hat[0] != 3.0
 
 
 class TestSinglePattern:
@@ -253,6 +260,20 @@ class TestAipw:
         assert np.allclose(fit.theta_hat, theta, rtol=1e-8)
         assert np.allclose(fit.variance, sigma, rtol=1e-6)
         assert fit.n_scale == n_rows
+
+    def test_solves_the_complete_case_once(self, rng, monkeypatch):
+        ds, loss = self.simulate(rng)
+        calls = []
+        solve = losses.solve_mean_loss
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(losses, "solve_mean_loss", counted)
+        monkeypatch.setattr(baselines, "solve_mean_loss", counted, raising=False)
+        aipw_fit(ds, loss)
+        assert len(calls) == 1
 
     def test_oversized_augmentation_rejected(self):
         matrix = np.array(

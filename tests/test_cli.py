@@ -475,6 +475,23 @@ class TestConfigErrors:
         assert not (out / "metrics.csv").exists()
 
 
+    @pytest.mark.parametrize("method", ["complete_case", "naive", "ipi"])
+    def test_fractional_logistic_response_exits_2(self, capsys, tmp_path, method):
+        # Every method fits the complete rows through the one complete-case
+        # solver, so every method checks that observed responses are 0/1.
+        rows = "y,x\n0,1\n1,2\n0.5,3\n1,4\n0,5\n,6\n,7\n,8\n"
+        csv = write(tmp_path / "d.csv", rows)
+        cfg = write_config(
+            tmp_path / "c.json",
+            {"loss": {"family": "logistic_regression", "response": "y",
+                      "covariates": ["x"]},
+             "method": method, "imputer": "mean"},
+        )
+        code, err = run_error(capsys, ["analyze", csv, "--config", cfg])
+        assert code == 2
+        assert "0/1" in err
+
+
 class TestDataErrors:
     def test_no_complete_rows(self, capsys, tmp_path, analyze_config):
         csv = write(tmp_path / "d.csv", "x,u\n1,\n,2\n,3\n")
@@ -504,6 +521,22 @@ class TestDataErrors:
         assert code == 3
         assert err.count("\n") == 1
         assert "covering every pattern" in err
+
+
+    @pytest.mark.parametrize("method", ["ipi", "naive"])
+    def test_zero_width_interval_exits_3(self, capsys, tmp_path, method):
+        # The complete rows of 'a' have no spread, so the complete-case
+        # interval has zero width and no effective sample size exists.
+        csv = write(tmp_path / "d.csv", "a,u\n2,1\n2,2\n2,4\n2,3\n,5\n,7\n,9\n,11\n")
+        cfg = write_config(
+            tmp_path / "c.json",
+            {"loss": {"family": "mean", "columns": ["a"]}, "method": method,
+             "imputer": "chained_regression"},
+        )
+        code, err = run_error(capsys, ["analyze", csv, "--config", cfg])
+        assert code == 3
+        assert err.count("\n") == 1
+        assert "zero-width interval" in err
 
 
 class TestNumericErrors:

@@ -328,7 +328,7 @@ class TestVariance:
     def test_effective_sample_size_formula(self):
         out = effective_sample_size(np.array([2.0]), np.array([1.0]), 10)
         assert out[0] == pytest.approx(40.0)
-        with pytest.raises(ConfigError):
+        with pytest.raises(DataError):
             effective_sample_size(np.array([0.0]), np.array([1.0]), 10)
 
 

@@ -89,6 +89,15 @@ class TestMeanLoss:
         theta = losses.solve_mean_loss(loss, x)
         assert np.allclose(theta, x.mean(axis=0), rtol=1e-12)
 
+    def test_mean_at_1e8_scale_converges(self):
+        # An absolute tolerance of 1e-10 is below the rounding error of a
+        # mean gradient over values of size 1e8; the rounding floor stops it.
+        # (These draws never met the absolute tolerance alone.)
+        loss = losses.mean_loss(1)
+        x = np.random.default_rng(3).uniform(-1e8, 1e8, (7, 1))
+        theta = losses.solve_mean_loss(loss, x)
+        assert np.allclose(theta, x.mean(axis=0), rtol=1e-12, atol=0.0)
+
     def test_hessian_is_identity(self, rng):
         loss = losses.mean_loss(2)
         h = losses.mean_hessian(loss, rng.standard_normal((5, 2)), np.zeros(2))
@@ -111,6 +120,14 @@ class TestLinearLoss:
         expected = ols_coefficients(design, x[:, 0])
         assert theta.size == 3
         assert np.allclose(theta, expected, atol=1e-10)
+
+    def test_regression_at_1e8_scale_converges(self, rng):
+        loss = losses.linear_regression_loss(2, 0, (1,), intercept=True)
+        u = 1e8 * rng.standard_normal(30)
+        y = 3.0 * u + 1e8 * (1.0 + 0.1 * rng.standard_normal(30))
+        theta = losses.solve_mean_loss(loss, np.column_stack([y, u]))
+        expected = ols_coefficients(np.column_stack([u, np.ones(30)]), y)
+        assert np.allclose(theta, expected, rtol=1e-9, atol=0.0)
 
     def test_residual_gradient_form(self, rng):
         loss = losses.linear_regression_loss(3, 0, (1, 2))
@@ -140,6 +157,15 @@ class TestLogisticLoss:
         # past the divergence guard before the gradient can vanish.
         loss = losses.logistic_regression_loss(2, 0, (1,))
         x = np.array([[0.0, -0.001], [0.0, -0.002], [1.0, 0.001], [1.0, 0.002]])
+        with pytest.raises(ConvergenceError):
+            losses.solve_mean_loss(loss, x)
+
+    def test_separation_still_raises_with_rounding_floor(self, rng):
+        # Separated rows all push the gradient the same way, so its size
+        # stays that of the rows and never meets their rounding floor.
+        loss = losses.logistic_regression_loss(2, 0, (1,))
+        u = 1e-3 * (rng.uniform(0.5, 1.0, 40) * rng.choice([-1.0, 1.0], 40))
+        x = np.column_stack([(u > 0).astype(float), u])
         with pytest.raises(ConvergenceError):
             losses.solve_mean_loss(loss, x)
 

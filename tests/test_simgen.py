@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from ipinfer import losses, simgen
+from ipinfer import baselines, losses, simgen
 from ipinfer.errors import ConfigError
 from ipinfer.simgen import (
     ExperimentConfig,
@@ -190,6 +192,16 @@ class TestRunTrials:
             assert record.lower <= record.estimate <= record.upper
             assert record.width > 0
             assert record.n_effective > 0
+
+    def test_zero_width_interval_fails_only_its_method(self, monkeypatch):
+        def zero_width(dataset, loss, alpha):
+            fit = baselines.complete_case_fit(dataset, loss, alpha=alpha)
+            return replace(fit, ci=np.repeat(fit.theta_hat[:, None], 2, axis=1))
+
+        monkeypatch.setattr(baselines, "aipw_fit", zero_width)
+        _, out = run_one_trial(small_config(methods=("aipw", "complete_case")), 0)
+        assert out["aipw"] is None
+        assert out["complete_case"] is not None
 
     def test_trials_are_seed_deterministic(self):
         a = run_trials(small_config())
