@@ -18,9 +18,11 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
-from dataclasses import asdict
+from collections.abc import Callable
+from dataclasses import asdict, dataclass, fields, replace
 from importlib import resources
 
 import numpy as np
@@ -42,36 +44,155 @@ EXIT_NUMERIC = 4
 
 _SHIFT_LEVELS = (0.01, 0.05, 0.10)
 
-_LAMBDA_MODES = ("tuned", "pooled", "zero", "fixed")
-
 _LOSS_KEYS = {"family", "response", "covariates", "columns", "intercept"}
 
 # simulate's loss when the config has no 'loss' section, and its values for
 # the fields a section leaves out
 _SIMULATE_LOSS = {"family": losses.LINEAR, "response": 2, "covariates": [0, 1]}
 
-_SIMULATE_KEYS = {
-    "experiment", "d", "n_factors", "variance_explained", "population_seed",
-    "n_complete", "ratio", "n_patterns", "feature_mask_prob", "loss",
-    "imputer", "methods", "trials", "alpha", "train_frac", "k_folds",
-    "n_boot", "objective", "target_coordinate", "min_pattern_count", "seed",
-    "jobs", "records", "shift_magnitudes", "include_full", "out",
-}
-
-_ANALYZE_KEYS = {
-    "loss", "method", "imputer", "lambda_mode", "fixed_lambda", "alpha",
-    "train_frac", "k_folds", "n_boot", "hessian_mode", "objective", "mcar",
-    "min_pattern_count", "seed", "diagnose", "full", "out",
-}
-
-_DIAGNOSE_KEYS = {
-    "loss", "imputer", "lambda_mode", "fixed_lambda", "train_frac",
-    "min_pattern_count", "seed", "full", "out",
-}
-
 
 # ---------------------------------------------------------------------------
-# config loading and validation
+# config fields: one table per command, and one reader
+
+
+@dataclass(frozen=True)
+class Field:
+    """One top-level config field: name, JSON type, default and range.
+
+    `kind` is int, float, bool, str, list (of numbers, read as floats) or
+    object (any JSON value, checked by `ok` or by the code that reads it).
+    An int reads as a float and an integral float as an int.  A JSON null
+    is accepted only where the default is None, and never for a list.  A
+    default that is itself a Field stands for that field's value.
+    `choices` names the accepted strings; otherwise `ok` tests the value and
+    `must` says what passes.  `what`, if set, names the kind in a type error.
+    """
+
+    name: str
+    kind: type
+    default: object = None
+    must: str = ""
+    ok: Callable[[object], bool] | None = None
+    choices: tuple[str, ...] = ()
+    what: str = ""
+
+    def read(self, cfg: dict, default):
+        """This field's checked value in `cfg`; `default` if it is absent."""
+        value = cfg.get(self.name, default)
+        nullable = default is None and (self.kind is not list or self.name not in cfg)
+        if value is None and nullable:
+            return None
+        try:
+            value = _as_kind(value, self.kind)
+        except (TypeError, OverflowError):
+            shown = "null" if value is None else repr(value)
+            what = self.what or self.kind.__name__
+            raise ConfigError(f"field {self.name!r} must be {what}, got {shown}") from None
+        if self.choices and value not in self.choices:
+            raise ConfigError(
+                f"field {self.name!r} must be one of {', '.join(self.choices)}; "
+                f"got {value!r}"
+            )
+        if self.ok is not None and not self.ok(value):
+            raise ConfigError(f"field {self.name!r} must be {self.must}, got {value!r}")
+        return value
+
+
+def _as_kind(value, kind):
+    """`value` read as a field of `kind`.  Raises TypeError if it is not
+    one, and OverflowError for an int too large to read as a float."""
+    if kind is object:
+        return value
+    if kind is list:
+        if not isinstance(value, list):
+            raise TypeError
+        return [_as_kind(v, float) for v in value]
+    if isinstance(value, bool) and kind is not bool:  # JSON true is no number
+        raise TypeError
+    if kind is float and isinstance(value, int):
+        return float(value)
+    if kind is int and isinstance(value, float) and value.is_integer():
+        return int(value)
+    if not isinstance(value, kind):
+        raise TypeError
+    return value
+
+
+_NON_NEGATIVE = "a non-negative integer"
+_NUMBERS = "a list of numbers"
+_SEED = Field("seed", int, 0, _NON_NEGATIVE, lambda s: s >= 0, what=_NON_NEGATIVE)
+_LOSS = Field("loss", object)
+_IMPUTER = Field("imputer", str, imputers.GAUSSIAN_KIND, choices=imputers.KINDS)
+_ALPHA = Field("alpha", float, 0.1, "in (0, 1)", lambda a: 0.0 < a < 1.0)
+_TRAIN_FRAC = Field("train_frac", float, 0.0, "in [0, 1)", lambda f: 0.0 <= f < 1.0)
+_K_FOLDS = Field("k_folds", int, 10, "at least 2", lambda k: k >= 2)
+_N_BOOT = Field("n_boot", int, 50, "at least 2", lambda b: b >= 2)
+# a coordinate index is range-checked once the loss is built
+_OBJECTIVE = Field(
+    "objective", object, "trace", "'trace' or a coordinate index",
+    lambda o: o == "trace" or type(o) is int,
+)
+_MIN_COUNT = Field("min_pattern_count", int, 1)
+_FULL = Field("full", bool, False)
+_OUT = Field("out", str)
+
+# the fields analyze and diagnose share, in the order they are checked
+_DATA_FIELDS = (
+    _LOSS, _MIN_COUNT, _IMPUTER, _TRAIN_FRAC, _SEED,
+    Field("lambda_mode", str, "tuned", choices=("tuned", "pooled", "zero", "fixed")),
+    Field("fixed_lambda", list, what=_NUMBERS),
+    _FULL, _OUT,
+)
+
+# Every config key each command accepts, in the order its fields are
+# checked.  'loss' and simulate's 'methods' are read whole here and checked
+# by _loss_from_config and build_experiment_config.
+FIELDS = {
+    "simulate": (
+        _SEED,
+        replace(_SEED, name="population_seed", default=_SEED),
+        Field("d", int, 20),
+        Field("n_factors", int, 2),
+        Field("variance_explained", float, 0.5),
+        replace(_LOSS, default=_SIMULATE_LOSS),
+        Field("methods", object, ["ipi", "complete_case"]),
+        Field("n_complete", int, 200),
+        Field(
+            "ratio", float, 10.0, "finite and at least 0",
+            lambda r: math.isfinite(r) and r >= 0.0,
+        ),
+        Field("n_patterns", int, 10),
+        Field("feature_mask_prob", float, 0.2),
+        _IMPUTER,
+        Field("trials", int, 100, "at least 1", lambda t: t >= 1),
+        _ALPHA,
+        replace(_TRAIN_FRAC, default=0.1),
+        _K_FOLDS,
+        _N_BOOT,
+        _OBJECTIVE,
+        Field("target_coordinate", int, 0),
+        _MIN_COUNT,
+        Field("jobs", int, 1, "at least 1", lambda j: j >= 1),
+        _OUT,
+        Field("experiment", str, "coverage", choices=("coverage", "shift")),
+        Field("records", bool, False),
+        Field("shift_magnitudes", list, [0.0], what=_NUMBERS),
+        Field("include_full", bool, False),
+    ),
+    "analyze": _DATA_FIELDS + (
+        Field(
+            "method", str, "ipi", choices=("complete_case", "aipw", "cipi", "ipi", "naive")
+        ),
+        _K_FOLDS,
+        _N_BOOT,
+        Field("diagnose", bool, False),
+        _ALPHA,
+        Field("mcar", bool, True),
+        Field("hessian_mode", str, None, choices=estimators.HESSIAN_MODES),
+        _OBJECTIVE,
+    ),
+    "diagnose": _DATA_FIELDS,
+}
 
 
 def load_config(path: str) -> dict:
@@ -101,91 +222,16 @@ def _check_keys(cfg: dict, allowed: set, where: str) -> None:
         )
 
 
-def _field(cfg, key, kind, default, expected=None):
-    """Fetch and type-check one scalar config field; a JSON null is
-    accepted only where the default itself is None."""
-    value = cfg.get(key, default)
-    if value is None and default is None:
-        return None
-    if kind is float and isinstance(value, int) and not isinstance(value, bool):
-        value = float(value)
-    if kind is int and isinstance(value, float) and value.is_integer():
-        value = int(value)
-    if not isinstance(value, kind) or isinstance(value, bool) and kind is not bool:
-        shown = "null" if value is None else repr(value)
-        raise ConfigError(
-            f"field {key!r} must be {expected or kind.__name__}, got {shown}"
-        )
-    return value
-
-
-def _choice_field(cfg, key, choices, default):
-    """A string field that must name one of `choices`; absent or null only
-    where the default is None."""
-    value = _field(cfg, key, str, default)
-    if value is not None and value not in choices:
-        raise ConfigError(
-            f"field {key!r} must be one of {', '.join(choices)}; got {value!r}"
-        )
-    return value
-
-
-def _seed_field(cfg, key, default):
-    """A seed field: an integer that numpy's seeding accepts (>= 0)."""
-    value = _field(cfg, key, int, default, "a non-negative integer")
-    if value < 0:
-        raise ConfigError(f"field {key!r} must be a non-negative integer, got {value}")
-    return value
-
-
-def _ranged_field(cfg, key, kind, default, ok, expected):
-    """A scalar field whose value must pass `ok`; `expected` says what
-    passes."""
-    value = _field(cfg, key, kind, default)
-    if not ok(value):
-        raise ConfigError(f"field {key!r} must be {expected}, got {value!r}")
-    return value
-
-
-def _alpha_field(cfg):
-    return _ranged_field(cfg, "alpha", float, 0.1, lambda a: 0.0 < a < 1.0, "in (0, 1)")
-
-
-def _train_frac_field(cfg, default):
-    return _ranged_field(
-        cfg, "train_frac", float, default, lambda f: 0.0 <= f < 1.0, "in [0, 1)"
-    )
-
-
-def _at_least(cfg, key, default, minimum):
-    return _ranged_field(
-        cfg, key, int, default, lambda v: v >= minimum, f"at least {minimum}"
-    )
-
-
-def _list_field(cfg, key, default=None):
-    """A list of numbers, read as floats; absent gives the default, and a
-    JSON null is an error."""
-    if key not in cfg:
-        return default
-    value = cfg[key]
-    if not isinstance(value, list) or not all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) for v in value
-    ):
-        shown = "null" if value is None else repr(value)
-        raise ConfigError(f"field {key!r} must be a list of numbers, got {shown}")
-    return [float(v) for v in value]
-
-
-def _objective_field(cfg):
-    value = cfg.get("objective", "trace")
-    if value == "trace":
-        return value
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    raise ConfigError(
-        f"field 'objective' must be 'trace' or a coordinate index, got {value!r}"
-    )
+def _read_fields(cfg: dict, command: str) -> dict:
+    """Reject keys `command` does not accept, then read and check every
+    field of its table; returns the values by name."""
+    table = FIELDS[command]
+    _check_keys(cfg, {f.name for f in table}, "config")
+    values = {}
+    for f in table:
+        default = values[f.default.name] if isinstance(f.default, Field) else f.default
+        values[f.name] = f.read(cfg, default)
+    return values
 
 
 def _check_coordinate(key, value, p):
@@ -231,10 +277,10 @@ def _loss_from_config(section, columns: list, fallback=None) -> dict:
     if not isinstance(section, dict):
         raise ConfigError("config needs a 'loss' object")
     _check_keys(section, _LOSS_KEYS, "loss")
-    family = _field(section, "family", str, fallback.get("family"))
+    family = Field("family", str).read(section, fallback.get("family"))
     if family is None:
         raise ConfigError("field 'loss.family' is required")
-    spec = {"family": family, "intercept": _field(section, "intercept", bool, False)}
+    spec = {"family": family, "intercept": Field("intercept", bool).read(section, False)}
     for key in ("response", "covariates", "columns"):
         default = None if key == "response" and family == losses.MEAN else fallback.get(key)
         value = section.get(key, default)
@@ -252,23 +298,17 @@ def _loss_from_config(section, columns: list, fallback=None) -> dict:
     return spec
 
 
-def build_experiment_config(cfg: dict) -> simgen.ExperimentConfig:
-    """Translate a simulate config dict into an ExperimentConfig."""
-    _check_keys(cfg, _SIMULATE_KEYS, "config")
-    seed = _seed_field(cfg, "seed", 0)
-    pop_seed = _seed_field(cfg, "population_seed", seed)
+def build_experiment_config(values: dict) -> simgen.ExperimentConfig:
+    """Map simulate's checked field values onto an ExperimentConfig,
+    checking the loss section, the method list and the coordinates."""
     factor = simgen.FactorModelConfig(
-        d=_field(cfg, "d", int, 20),
-        n_factors=_field(cfg, "n_factors", int, 2),
-        variance_explained=_field(cfg, "variance_explained", float, 0.5),
-        seed=pop_seed,
+        d=values["d"], n_factors=values["n_factors"],
+        variance_explained=values["variance_explained"], seed=values["population_seed"],
     )
     loss = _loss_from_config(
-        cfg.get("loss", _SIMULATE_LOSS),
-        [f"x{j}" for j in range(factor.d)],
-        _SIMULATE_LOSS,
+        values["loss"], [f"x{j}" for j in range(factor.d)], _SIMULATE_LOSS
     )
-    methods = cfg.get("methods", ["ipi", "complete_case"])
+    methods = values["methods"]
     if not isinstance(methods, list) or not all(isinstance(m, str) for m in methods):
         raise ConfigError("field 'methods' must be a list of method names")
     for method in methods:
@@ -281,51 +321,20 @@ def build_experiment_config(cfg: dict) -> simgen.ExperimentConfig:
             raise ConfigError(
                 f"field 'methods': {method!r} needs a pattern id or 'best' after ':'"
             ) from None
+    # the fields an ExperimentConfig takes under their config names
+    same = {f.name for f in fields(simgen.ExperimentConfig)} - {"methods"}
     config = simgen.ExperimentConfig(
+        **{key: values[key] for key in same & values.keys()},
         factor=factor,
-        n_complete=_field(cfg, "n_complete", int, 200),
-        ratio=_ranged_field(cfg, "ratio", float, 10.0, np.isfinite, "a finite number"),
-        n_patterns=_field(cfg, "n_patterns", int, 10),
-        feature_mask_prob=_field(cfg, "feature_mask_prob", float, 0.2),
-        loss_family=loss["family"],
-        response=loss["response"],
-        covariates=loss["covariates"],
-        mean_columns=loss["columns"],
-        intercept=loss["intercept"],
-        imputer=_choice_field(cfg, "imputer", imputers.KINDS, imputers.GAUSSIAN_KIND),
         methods=tuple(methods),
-        trials=_at_least(cfg, "trials", 100, 1),
-        alpha=_alpha_field(cfg),
-        train_frac=_train_frac_field(cfg, 0.1),
-        k_folds=_at_least(cfg, "k_folds", 10, 2),
-        n_boot=_at_least(cfg, "n_boot", 50, 2),
-        objective=_objective_field(cfg),
-        target_coordinate=_field(cfg, "target_coordinate", int, 0),
-        min_pattern_count=_field(cfg, "min_pattern_count", int, 1),
-        seed=seed,
-        jobs=_at_least(cfg, "jobs", 1, 1),
+        loss_family=loss["family"], response=loss["response"],
+        covariates=loss["covariates"], mean_columns=loss["columns"],
+        intercept=loss["intercept"],
     )
     p = config.make_loss()[0].param_dim
     _check_coordinate("target_coordinate", config.target_coordinate, p)
     _check_coordinate("objective", config.objective, p)
     return config
-
-
-def _data_fields(cfg: dict, allowed: set) -> dict:
-    """Check an analyze or diagnose config's keys and read the fields the
-    two commands share."""
-    _check_keys(cfg, allowed, "config")
-    return {
-        "loss": cfg.get("loss"),
-        "min_count": _field(cfg, "min_pattern_count", int, 1),
-        "kind": _choice_field(cfg, "imputer", imputers.KINDS, imputers.GAUSSIAN_KIND),
-        "train_frac": _train_frac_field(cfg, 0.0),
-        "seed": _seed_field(cfg, "seed", 0),
-        "lambda_mode": _choice_field(cfg, "lambda_mode", _LAMBDA_MODES, "tuned"),
-        "fixed_lambda": _list_field(cfg, "fixed_lambda"),
-        "full": _field(cfg, "full", bool, False),
-        "out": _field(cfg, "out", str, None),
-    }
 
 
 def _apply_overrides(cfg: dict, args) -> dict:
@@ -453,12 +462,12 @@ def _trained_imputer(dataset, kind, train_frac, seed, warnings):
     return imputers.fit(kind, train), inference
 
 
-def _ipi_tables(dataset, loss, fields, warnings, score=True):
+def _ipi_tables(dataset, loss, values, warnings, score=True):
     """Analyze's ipi pipeline after loading, which diagnose runs too: train
     the imputer, then score the inference rows at the complete-case
     estimate unless `score` is false.  Returns (model, inference, tables)."""
     model, inference = _trained_imputer(
-        dataset, fields["kind"], fields["train_frac"], fields["seed"], warnings
+        dataset, values["imputer"], values["train_frac"], values["seed"], warnings
     )
     if not score:
         return model, inference, None
@@ -490,24 +499,23 @@ def _diagnostics_payload(tables, weights, run_full):
 
 def cmd_simulate(args) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
-    config = build_experiment_config(cfg)
-    out_dir = _field(cfg, "out", str, None) or "."
-    experiment = _choice_field(cfg, "experiment", ("coverage", "shift"), "coverage")
-    collect = _field(cfg, "records", bool, False) or args.records
-    shift_mags = _list_field(cfg, "shift_magnitudes", [0.0])
-    include_full = _field(cfg, "include_full", bool, False)
-    if experiment == "coverage":
+    values = _read_fields(cfg, "simulate")
+    config = build_experiment_config(values)
+    if values["experiment"] == "coverage":
         for key in ("shift_magnitudes", "include_full"):
             if key in cfg:
                 raise ConfigError(f"field {key!r} only applies to experiment='shift'")
+    out_dir = values["out"] or "."
     try:
         os.makedirs(out_dir, exist_ok=True)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot write output {out_dir}: {exc}") from None
-    if experiment == "coverage":
-        outputs = _simulate_coverage(config, collect)
+    if values["experiment"] == "coverage":
+        outputs = _simulate_coverage(config, values["records"] or args.records)
     else:
-        outputs = _simulate_shift(config, shift_mags, include_full)
+        outputs = _simulate_shift(
+            config, values["shift_magnitudes"], values["include_full"]
+        )
     for name, text in outputs.items():
         _write(os.path.join(out_dir, name), text)
     return EXIT_OK
@@ -577,27 +585,12 @@ def _simulate_shift(config, magnitudes, include_full) -> dict:
 
 
 def cmd_analyze(args) -> int:
-    cfg = _apply_overrides(load_config(args.config), args)
-    fields = _data_fields(cfg, _ANALYZE_KEYS)
-    method = _choice_field(
-        cfg, "method", ("complete_case", "aipw", "cipi", "ipi", "naive"), "ipi"
-    )
-    k_folds = _at_least(cfg, "k_folds", 10, 2)
-    n_boot = _at_least(cfg, "n_boot", 50, 2)
-    run_diag = _field(cfg, "diagnose", bool, False)
-    alpha = _alpha_field(cfg)
-    mcar = _field(cfg, "mcar", bool, True)
+    values = _read_fields(_apply_overrides(load_config(args.config), args), "analyze")
+    method, alpha, mcar = values["method"], values["alpha"], values["mcar"]
+    run_diag = values["diagnose"]
     # the options the cipi and ipi fits share
-    options = {
-        "lambda_mode": fields["lambda_mode"],
-        "fixed_lambda": fields["fixed_lambda"],
-        "alpha": alpha,
-        "hessian_mode": _choice_field(
-            cfg, "hessian_mode", estimators.HESSIAN_MODES, None
-        ),
-        "objective": _objective_field(cfg),
-        "mcar": mcar,
-    }
+    shared = ("lambda_mode", "fixed_lambda", "alpha", "hessian_mode", "objective", "mcar")
+    options = {key: values[key] for key in shared}
     if run_diag and method in ("cipi", "complete_case", "aipw"):
         raise ConfigError(
             f"--diagnose is not available with method {method!r}: its estimate "
@@ -606,9 +599,9 @@ def cmd_analyze(args) -> int:
         )
 
     dataset, loss, names, warnings = _load_dataset(
-        args.csv, fields["loss"], fields["min_count"]
+        args.csv, values["loss"], values["min_pattern_count"]
     )
-    _check_coordinate("objective", options["objective"], loss.param_dim)
+    _check_coordinate("objective", values["objective"], loss.param_dim)
     inference, tables = dataset, None
     if method == "complete_case":
         fit = baselines.complete_case_fit(dataset, loss, alpha=alpha, mcar=mcar)
@@ -616,12 +609,12 @@ def cmd_analyze(args) -> int:
         fit = baselines.aipw_fit(dataset, loss, alpha=alpha, mcar=mcar)
     elif method == "cipi":
         fit = estimators.cipi_fit(
-            dataset, loss, fields["kind"], k_folds=k_folds, n_boot=n_boot,
-            seed=(fields["seed"], 0), **options,
+            dataset, loss, values["imputer"], k_folds=values["k_folds"],
+            n_boot=values["n_boot"], seed=(values["seed"], 0), **options,
         )
     else:
         model, inference, tables = _ipi_tables(
-            dataset, loss, fields, warnings, score=method == "ipi" or run_diag
+            dataset, loss, values, warnings, score=method == "ipi" or run_diag
         )
         if method == "naive":
             fit = baselines.naive_single_impute_fit(
@@ -647,31 +640,30 @@ def cmd_analyze(args) -> int:
         "n_effective": fit.n_effective,
         **_dataset_summary(inference),
         "diagnostics": (
-            _diagnostics_payload(tables, fit.weights, fields["full"]) if run_diag else None
+            _diagnostics_payload(tables, fit.weights, values["full"]) if run_diag else None
         ),
         "warnings": warnings + list(fit.warnings),
     }
-    _emit(payload, fields["out"])
+    _emit(payload, values["out"])
     return EXIT_OK
 
 
 def cmd_diagnose(args) -> int:
-    cfg = _apply_overrides(load_config(args.config), args)
-    fields = _data_fields(cfg, _DIAGNOSE_KEYS)
+    values = _read_fields(_apply_overrides(load_config(args.config), args), "diagnose")
     dataset, loss, _, warnings = _load_dataset(
-        args.csv, fields["loss"], fields["min_count"]
+        args.csv, values["loss"], values["min_pattern_count"]
     )
-    _, inference, tables = _ipi_tables(dataset, loss, fields, warnings)
+    _, inference, tables = _ipi_tables(dataset, loss, values, warnings)
     weights, tune_warnings = estimators.resolve_weights(
-        tables, fields["lambda_mode"], fields["fixed_lambda"]
+        tables, values["lambda_mode"], values["fixed_lambda"]
     )
     payload = {
         "schema": "ipinfer/diagnostics-v1",
-        **_diagnostics_payload(tables, weights, fields["full"]),
+        **_diagnostics_payload(tables, weights, values["full"]),
         **_dataset_summary(inference),
         "warnings": warnings + tune_warnings,
     }
-    _emit(payload, fields["out"])
+    _emit(payload, values["out"])
     return EXIT_OK
 
 
@@ -730,14 +722,17 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # an overflow or an invalid operation ends the run (exit 4) rather
+        # than printing a warning and reporting NaN
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            return args.func(args)
     except (ConfigError, DimensionError) as exc:
         print(f"ipinfer: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except DataError as exc:
         print(f"ipinfer: data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (NumericError, np.linalg.LinAlgError) as exc:
+    except (NumericError, np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"ipinfer: numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except IpinferError as exc:

@@ -15,6 +15,7 @@ aggregates with Monte Carlo standard errors.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import cache, partial
@@ -99,6 +100,10 @@ def build_population(config: FactorModelConfig) -> FactorPopulation:
     signal = float(np.trace(loadings @ loadings.T))
     v = config.variance_explained
     noise_var = signal * (1.0 - v) / (v * config.d)
+    if not np.isfinite(noise_var):
+        raise ConfigError(
+            f"variance_explained={v!r} is too small: the noise variance overflows"
+        )
     sigma = loadings @ loadings.T + noise_var * np.eye(config.d)
     return FactorPopulation(loadings, noise_var, sigma)
 
@@ -286,14 +291,15 @@ class ExperimentResult:
 def _simulate_dataset(config: ExperimentConfig, population, target_dims, trial: int):
     """Trial `trial`'s masked sample, and the generator that drew it and
     goes on to draw the split."""
-    rng = np.random.default_rng(np.random.SeedSequence((config.seed, 2, trial)))
-    matrix = population.sample(rng, config.n_total())
+    # checked before drawing: a negative n_complete is no sample size
     mcfg = MissingnessConfig(
         n_complete=config.n_complete,
         n_patterns=config.n_patterns,
         feature_mask_prob=config.feature_mask_prob,
         min_pattern_count=config.min_pattern_count,
     )
+    rng = np.random.default_rng(np.random.SeedSequence((config.seed, 2, trial)))
+    matrix = population.sample(rng, config.n_total())
     return gen_mcar_missingness(matrix, mcfg, target_dims, rng), rng
 
 
@@ -325,13 +331,16 @@ def _unless_failed(fn, *args):
 def _map_trials(config: ExperimentConfig, trial_fn, population) -> list:
     """trial_fn(config, t, population=population) for every trial t.
 
-    With jobs > 1 the trials run in worker processes; the outputs come back
-    in trial order either way, so results do not depend on scheduling.
+    The trials run in min(jobs, trials, CPUs) worker processes when that is
+    more than one: the pool starts every worker at once, so a large `jobs`
+    must not reach it.  The outputs come back in trial order either way,
+    so results do not depend on scheduling.
     """
     one = partial(trial_fn, config, population=population)
-    if config.jobs > 1:
-        chunk = max(1, config.trials // (4 * config.jobs))
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+    workers = min(config.jobs, config.trials, os.cpu_count() or 1)
+    if workers > 1:
+        chunk = max(1, config.trials // (4 * workers))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(one, range(config.trials), chunksize=chunk))
     return [one(t) for t in range(config.trials)]
 

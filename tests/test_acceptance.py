@@ -81,6 +81,7 @@ def headline_run():
     config = experiment_config(
         methods=("ipi", "complete_case", "naive", "single_pattern:best"),
         seed=10,
+        jobs=2,
     )
     return simgen.run_trials(config, collect_records=True)
 
@@ -284,6 +285,7 @@ def test_criterion_07_variance_calibration():
         mean_columns=(2,),
         trials=1000,
         seed=13,
+        jobs=2,
     )
     result = simgen.run_trials(config, collect_records=True)
     z = stats.norm.ppf(1 - ALPHA / 2)
@@ -311,6 +313,7 @@ def shift_config() -> simgen.ExperimentConfig:
         covariates=None,
         mean_columns=(2, 3, 4),
         seed=21,
+        jobs=2,
     )
 
 
@@ -371,6 +374,7 @@ def test_criterion_10_cipi_bootstrap_coverage():
         trials=200,
         train_frac=0.0,
         seed=17,
+        jobs=2,
     )
     result = simgen.run_trials(config)
     m = metrics_by_method(result)["cipi"]

@@ -117,6 +117,36 @@ class TestParser:
         capsys.readouterr()
 
 
+def readme_field_tables():
+    """README's field tables: {command: {field: default cell}}, each table
+    going to the commands named in the line before it."""
+    text = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    section = text.split("\n## Command line\n")[1].split("\n## ")[0]
+    tables, heading = {}, ""
+    for line in section.splitlines():
+        if line.startswith("| `"):
+            name, _, default = [cell.strip() for cell in line.split(" | ")[:3]]
+            for command in cli.FIELDS:
+                if f"`{command}`" in heading:
+                    tables.setdefault(command, {})[name.strip("|` ")] = default
+        elif line and not line.startswith("|"):
+            heading = line
+    return tables
+
+
+def readme_default(field):
+    if isinstance(field.default, cli.Field):
+        return f"`{field.default.name}`"
+    return "—" if field.default is None else f"`{json.dumps(field.default)}`"
+
+
+@pytest.mark.parametrize("command", sorted(cli.FIELDS))
+def test_readme_lists_every_field_with_its_default(command):
+    documented = readme_field_tables()[command]
+    for field in cli.FIELDS[command]:
+        assert documented.get(field.name) == readme_default(field), field.name
+
+
 class TestConfigErrors:
     def test_unknown_key_lists_allowed(self, capsys, tmp_path, eight_csv):
         cfg = write_config(tmp_path / "c.json", {"loss": MEAN_X_LOSS, "bogus": 1})
@@ -291,6 +321,7 @@ class TestConfigErrors:
             ("simulate", "objective", 99),
             ("simulate", "jobs", 0),
             ("simulate", "jobs", -3),
+            ("simulate", "ratio", -5),
         ],
     )
     def test_out_of_range_field_rejected(
@@ -367,6 +398,7 @@ class TestConfigErrors:
             ({"target_coordinate": -1}, "'target_coordinate'"),
             ({"methods": ["single_pattern:x"]}, "'methods'"),
             ({"methods": ["single_pattern:"]}, "'methods'"),
+            ({"ratio": 10**400}, "'ratio'"),
         ],
     )
     def test_simulate_rejects_unusable_field(self, capsys, tmp_path, change, field):
@@ -557,6 +589,21 @@ class TestNumericErrors:
         code, err = run_error(capsys, ["analyze", csv, "--config", cfg])
         assert code == 4
         assert "singular" in err
+
+    def test_overflow_exits_4(self, capsys, tmp_path):
+        # Squared scores on this scale overflow; the run once printed
+        # numpy warnings and exited 0 with null estimates.
+        rows = "y,x\n1e170,2e170\n2e170,1e170\n3e170,4e170\n6e170,3e170\n,5\n,7\n"
+        csv = write(tmp_path / "d.csv", rows)
+        cfg = write_config(
+            tmp_path / "c.json",
+            {"loss": {"family": "linear_regression", "response": "y",
+                      "covariates": ["x"]}, "imputer": "mean"},
+        )
+        code, err = run_error(capsys, ["analyze", csv, "--config", cfg])
+        assert code == 4
+        assert err.count("\n") == 1
+        assert "overflow" in err
 
 
 class TestAnalyze:
@@ -996,8 +1043,9 @@ class TestSimulate:
         assert len(lines) == 1 + 2 * 3
 
 
-# The config fuzz test draws each field from bounded values of its own
-# type, then overwrites up to one field with a value of any JSON type.
+# The config fuzz tests draw each field of a command's table in cli.FIELDS
+# from its default or the bounded values of its kind that its row accepts,
+# then overwrite up to one field with a value of any JSON type.
 INTS = st.integers(-2, 12)
 FLOATS = st.floats(0, 1) | st.floats(-2, 12) | st.sampled_from(
     [float("nan"), float("inf"), -float("inf")]
@@ -1008,7 +1056,12 @@ JUNK = st.one_of(
     st.lists(INTS | FLOATS | st.text(max_size=3), max_size=3),
     st.dictionaries(st.sampled_from(sorted(cli._LOSS_KEYS)), SCALARS, max_size=3),
 )
-TYPED = {
+BY_KIND = {
+    int: INTS, float: FLOATS, bool: st.booleans(), list: st.lists(FLOATS, max_size=3)
+}
+# a string names a file or directory in the test's own directory
+OUT = st.sampled_from(["r.json", "missing/r.json", ""])
+DATA_SPECIAL = {
     "loss": st.sampled_from([
         MEAN_X_LOSS,
         {"family": "mean", "columns": [0, "u"]},
@@ -1017,39 +1070,107 @@ TYPED = {
          "intercept": True},
         {"family": "logistic_regression", "response": "x", "covariates": ["u"]},
     ]),
-    "method": st.sampled_from(["ipi", "cipi", "naive", "complete_case", "aipw"]),
-    "imputer": st.sampled_from(imputers.KINDS),
-    "lambda_mode": st.sampled_from(["tuned", "pooled", "zero", "fixed"]),
-    "fixed_lambda": st.lists(FLOATS, max_size=3),
-    "hessian_mode": st.sampled_from(estimators.HESSIAN_MODES),
-    "objective": st.just("trace") | INTS,
-    "alpha": FLOATS,
-    "train_frac": FLOATS,
-    "k_folds": INTS,
-    "n_boot": INTS,
-    "min_pattern_count": INTS,
-    "seed": INTS,
-    "mcar": st.booleans(),
-    "diagnose": st.booleans(),
-    "full": st.booleans(),
-    # a string names a file in the test's own directory, never the cwd
-    "out": st.sampled_from(["r.json", "missing/r.json", ""]),
+    "out": OUT,
 }
+# simulate's sizes are always drawn, and small, so no run takes the
+# default 100 trials of 2,200 rows
+SIMULATE_SIZES = {
+    "trials": st.integers(1, 2),
+    "jobs": st.integers(1, 2),
+    "d": st.integers(3, 6),
+    "n_complete": st.integers(2, 30),
+    "n_patterns": st.integers(0, 4),
+    "k_folds": st.integers(2, 4),
+    "n_boot": st.integers(2, 4),
+}
+SIMULATE_SPECIAL = {
+    **SIMULATE_SIZES,
+    "loss": st.sampled_from([
+        {"family": "mean", "columns": [1]},
+        {"family": "mean", "columns": ["x0", 2]},
+        {"family": "linear_regression"},
+        {"family": "linear_regression", "response": 0, "covariates": [1, 2],
+         "intercept": True},
+        {"family": "logistic_regression", "response": 2, "covariates": [0]},
+    ]),
+    "methods": st.lists(
+        st.sampled_from([
+            "ipi", "ipi:pooled", "complete_case", "naive", "cipi", "cipi:zero",
+            "aipw", "single_pattern:best", "single_pattern:0", "single_pattern:7",
+            "bogus",
+        ]),
+        max_size=3,
+    ),
+    "out": OUT,
+}
+
+
+def field_values(field, special):
+    """The field's default or a value of its kind that its row accepts; the
+    junk overwrite supplies the rest."""
+    if field.name in special:
+        return special[field.name]
+    if field.choices:
+        return st.sampled_from(field.choices)
+    values = INTS if field.kind is object else BY_KIND[field.kind]  # objective
+    if field.ok is not None:
+        values = values.filter(field.ok)
+    if field.default is None or isinstance(field.default, cli.Field):
+        return values
+    return st.just(field.default) | values
+
+
+@st.composite
+def configs(draw, command, special, always):
+    """A config for `command`: the `always` fields and a random subset of
+    the others, then up to one field overwritten with any JSON value."""
+    table = cli.FIELDS[command]
+    config = {
+        f.name: draw(field_values(f, special))
+        for f in table
+        if f.name in always or draw(st.booleans())
+    }
+    key = draw(st.none() | st.sampled_from([f.name for f in table]))
+    if key is not None:
+        config[key] = draw(JUNK)
+    return config
 
 
 @st.composite
 def cli_runs(draw):
     command = draw(st.sampled_from(["analyze", "diagnose"]))
-    keys = sorted(cli._ANALYZE_KEYS if command == "analyze" else cli._DIAGNOSE_KEYS)
-    config = {"loss": draw(TYPED["loss"])}
-    config.update({key: draw(TYPED[key]) for key in keys if draw(st.booleans())})
-    key = draw(st.none() | st.sampled_from(keys))
-    if key is not None:
-        config[key] = draw(JUNK)
+    config = draw(configs(command, DATA_SPECIAL, always=("loss",)))
     flags = ["--full"] if draw(st.booleans()) else []
     if command == "analyze" and draw(st.booleans()):
         flags.append("--diagnose")
-    return command, config, flags
+    return command, flags, config
+
+
+def assert_documented_exit(command, flags, config, csv_text=EIGHT_CSV):
+    """Run one command on `config` inside a fresh directory (analyze and
+    diagnose on a data CSV holding `csv_text`): it must exit 0, 2, 3 or 4,
+    a failure must write one stderr line, and nothing may print a
+    traceback."""
+    with tempfile.TemporaryDirectory() as tmp:
+        if isinstance(config.get("out"), str):
+            # keep the path inside tmp: drop root, '.' and '..' parts
+            parts = [p for p in config["out"].split("/") if p not in ("", ".", "..")]
+            config["out"] = os.path.join(tmp, *parts)
+        csv_path = write(pathlib.Path(tmp, "data.csv"), csv_text)
+        data = [] if command == "simulate" else [csv_path]
+        cfg = write(pathlib.Path(tmp, "c.json"), json.dumps(config))
+        out, err = io.StringIO(), io.StringIO()
+        cwd = os.getcwd()
+        os.chdir(tmp)  # a null or absent simulate 'out' writes to '.'
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main([command, *data, "--config", cfg, *flags])
+        finally:
+            os.chdir(cwd)
+    assert code in (0, 2, 3, 4)
+    if code:
+        assert err.getvalue().count("\n") == 1
+    assert "Traceback" not in out.getvalue() + err.getvalue()
 
 
 @settings(settings.get_profile("cli_fuzz"))
@@ -1057,21 +1178,17 @@ def cli_runs(draw):
 def test_any_config_ends_in_a_documented_exit_code(run):
     """Whatever the config holds, the CLI exits 0, 2, 3 or 4; a failure
     writes one stderr line and nothing prints a traceback."""
-    command, config, flags = run
-    with tempfile.TemporaryDirectory() as tmp:
-        if isinstance(config.get("out"), str):
-            # keep the path inside tmp: drop root, '.' and '..' parts
-            parts = [p for p in config["out"].split("/") if p not in ("", ".", "..")]
-            config["out"] = os.path.join(tmp, *parts)
-        csv_path = write(pathlib.Path(tmp, "eight.csv"), EIGHT_CSV)
-        cfg = write(pathlib.Path(tmp, "c.json"), json.dumps(config))
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli.main([command, csv_path, "--config", cfg, *flags])
-    assert code in (0, 2, 3, 4)
-    if code:
-        assert err.getvalue().count("\n") == 1
-    assert "Traceback" not in out.getvalue() + err.getvalue()
+    assert_documented_exit(*run)
+
+
+@settings(settings.get_profile("cli_fuzz"))
+@given(
+    config=configs("simulate", SIMULATE_SPECIAL, always=tuple(SIMULATE_SIZES)),
+    records=st.booleans(),
+)
+def test_any_simulate_config_ends_in_a_documented_exit_code(config, records):
+    """The same for simulate, at sizes that keep each run small."""
+    assert_documented_exit("simulate", ["--records"] if records else [], config)
 
 
 # The CSV fuzz test writes mostly numeric cells, with special tokens, junk
@@ -1108,13 +1225,4 @@ def test_any_csv_ends_in_a_documented_exit_code(text, command):
     4; a failure writes one stderr line and nothing prints a traceback."""
     config = {"loss": {"family": "mean", "columns": [0]}, "imputer": "mean"}
     flags = ["--full", "--diagnose"] if command == "analyze" else ["--full"]
-    with tempfile.TemporaryDirectory() as tmp:
-        csv_path = write(pathlib.Path(tmp, "data.csv"), text)
-        cfg = write(pathlib.Path(tmp, "c.json"), json.dumps(config))
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli.main([command, csv_path, "--config", cfg, *flags])
-    assert code in (0, 2, 3, 4)
-    if code:
-        assert err.getvalue().count("\n") == 1
-    assert "Traceback" not in out.getvalue() + err.getvalue()
+    assert_documented_exit(command, flags, config, text)

@@ -230,6 +230,32 @@ class TestRunTrials:
             assert rs.records == rp.records
             assert rs.p_values().size == 4
 
+    def test_jobs_capped_at_trials_and_cpus(self, monkeypatch):
+        # The pool starts every worker at once; record what reaches it
+        # instead of starting processes.
+        calls = []
+
+        class Recorder:
+            def __init__(self, max_workers):
+                calls.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize):
+                return map(fn, items)
+
+        monkeypatch.setattr(simgen, "ProcessPoolExecutor", Recorder)
+        serial = run_trials(small_config(trials=3))
+        for cpus in (64, 2):
+            monkeypatch.setattr(simgen.os, "cpu_count", lambda: cpus)
+            capped = run_trials(small_config(trials=3, jobs=5000))
+            assert capped.metrics == serial.metrics
+        assert calls == [3, 2]
+
     def test_unknown_method_raises_config_error(self):
         # A config error would fail every trial; it is not a trial failure.
         with pytest.raises(ConfigError, match="unknown method 'bogus'"):
@@ -293,6 +319,13 @@ class TestShiftExperiment:
             ({}, [[0.1, 0.2]], "3 values"),
             ({}, [0.0, [0.1, 0.2, 0.3, 0.4]], "3 values"),
             ({}, 0.0, "list of settings"),
+            # each once ended in a numpy error or warnings
+            ({"n_complete": -1}, [0.0], "n_complete must be positive"),
+            (
+                {"factor": FactorModelConfig(d=6, variance_explained=1e-320)},
+                [0.0],
+                "noise variance overflows",
+            ),
         ],
     )
     def test_config_errors_raise(self, change, shifts, match):
