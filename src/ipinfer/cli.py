@@ -300,7 +300,8 @@ def _loss_from_config(section, columns: list, fallback=None) -> dict:
 
 def build_experiment_config(values: dict) -> simgen.ExperimentConfig:
     """Map simulate's checked field values onto an ExperimentConfig,
-    checking the loss section, the method list and the coordinates."""
+    checking the loss section, the method list, the missingness fields and
+    the coordinates."""
     factor = simgen.FactorModelConfig(
         d=values["d"], n_factors=values["n_factors"],
         variance_explained=values["variance_explained"], seed=values["population_seed"],
@@ -331,6 +332,7 @@ def build_experiment_config(values: dict) -> simgen.ExperimentConfig:
         covariates=loss["covariates"], mean_columns=loss["columns"],
         intercept=loss["intercept"],
     )
+    config.missingness()  # checks its fields before simulate creates --out
     p = config.make_loss()[0].param_dim
     _check_coordinate("target_coordinate", config.target_coordinate, p)
     _check_coordinate("objective", config.objective, p)

@@ -23,7 +23,7 @@ single imputer is the K = 1 case of the same score tables.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy import stats
@@ -518,12 +518,19 @@ def confidence_interval(theta, variance, n: int, alpha: float):
     if (diag < -1e-12).any():
         raise NumericError("negative variance estimate")
     se = np.sqrt(np.maximum(diag, 0.0) / n)
-    z = stats.norm.ppf(1.0 - alpha / 2.0)
+    z, chi2_quantile = _critical_values(float(alpha), int(theta.size))
     if not np.isfinite(z):
         raise ConfigError(f"alpha {alpha} is too small for a bounded interval")
     ci = np.column_stack([theta - z * se, theta + z * se])
-    chi2_radius = float(stats.chi2.ppf(1.0 - alpha, df=theta.size) / n)
+    chi2_radius = float(chi2_quantile / n)
     return se, ci, chi2_radius
+
+
+@lru_cache(maxsize=64)
+def _critical_values(alpha: float, p: int):
+    """The two-sided normal quantile and the chi-square(p) quantile at
+    level 1 - alpha; every fit at one (alpha, p) reuses them."""
+    return stats.norm.ppf(1.0 - alpha / 2.0), stats.chi2.ppf(1.0 - alpha, df=p)
 
 
 def effective_sample_size(baseline_width, method_width, n: int) -> np.ndarray:

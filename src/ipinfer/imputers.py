@@ -7,6 +7,9 @@ query row's observed cells.  A model never sees the estimand: it fills whole
 rows, and the estimators read whichever coordinates their loss acts on.
 Observed cells pass through unchanged, every builtin kind is deterministic
 given its fitted state, and no row's fill depends on the rest of its batch.
+The gaussian model caches per-pattern work across fills; a cached pattern
+fills with the same arithmetic as a fresh one, so a fill depends neither on
+its batch nor on what the model filled before.
 
 Builtin kinds: "mean", "zero", "hotdeck", "gaussian_conditional",
 "chained_regression".
@@ -189,6 +192,13 @@ class GaussianConditionalImputer(ImputationModel):
     capped at 200 iterations.  Before every conditioning solve the observed
     block's diagonal is inflated by 1e-8 * trace(Sigma) / d.  Rows with no
     observed cells fill with the unconditional mean.
+
+    EM plans each training missingness pattern once per fit: its column
+    indices, block selections, observed training block and row count are
+    built before the first iteration and reused by every one.  The fitted
+    model caches each query pattern's regression coefficients, keyed by the
+    pattern, on first fill; a cached pattern's fill is the same arithmetic
+    as a fresh one, so mu and sigma must not change after fitting.
     """
 
     kind = GAUSSIAN_KIND
@@ -198,6 +208,8 @@ class GaussianConditionalImputer(ImputationModel):
         self.mu = np.asarray(mu, dtype=float)
         self.sigma = np.asarray(sigma, dtype=float)
         self.n_iter = int(n_iter)
+        self._ridge = _EM_RIDGE * float(np.trace(self.sigma)) / self.d
+        self._coefficients: dict[bytes, tuple] = {}
 
     @classmethod
     def _fit(cls, matrix):
@@ -212,43 +224,86 @@ class GaussianConditionalImputer(ImputationModel):
         mu, sigma, n_iter = _em_gaussian(matrix, observed)
         return cls(d, mu, sigma, n_iter)
 
-    def _ridge(self) -> float:
-        return _EM_RIDGE * float(np.trace(self.sigma)) / self.d
+    def _pattern_coefficients(self, key: bytes) -> tuple:
+        """(observed columns, missing columns, coefficients) of one pattern;
+        coefficients are None when nothing is observed."""
+        cached = self._coefficients.get(key)
+        if cached is None:
+            m_idx = np.frombuffer(key, dtype=bool)
+            o_cols, m_cols = np.flatnonzero(~m_idx), np.flatnonzero(m_idx)
+            coef = None
+            if o_cols.size:
+                oo, mo = np.ix_(o_cols, o_cols), np.ix_(m_cols, o_cols)
+                coef, _ = _conditional_solve(self.sigma, oo, mo, self._ridge)
+            cached = self._coefficients[key] = (o_cols, m_cols, coef)
+        return cached
 
     def _fill_missing(self, arr):
         miss = np.isnan(arr)
         if not miss.any():
             return
         for key, rows in _pattern_groups(miss).items():
-            m_idx = np.frombuffer(key, dtype=bool)
-            o_idx = ~m_idx
-            if not o_idx.any():
-                arr[np.ix_(rows, np.flatnonzero(m_idx))] = self.mu[m_idx]
+            o_cols, m_cols, coef = self._pattern_coefficients(key)
+            if coef is None:
+                arr[np.ix_(rows, m_cols)] = self.mu[m_cols]
                 continue
-            coef, _ = _conditional_solve(self.sigma, o_idx, m_idx, self._ridge())
-            resid = arr[np.ix_(rows, np.flatnonzero(o_idx))] - self.mu[o_idx]
-            arr[np.ix_(rows, np.flatnonzero(m_idx))] = self.mu[m_idx] + resid @ coef.T
+            resid = arr[np.ix_(rows, o_cols)] - self.mu[o_cols]
+            arr[np.ix_(rows, m_cols)] = self.mu[m_cols] + resid @ coef.T
 
 
 def _pattern_groups(miss: np.ndarray) -> dict[bytes, np.ndarray]:
-    """Group row indices by their missingness row, skipping complete rows."""
-    groups: dict[bytes, list[int]] = {}
-    for i in np.flatnonzero(miss.any(axis=1)):
-        groups.setdefault(miss[i].tobytes(), []).append(i)
-    return {k: np.asarray(v, dtype=int) for k, v in groups.items()}
+    """Group row indices by their missingness row, skipping complete rows.
+
+    Keys are the rows' boolean bytes, in order of first appearance; the
+    row indices of each group ascend.
+    """
+    incomplete = np.flatnonzero(miss.any(axis=1))
+    if not incomplete.size:
+        return {}
+    packed = np.packbits(miss[incomplete], axis=1)
+    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+    # a stable sort keeps each group's rows ascending, so a group's first
+    # row is where its pattern first appears
+    order = np.argsort(keys, kind="stable")
+    rows, sorted_keys = incomplete[order], keys[order]
+    new_key = np.concatenate(([True], sorted_keys[1:] != sorted_keys[:-1]))
+    starts = np.flatnonzero(new_key)
+    ends = np.append(starts[1:], rows.size)
+    firsts = rows[starts]
+    return {
+        miss[firsts[g]].tobytes(): rows[starts[g]:ends[g]] for g in np.argsort(firsts)
+    }
 
 
-def _conditional_solve(sigma, o_idx, m_idx, ridge):
-    """Regression coefficients and conditional covariance of missing on observed."""
-    s_oo = sigma[np.ix_(o_idx, o_idx)].copy()
-    s_oo[np.diag_indices_from(s_oo)] += ridge
-    s_mo = sigma[np.ix_(m_idx, o_idx)]
+def _conditional_solve(sigma, oo, mo, ridge):
+    """Regression coefficients of missing on observed cells, and the
+    missing-by-observed block, from the np.ix_ selections of the
+    observed-by-observed (oo) and missing-by-observed (mo) blocks."""
+    s_oo = sigma[oo]
+    s_oo.flat[:: s_oo.shape[0] + 1] += ridge
+    s_mo = sigma[mo]
     try:
         coef = np.linalg.solve(s_oo, s_mo.T).T
     except np.linalg.LinAlgError:
         raise FitError("degenerate covariance in gaussian conditioning") from None
-    cond_cov = sigma[np.ix_(m_idx, m_idx)] - coef @ s_mo.T
-    return coef, cond_cov
+    return coef, s_mo
+
+
+class _PatternPlan:
+    """One training missingness pattern's EM bookkeeping, built once per fit."""
+
+    __slots__ = ("o_cols", "m_cols", "fill", "oo", "mo", "mm", "x_obs", "n_rows")
+
+    def __init__(self, key: bytes, rows: np.ndarray, matrix: np.ndarray):
+        m_idx = np.frombuffer(key, dtype=bool)
+        self.o_cols = np.flatnonzero(~m_idx)
+        self.m_cols = np.flatnonzero(m_idx)
+        self.fill = np.ix_(rows, self.m_cols)
+        self.oo = np.ix_(self.o_cols, self.o_cols)
+        self.mo = np.ix_(self.m_cols, self.o_cols)
+        self.mm = np.ix_(self.m_cols, self.m_cols)
+        self.x_obs = matrix[np.ix_(rows, self.o_cols)]
+        self.n_rows = len(rows)
 
 
 def _em_gaussian(matrix, observed):
@@ -257,24 +312,27 @@ def _em_gaussian(matrix, observed):
     filled0 = np.where(observed, matrix, mu)
     centered = filled0 - filled0.mean(axis=0)
     sigma = centered.T @ centered / m
-    groups = _pattern_groups(~observed)
+    # pattern order fixes the order cond_mass sums in
+    plans = [
+        _PatternPlan(key, rows, matrix)
+        for key, rows in _pattern_groups(~observed).items()
+    ]
+    observed_only = np.where(observed, matrix, 0.0)
     n_iter = 0
     for n_iter in range(1, _EM_MAX_ITER + 1):
-        filled = np.where(observed, matrix, 0.0)
+        filled = observed_only.copy()
         cond_mass = np.zeros((d, d))
         ridge = _EM_RIDGE * float(np.trace(sigma)) / d
-        for key, rows in groups.items():
-            m_idx = np.frombuffer(key, dtype=bool)
-            o_idx = ~m_idx
-            m_cols = np.flatnonzero(m_idx)
-            if not o_idx.any():
-                filled[np.ix_(rows, m_cols)] = mu[m_idx]
-                cond_cov = sigma[np.ix_(m_idx, m_idx)]
+        for plan in plans:
+            if not plan.o_cols.size:
+                filled[plan.fill] = mu[plan.m_cols]
+                cond_cov = sigma[plan.mm]
             else:
-                coef, cond_cov = _conditional_solve(sigma, o_idx, m_idx, ridge)
-                resid = matrix[np.ix_(rows, np.flatnonzero(o_idx))] - mu[o_idx]
-                filled[np.ix_(rows, m_cols)] = mu[m_idx] + resid @ coef.T
-            cond_mass[np.ix_(m_cols, m_cols)] += len(rows) * cond_cov
+                coef, s_mo = _conditional_solve(sigma, plan.oo, plan.mo, ridge)
+                cond_cov = sigma[plan.mm] - coef @ s_mo.T
+                resid = plan.x_obs - mu[plan.o_cols]
+                filled[plan.fill] = mu[plan.m_cols] + resid @ coef.T
+            cond_mass[plan.mm] += plan.n_rows * cond_cov
         mu_new = filled.mean(axis=0)
         centered = filled - mu_new
         sigma_new = (centered.T @ centered + cond_mass) / m

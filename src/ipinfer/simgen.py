@@ -233,6 +233,15 @@ class ExperimentConfig:
     def n_total(self) -> int:
         return self.n_complete + int(round(self.ratio * self.n_complete))
 
+    def missingness(self) -> MissingnessConfig:
+        """The missingness fields as a MissingnessConfig, which checks them."""
+        return MissingnessConfig(
+            n_complete=self.n_complete,
+            n_patterns=self.n_patterns,
+            feature_mask_prob=self.feature_mask_prob,
+            min_pattern_count=self.min_pattern_count,
+        )
+
     def make_loss(self) -> tuple[LossModel, tuple[int, ...]]:
         if self.loss_family == MEAN:
             if not self.mean_columns:
@@ -292,12 +301,7 @@ def _simulate_dataset(config: ExperimentConfig, population, target_dims, trial: 
     """Trial `trial`'s masked sample, and the generator that drew it and
     goes on to draw the split."""
     # checked before drawing: a negative n_complete is no sample size
-    mcfg = MissingnessConfig(
-        n_complete=config.n_complete,
-        n_patterns=config.n_patterns,
-        feature_mask_prob=config.feature_mask_prob,
-        min_pattern_count=config.min_pattern_count,
-    )
+    mcfg = config.missingness()
     rng = np.random.default_rng(np.random.SeedSequence((config.seed, 2, trial)))
     matrix = population.sample(rng, config.n_total())
     return gen_mcar_missingness(matrix, mcfg, target_dims, rng), rng

@@ -119,3 +119,85 @@ def grid_search_lambda_1d(objective, lo: float = -2.0, hi: float = 2.0, rounds: 
         lo = grid[max(k - 1, 0)]
         hi = grid[min(k + 1, grid.size - 1)]
     return float(0.5 * (lo + hi))
+
+
+# ---------------------------------------------------------------------------
+# gaussian EM before per-pattern planning
+#
+# The EM fit and the pattern grouping exactly as the library computed them
+# before each pattern's indices and observed block were built once per fit.
+# The library's planned EM must reproduce these bit for bit.  Failures raise
+# ValueError here instead of the library's FitError.
+
+_EM_TOL = 1e-6
+_EM_MAX_ITER = 200
+_EM_RIDGE = 1e-8
+
+
+def _observed_column_means(matrix: np.ndarray) -> np.ndarray:
+    observed = ~np.isnan(matrix)
+    counts = observed.sum(axis=0)
+    if (counts == 0).any():
+        raise ValueError("a column is never observed")
+    sums = np.where(observed, matrix, 0.0).sum(axis=0)
+    return sums / counts
+
+
+def pattern_groups(miss: np.ndarray) -> dict[bytes, np.ndarray]:
+    """Group row indices by their missingness row, skipping complete rows."""
+    groups: dict[bytes, list[int]] = {}
+    for i in np.flatnonzero(miss.any(axis=1)):
+        groups.setdefault(miss[i].tobytes(), []).append(i)
+    return {k: np.asarray(v, dtype=int) for k, v in groups.items()}
+
+
+def _conditional_solve(sigma, o_idx, m_idx, ridge):
+    """Regression coefficients and conditional covariance of missing on observed."""
+    s_oo = sigma[np.ix_(o_idx, o_idx)].copy()
+    s_oo[np.diag_indices_from(s_oo)] += ridge
+    s_mo = sigma[np.ix_(m_idx, o_idx)]
+    coef = np.linalg.solve(s_oo, s_mo.T).T
+    cond_cov = sigma[np.ix_(m_idx, m_idx)] - coef @ s_mo.T
+    return coef, cond_cov
+
+
+def em_gaussian(matrix, observed):
+    """(mu, sigma, n_iter) of the gaussian EM fit, recomputing every
+    pattern's indices and observed block on each iteration."""
+    m, d = matrix.shape
+    mu = _observed_column_means(matrix)
+    filled0 = np.where(observed, matrix, mu)
+    centered = filled0 - filled0.mean(axis=0)
+    sigma = centered.T @ centered / m
+    groups = pattern_groups(~observed)
+    n_iter = 0
+    for n_iter in range(1, _EM_MAX_ITER + 1):
+        filled = np.where(observed, matrix, 0.0)
+        cond_mass = np.zeros((d, d))
+        ridge = _EM_RIDGE * float(np.trace(sigma)) / d
+        for key, rows in groups.items():
+            m_idx = np.frombuffer(key, dtype=bool)
+            o_idx = ~m_idx
+            m_cols = np.flatnonzero(m_idx)
+            if not o_idx.any():
+                filled[np.ix_(rows, m_cols)] = mu[m_idx]
+                cond_cov = sigma[np.ix_(m_idx, m_idx)]
+            else:
+                coef, cond_cov = _conditional_solve(sigma, o_idx, m_idx, ridge)
+                resid = matrix[np.ix_(rows, np.flatnonzero(o_idx))] - mu[o_idx]
+                filled[np.ix_(rows, m_cols)] = mu[m_idx] + resid @ coef.T
+            cond_mass[np.ix_(m_cols, m_cols)] += len(rows) * cond_cov
+        mu_new = filled.mean(axis=0)
+        centered = filled - mu_new
+        sigma_new = (centered.T @ centered + cond_mass) / m
+        delta = max(
+            float(np.max(np.abs(mu_new - mu))),
+            float(np.max(np.abs(sigma_new - sigma))),
+        )
+        mu, sigma = mu_new, sigma_new
+        if delta <= _EM_TOL:
+            break
+    eigs = np.linalg.eigvalsh(sigma)
+    if eigs[0] < -1e-8 * max(1.0, eigs[-1]):
+        raise ValueError("EM produced a non-PSD covariance")
+    return mu, sigma, n_iter

@@ -399,10 +399,14 @@ class TestConfigErrors:
             ({"methods": ["single_pattern:x"]}, "'methods'"),
             ({"methods": ["single_pattern:"]}, "'methods'"),
             ({"ratio": 10**400}, "'ratio'"),
+            ({"n_complete": 0}, "n_complete must be positive"),
+            ({"n_patterns": -1}, "n_patterns must be nonnegative"),
+            ({"feature_mask_prob": 1.0}, "feature_mask_prob must be in (0, 1)"),
         ],
     )
     def test_simulate_rejects_unusable_field(self, capsys, tmp_path, change, field):
-        # Each of these once ended in a traceback or was silently misread.
+        # Each of these once ended in a traceback, was silently misread or
+        # created the output directory before failing.
         out = tmp_path / "out"
         cfg = write_config(tmp_path / "c.json", dict(TestSimulate.COVERAGE, **change))
         code, err = run_error(capsys, ["simulate", "--config", cfg, "--out", str(out)])

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ipinfer import imputers
+from ipinfer import estimators, imputers, simgen
 from ipinfer.errors import ConfigError, DimensionError, FitError
 
 from conftest import random_blockwise
+import oracles
 from oracles import gaussian_conditional_mean
 
 nan = np.nan
@@ -195,6 +196,90 @@ class TestGaussianConditional:
         model = imputers.fit(imputers.GAUSSIAN_KIND, x)
         assert np.allclose(model.mu, [2.0, -1.0], atol=0.1)
         assert np.allclose(model.sigma, cov, atol=0.15)
+
+
+def headline_split() -> np.ndarray:
+    """An imputer training split of the default simulation: 220 x 20 rows
+    over ten blockwise patterns."""
+    rng = np.random.default_rng(7)
+    population = simgen.build_population(simgen.FactorModelConfig())
+    config = simgen.ExperimentConfig()
+    matrix = population.sample(rng, config.n_total())
+    dataset = simgen.gen_mcar_missingness(matrix, config.missingness(), (0, 1, 2), rng)
+    train, _ = estimators.split_train_inference(dataset, config.train_frac, rng)
+    return train
+
+
+def with_all_missing_row() -> np.ndarray:
+    masks = ((True, True, False, True), (False, False, False, False))
+    return random_blockwise(np.random.default_rng(1), masks=masks)
+
+
+def with_column_observed_twice() -> np.ndarray:
+    train = random_blockwise(np.random.default_rng(2), masks=MIXED_MASKS)
+    train[2:, 3] = nan
+    return train
+
+
+def seventy_columns() -> np.ndarray:
+    # a missingness row packs to 9 bytes
+    rng = np.random.default_rng(3)
+    masks = tuple(tuple(rng.random(70) > 0.1) for _ in range(4))
+    return random_blockwise(rng, n_complete=150, per_pattern=25, d=70, masks=masks)
+
+
+PARITY_MATRICES = {
+    "headline_split": headline_split,
+    "all_missing_row": with_all_missing_row,
+    "column_observed_twice": with_column_observed_twice,
+    "seventy_columns": seventy_columns,
+}
+
+
+class TestPatternPlans:
+    """EM and the pattern grouping match the unplanned reference exactly."""
+
+    @pytest.mark.parametrize("name", PARITY_MATRICES)
+    def test_em_matches_reference_bitwise(self, name):
+        matrix = PARITY_MATRICES[name]()
+        observed = ~np.isnan(matrix)
+        assert (observed.sum(axis=0) >= 2).all()
+        mu, sigma, n_iter = imputers._em_gaussian(matrix, observed)
+        ref_mu, ref_sigma, ref_iter = oracles.em_gaussian(matrix, observed)
+        assert np.array_equal(mu, ref_mu)
+        assert np.array_equal(sigma, ref_sigma)
+        assert n_iter == ref_iter
+
+    @pytest.mark.parametrize(
+        "miss",
+        [np.isnan(make()) for make in PARITY_MATRICES.values()]
+        + [
+            np.random.default_rng(4).random((60, 3)) < 0.4,
+            np.zeros((5, 3), dtype=bool),
+        ],
+        ids=[*PARITY_MATRICES, "three_columns", "complete_rows"],
+    )
+    def test_groups_match_reference(self, miss):
+        # shuffled rows interleave the patterns
+        miss = miss[np.random.default_rng(5).permutation(len(miss))]
+        groups = imputers._pattern_groups(miss)
+        reference = oracles.pattern_groups(miss)
+        assert list(groups) == list(reference)
+        for key, rows in reference.items():
+            assert np.array_equal(groups[key], rows)
+
+    def test_cached_fill_equals_fresh_fill(self, rng):
+        train, query = blockwise_train_and_query(rng)
+        query[0] = nan
+        batch_first = imputers.fit(imputers.GAUSSIAN_KIND, train)
+        rows_first = imputers.fit(imputers.GAUSSIAN_KIND, train)
+        cold_batch = batch_first.fill(query)
+        cold_rows = np.vstack([rows_first.fill(row) for row in query])
+        warm_batch = rows_first.fill(query)
+        warm_rows = np.vstack([batch_first.fill(row) for row in query])
+        assert np.array_equal(cold_batch, warm_batch)
+        assert np.array_equal(cold_rows, warm_rows)
+        np.testing.assert_allclose(cold_batch, cold_rows, rtol=0.0, atol=1e-12)
 
 
 class TestChainedRegression:
