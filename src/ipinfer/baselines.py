@@ -188,7 +188,7 @@ def augmentation_dimension(dataset: PatternedDataset) -> int:
     """Total stacked feature count across the nontrivial patterns."""
     return int(
         sum(
-            _monomial_count(int(dataset.registry[r].mask.sum()))
+            _monomial_count(int(dataset.masks[r].sum()))
             for r in range(1, dataset.n_patterns + 1)
         )
     )
@@ -238,7 +238,7 @@ def aipw_fit(
         aug = np.zeros((n_rows, q_a))
         col = 0
         for r in range(1, big_r + 1):
-            obs = dataset.registry[r].observed_indices
+            obs = np.flatnonzero(dataset.masks[r])
             width = _monomial_count(obs.size)
             aug[complete_idx, col : col + width] = (
                 monomial_features(dataset.values[np.ix_(complete_idx, obs)]) / p0_hat

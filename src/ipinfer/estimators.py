@@ -278,7 +278,7 @@ def _build_tables(dataset, loss, theta, fold_ids, k_folds, fill) -> ScoreTables:
     )
     g_masked, g_imputed, fold_imputed, counts = [], [], [], []
     for r in range(1, big_r + 1):
-        masked = mask_matrix(complete_rows, dataset.registry[r])
+        masked = mask_matrix(complete_rows, dataset.masks[r])
         g_masked.append(_group(r, masked, complete_idx, fill)[0])
         rows_r = dataset.rows_of(r)
         g_own, folds_r = _group(big_r + r, dataset.values[rows_r], rows_r, fill)
@@ -818,12 +818,14 @@ def cross_fit(
         )
     factory = _imputer_factory(imputer)
     rng = np.random.default_rng(seed)
+    cells = (dataset.n_patterns + 1) * k_folds
     ids = None
     for _ in range(_CROSS_FIT_ATTEMPTS):
         perm = rng.permutation(n_rows)
         cand = np.empty(n_rows, dtype=int)
         cand[perm] = np.arange(n_rows) % k_folds
-        if _folds_cover_patterns(dataset, cand, k_folds):
+        # every (pattern, fold) cell holds a row
+        if np.bincount(dataset.pattern_ids * k_folds + cand, minlength=cells).all():
             ids = cand
             break
     if ids is None:
@@ -833,14 +835,6 @@ def cross_fit(
         )
     models = tuple(factory(dataset.values[ids != k]) for k in range(k_folds))
     return FoldedImputers(ids, models)
-
-
-def _folds_cover_patterns(dataset, fold_ids, k_folds) -> bool:
-    for pid in range(dataset.n_patterns + 1):
-        present = np.bincount(fold_ids[dataset.rows_of(pid)], minlength=k_folds)
-        if (present == 0).any():
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

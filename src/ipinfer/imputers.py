@@ -242,7 +242,7 @@ class GaussianConditionalImputer(ImputationModel):
         miss = np.isnan(arr)
         if not miss.any():
             return
-        for key, rows in _pattern_groups(miss).items():
+        for key, rows in pattern_groups(miss).items():
             o_cols, m_cols, coef = self._pattern_coefficients(key)
             if coef is None:
                 arr[np.ix_(rows, m_cols)] = self.mu[m_cols]
@@ -251,7 +251,7 @@ class GaussianConditionalImputer(ImputationModel):
             arr[np.ix_(rows, m_cols)] = self.mu[m_cols] + resid @ coef.T
 
 
-def _pattern_groups(miss: np.ndarray) -> dict[bytes, np.ndarray]:
+def pattern_groups(miss: np.ndarray) -> dict[bytes, np.ndarray]:
     """Group row indices by their missingness row, skipping complete rows.
 
     Keys are the rows' boolean bytes, in order of first appearance; the
@@ -315,7 +315,7 @@ def _em_gaussian(matrix, observed):
     # pattern order fixes the order cond_mass sums in
     plans = [
         _PatternPlan(key, rows, matrix)
-        for key, rows in _pattern_groups(~observed).items()
+        for key, rows in pattern_groups(~observed).items()
     ]
     observed_only = np.where(observed, matrix, 0.0)
     n_iter = 0
@@ -411,7 +411,7 @@ class ChainedRegressionImputer(ImputationModel):
         return cls(d, intercepts, coefs, n_sweeps)
 
     def _fill_missing(self, arr):
-        for key, rows in _pattern_groups(np.isnan(arr)).items():
+        for key, rows in pattern_groups(np.isnan(arr)).items():
             m_idx = np.frombuffer(key, dtype=bool)
             b_m = self.coefs[m_idx]
             system = np.eye(b_m.shape[0]) - b_m[:, m_idx]

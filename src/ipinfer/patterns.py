@@ -1,10 +1,12 @@
 """Missingness patterns, masking, and pattern-partitioned datasets.
 
 A missingness pattern is a boolean mask over the d data coordinates, True
-where a coordinate is observed.  Inside data arrays, missing cells are IEEE
-NaN; the pattern masks are authoritative and legitimate data must be finite.
-Pattern id 0 is always the fully observed pattern; nontrivial patterns get
-ids 1..R in order of first appearance in the data.
+where a coordinate is observed.  A dataset is a value matrix, one pattern
+id per row, and a read-only (R + 1, d) table of the masks the ids index.
+Inside the value matrix, missing cells are IEEE NaN, exactly where the
+row's mask is False; legitimate data must be finite.  Pattern id 0 is
+always the fully observed pattern (an all-True row of the table);
+nontrivial patterns get ids 1..R in order of first appearance in the data.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DataError, DimensionError, UnusableDatasetError
+from .imputers import pattern_groups
 
 MISSING = np.nan
 
@@ -24,44 +27,18 @@ COMPLETE_PATTERN_ID = 0
 _NA_TOKENS = frozenset({"", "NA"})
 
 
-@dataclass(frozen=True)
-class Pattern:
-    """A missingness pattern: a boolean observation mask with an id."""
-
-    pattern_id: int
-    mask: np.ndarray
-
-    def __post_init__(self) -> None:
-        mask = np.asarray(self.mask, dtype=bool)
-        if mask.ndim != 1 or mask.size == 0:
-            raise DimensionError("pattern mask must be a nonempty 1-d boolean array")
-        mask = mask.copy()
-        mask.flags.writeable = False
-        object.__setattr__(self, "mask", mask)
-
-    @property
-    def d(self) -> int:
-        return int(self.mask.size)
-
-    @property
-    def observed_indices(self) -> np.ndarray:
-        return np.flatnonzero(self.mask)
-
-    def key(self) -> bytes:
-        """Hashable identity of the mask, independent of the id."""
-        return self.mask.tobytes()
-
-
-def mask_matrix(values: np.ndarray, pattern: Pattern) -> np.ndarray:
-    """Apply a pattern to every row of a matrix, NaN-ing the unobserved cells."""
+def mask_matrix(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Apply an observation mask to every row of a matrix, NaN-ing the
+    unobserved cells."""
     v = np.asarray(values, dtype=float)
-    if v.ndim != 2 or v.shape[1] != pattern.d:
+    mask = np.asarray(mask, dtype=bool)
+    if v.ndim != 2 or mask.shape != (v.shape[1],):
         raise DimensionError(
             f"matrix has width {v.shape[-1] if v.ndim == 2 else '?'}, "
-            f"pattern expects {pattern.d}"
+            f"mask has shape {mask.shape}"
         )
     out = v.copy()
-    out[:, ~pattern.mask] = MISSING
+    out[:, ~mask] = MISSING
     return out
 
 
@@ -71,17 +48,22 @@ class PatternedDataset:
 
     Attributes:
         values: (N, d) float matrix, NaN exactly at unobserved cells.
-        pattern_ids: (N,) int array, each row's pattern id.
-        registry: tuple of Pattern, indexed by pattern id; registry[0] is
-            the complete pattern.
+        pattern_ids: (N,) int array, each row's pattern id in [0, R].
+        masks: read-only (R + 1, d) bool table, True where a pattern
+            observes a coordinate; masks[0] is the complete pattern.
         target_dims: sorted coordinate indices the loss acts on.
         dropped_rows: rows removed because their pattern fell below the
             minimum count at construction.
+
+    Raises:
+        DimensionError: if the shapes disagree, or masks[0] is not all True.
+        DataError: if an id is outside [0, R], or a row's NaN cells are not
+            exactly the cells its pattern leaves unobserved.
     """
 
     values: np.ndarray
     pattern_ids: np.ndarray
-    registry: tuple[Pattern, ...]
+    masks: np.ndarray
     target_dims: tuple[int, ...]
     dropped_rows: int = 0
     _groups: tuple[np.ndarray, ...] = field(init=False, repr=False)
@@ -89,19 +71,31 @@ class PatternedDataset:
     def __post_init__(self) -> None:
         values = np.asarray(self.values, dtype=float)
         ids = np.asarray(self.pattern_ids, dtype=int)
+        masks = np.asarray(self.masks, dtype=bool)
         if values.ndim != 2:
             raise DimensionError("values must be a 2-d matrix")
         if ids.shape != (values.shape[0],):
             raise DimensionError("pattern_ids must align with rows")
+        if masks.ndim != 2 or masks.shape[0] == 0 or masks.shape[1] != values.shape[1]:
+            raise DimensionError(
+                f"masks must be an (R + 1, {values.shape[1]}) table, got {masks.shape}"
+            )
+        if not masks[COMPLETE_PATTERN_ID].all():
+            raise DimensionError("masks[0] must be the complete pattern")
+        if ids.size and not (0 <= ids.min() and ids.max() < masks.shape[0]):
+            raise DataError(f"pattern ids must lie in [0, {masks.shape[0] - 1}]")
+        if not np.array_equal(np.isnan(values), ~masks[ids]):
+            raise DataError("values must be NaN exactly where a row's pattern is unobserved")
         values = values.copy()
         values.flags.writeable = False
         ids = ids.copy()
         ids.flags.writeable = False
-        groups = tuple(
-            np.flatnonzero(ids == pid) for pid in range(len(self.registry))
-        )
+        masks = masks.copy()
+        masks.flags.writeable = False
+        groups = tuple(np.flatnonzero(ids == pid) for pid in range(masks.shape[0]))
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "pattern_ids", ids)
+        object.__setattr__(self, "masks", masks)
         object.__setattr__(self, "_groups", groups)
 
     # -- sizes ------------------------------------------------------------
@@ -123,10 +117,10 @@ class PatternedDataset:
     @property
     def n_patterns(self) -> int:
         """Number of nontrivial patterns R."""
-        return len(self.registry) - 1
+        return self.masks.shape[0] - 1
 
     def pattern_counts(self) -> np.ndarray:
-        """Row counts aligned with the registry (index 0 = complete)."""
+        """Row counts aligned with masks (index 0 = complete)."""
         return np.array([g.size for g in self._groups], dtype=int)
 
     # -- row access -------------------------------------------------------
@@ -145,27 +139,21 @@ class PatternedDataset:
     def subset(self, row_indices) -> "PatternedDataset":
         """Dataset restricted to the given rows.
 
-        The registry is rebuilt: patterns that lose all their rows are
-        dropped and the survivors are renumbered, preserving the original
-        id order (the complete pattern keeps id 0 and must survive).
+        Patterns that lose all their rows are dropped and the survivors are
+        renumbered, preserving the original id order (the complete pattern
+        keeps id 0 and must survive).
         """
         idx = np.asarray(row_indices, dtype=int)
         if idx.ndim != 1:
             raise DimensionError("row_indices must be 1-d")
         sub_values = self.values[idx]
         sub_ids = self.pattern_ids[idx]
-        if not np.any(sub_ids == COMPLETE_PATTERN_ID):
+        present = np.bincount(sub_ids, minlength=self.masks.shape[0]) > 0
+        if not present[COMPLETE_PATTERN_ID]:
             raise UnusableDatasetError("subset contains no complete rows")
-        surviving = [
-            pid for pid in range(len(self.registry)) if np.any(sub_ids == pid)
-        ]
-        remap = {old: new for new, old in enumerate(surviving)}
-        new_registry = tuple(
-            Pattern(remap[pid], self.registry[pid].mask) for pid in surviving
-        )
-        new_ids = np.array([remap[pid] for pid in sub_ids], dtype=int)
+        new_ids = (np.cumsum(present) - 1)[sub_ids]
         return PatternedDataset(
-            sub_values, new_ids, new_registry, self.target_dims, self.dropped_rows
+            sub_values, new_ids, self.masks[present], self.target_dims, self.dropped_rows
         )
 
     def restrict_to_patterns(self, pattern_ids) -> "PatternedDataset":
@@ -179,7 +167,7 @@ class PatternedDataset:
         return self.subset(np.flatnonzero(mask))
 
     def _check_pattern_id(self, pattern_id: int) -> None:
-        if not 0 <= pattern_id < len(self.registry):
+        if not 0 <= pattern_id < self.masks.shape[0]:
             raise ConfigError(f"unknown pattern id {pattern_id}")
 
 
@@ -211,48 +199,24 @@ def build_dataset(
         raise DimensionError("raw values must be a matrix with at least one column")
     if values.shape[0] == 0:
         raise UnusableDatasetError("dataset has no rows")
-    d = values.shape[1]
-    dims = _validate_target_dims(target_dims, d)
+    dims = _validate_target_dims(target_dims, values.shape[1])
 
     observed = ~np.isnan(values)
     complete = observed.all(axis=1)
     if not complete.any():
         raise UnusableDatasetError("dataset has no complete rows")
 
-    # Group nontrivial rows by mask bytes, keeping first-appearance order.
-    packed = np.packbits(observed, axis=1)
-    key_to_rows: dict[bytes, list[int]] = {}
-    order: list[bytes] = []
-    for i in np.flatnonzero(~complete):
-        key = packed[i].tobytes()
-        rows = key_to_rows.get(key)
-        if rows is None:
-            key_to_rows[key] = [i]
-            order.append(key)
-        else:
-            rows.append(i)
-
-    keep_rows = [np.flatnonzero(complete)]
-    masks: list[np.ndarray] = []
+    ids = np.where(complete, COMPLETE_PATTERN_ID, -1)
+    masks = [np.ones(values.shape[1], dtype=bool)]
     dropped = 0
-    for key in order:
-        rows = key_to_rows[key]
-        if len(rows) < min_pattern_count:
-            dropped += len(rows)
+    for rows in pattern_groups(~observed).values():
+        if rows.size < min_pattern_count:
+            dropped += rows.size
             continue
-        keep_rows.append(np.asarray(rows, dtype=int))
-        masks.append(observed[rows[0]].copy())
-
-    kept = np.sort(np.concatenate(keep_rows))
-    registry = [Pattern(0, np.ones(d, dtype=bool))]
-    registry.extend(Pattern(r + 1, mask) for r, mask in enumerate(masks))
-
-    mask_key_to_id = {p.key(): p.pattern_id for p in registry}
-    ids = np.empty(kept.size, dtype=int)
-    for out_i, i in enumerate(kept):
-        ids[out_i] = mask_key_to_id[observed[i].tobytes()]
-
-    return PatternedDataset(values[kept], ids, tuple(registry), dims, dropped)
+        ids[rows] = len(masks)
+        masks.append(observed[rows[0]])
+    kept = ids >= 0
+    return PatternedDataset(values[kept], ids[kept], np.array(masks), dims, dropped)
 
 
 def _validate_target_dims(target_dims, d: int) -> tuple[int, ...]:

@@ -7,6 +7,8 @@ against a second route.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 from scipy import optimize
 
@@ -201,3 +203,104 @@ def em_gaussian(matrix, observed):
     if eigs[0] < -1e-8 * max(1.0, eigs[-1]):
         raise ValueError("EM produced a non-PSD covariance")
     return mu, sigma, n_iter
+
+
+# ---------------------------------------------------------------------------
+# Pattern discovery as it was before datasets held one mask table: a
+# dict from mask bytes to row lists, a registry of Pattern objects, and
+# per-row id and renumbering loops.  Kept verbatim apart from the error
+# types (ValueError) and target_dims, which are stored without range checks.
+
+
+@dataclass(frozen=True)
+class Pattern:
+    """A missingness pattern: a boolean observation mask with an id."""
+
+    pattern_id: int
+    mask: np.ndarray
+
+    def key(self) -> bytes:
+        """Hashable identity of the mask, independent of the id."""
+        return self.mask.tobytes()
+
+
+@dataclass(frozen=True)
+class RegistryDataset:
+    """Rows partitioned by missingness pattern, patterns in a registry."""
+
+    values: np.ndarray
+    pattern_ids: np.ndarray
+    registry: tuple[Pattern, ...]
+    target_dims: tuple[int, ...]
+    dropped_rows: int = 0
+
+    @property
+    def masks(self) -> np.ndarray:
+        """The registry as an (R + 1, d) mask table."""
+        return np.array([p.mask for p in self.registry], dtype=bool)
+
+    def subset(self, row_indices) -> "RegistryDataset":
+        idx = np.asarray(row_indices, dtype=int)
+        sub_values = self.values[idx]
+        sub_ids = self.pattern_ids[idx]
+        if not np.any(sub_ids == 0):
+            raise ValueError("subset contains no complete rows")
+        surviving = [
+            pid for pid in range(len(self.registry)) if np.any(sub_ids == pid)
+        ]
+        remap = {old: new for new, old in enumerate(surviving)}
+        new_registry = tuple(
+            Pattern(remap[pid], self.registry[pid].mask) for pid in surviving
+        )
+        new_ids = np.array([remap[pid] for pid in sub_ids], dtype=int)
+        return RegistryDataset(
+            sub_values, new_ids, new_registry, self.target_dims, self.dropped_rows
+        )
+
+
+def build_registry_dataset(
+    raw_values, target_dims, min_pattern_count: int = 1
+) -> RegistryDataset:
+    values = np.asarray(raw_values, dtype=float)
+    d = values.shape[1]
+    dims = tuple(sorted({int(t) for t in target_dims}))
+
+    observed = ~np.isnan(values)
+    complete = observed.all(axis=1)
+    if not complete.any():
+        raise ValueError("dataset has no complete rows")
+
+    # Group nontrivial rows by mask bytes, keeping first-appearance order.
+    packed = np.packbits(observed, axis=1)
+    key_to_rows: dict[bytes, list[int]] = {}
+    order: list[bytes] = []
+    for i in np.flatnonzero(~complete):
+        key = packed[i].tobytes()
+        rows = key_to_rows.get(key)
+        if rows is None:
+            key_to_rows[key] = [i]
+            order.append(key)
+        else:
+            rows.append(i)
+
+    keep_rows = [np.flatnonzero(complete)]
+    masks: list[np.ndarray] = []
+    dropped = 0
+    for key in order:
+        rows = key_to_rows[key]
+        if len(rows) < min_pattern_count:
+            dropped += len(rows)
+            continue
+        keep_rows.append(np.asarray(rows, dtype=int))
+        masks.append(observed[rows[0]].copy())
+
+    kept = np.sort(np.concatenate(keep_rows))
+    registry = [Pattern(0, np.ones(d, dtype=bool))]
+    registry.extend(Pattern(r + 1, mask) for r, mask in enumerate(masks))
+
+    mask_key_to_id = {p.key(): p.pattern_id for p in registry}
+    ids = np.empty(kept.size, dtype=int)
+    for out_i, i in enumerate(kept):
+        ids[out_i] = mask_key_to_id[observed[i].tobytes()]
+
+    return RegistryDataset(values[kept], ids, tuple(registry), dims, dropped)

@@ -34,7 +34,6 @@ PUBLIC_NAMES = [
     "MeanImputer",
     "MissingnessConfig",
     "NumericError",
-    "Pattern",
     "PatternedDataset",
     "RankDeficiencyError",
     "ScoreTables",
@@ -198,3 +197,27 @@ def test_fits_are_built_in_one_function():
                 ):
                     builders.add(f"{path.name}:{func.name}")
     assert builders == {"estimators.py:summarize_fit"}
+
+
+def _calls_packbits(node) -> bool:
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "packbits"
+    )
+
+
+def test_rows_are_grouped_by_mask_in_one_function():
+    # Datasets and the imputers group rows by missingness mask through one
+    # function, so every pattern numbering follows one first-appearance order.
+    callers, n_calls = set(), 0
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        n_calls += sum(map(_calls_packbits, ast.walk(tree)))
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                map(_calls_packbits, ast.walk(func))
+            ):
+                callers.add(f"{path.name}:{func.name}")
+    assert callers == {"imputers.py:pattern_groups"}
+    assert n_calls == 1

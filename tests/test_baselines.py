@@ -186,7 +186,7 @@ class TestMonomials:
         ds = build_dataset(matrix, target_dims=(0,))
         expected = sum(
             1 + k + k * (k + 1) // 2
-            for k in (int(ds.registry[r].mask.sum()) for r in (1, 2))
+            for k in (int(ds.masks[r].sum()) for r in (1, 2))
         )
         assert augmentation_dimension(ds) == expected
 
@@ -239,7 +239,7 @@ class TestAipw:
         score[complete_idx] = g / p0
         cols = []
         for r in (1, 2):
-            obs = ds.registry[r].observed_indices
+            obs = np.flatnonzero(ds.masks[r])
             width = 1 + obs.size + obs.size * (obs.size + 1) // 2
             block = np.zeros((n_rows, width))
             block[complete_idx] = (

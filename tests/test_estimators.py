@@ -45,7 +45,7 @@ from ipinfer.estimators import (
     zero_weights,
 )
 from ipinfer.diagnostics import apply_gradient_shift, t_full_test, t_ipi_test
-from ipinfer.patterns import Pattern, PatternedDataset, build_dataset, mask_matrix
+from ipinfer.patterns import PatternedDataset, build_dataset, mask_matrix
 
 from conftest import random_blockwise, three_pattern_tables
 from oracles import numeric_lambda_minimizer
@@ -170,11 +170,8 @@ class TestMaskingCancellation:
         complete = np.array([[1.0, 2.0], [2.0, 1.0], [3.0, 4.0], [6.0, 3.0]])
         values = np.vstack([complete, complete])
         ids = np.array([0, 0, 0, 0, 1, 1, 1, 1])
-        registry = (
-            Pattern(0, np.ones(2, dtype=bool)),
-            Pattern(1, np.ones(2, dtype=bool)),
-        )
-        ds = PatternedDataset(values, ids, registry, target_dims=(0,))
+        masks = np.ones((2, 2), dtype=bool)
+        ds = PatternedDataset(values, ids, masks, target_dims=(0,))
         loss = losses.mean_loss(1)
         model = imputers.fit(imputers.MEAN_KIND, complete)
         tables = score_tables(ds, loss, model, np.array([3.0]))
@@ -568,7 +565,7 @@ class TestFoldedTables:
             g = losses.grad_matrix(loss, mine[:, tdims], theta).mean(axis=0)
             h = losses.mean_hessian(loss, mine[:, tdims], theta)
             for r in range(1, ds.n_patterns + 1):
-                masked = model.fill(mask_matrix(mine, ds.registry[r]))[:, tdims]
+                masked = model.fill(mask_matrix(mine, ds.masks[r]))[:, tdims]
                 rows_r = ds.rows_of(r)
                 own_rows = rows_r[folded.fold_ids[rows_r] == j]
                 own = model.fill(ds.values[own_rows])[:, tdims]

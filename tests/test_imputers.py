@@ -262,7 +262,7 @@ class TestPatternPlans:
     def test_groups_match_reference(self, miss):
         # shuffled rows interleave the patterns
         miss = miss[np.random.default_rng(5).permutation(len(miss))]
-        groups = imputers._pattern_groups(miss)
+        groups = imputers.pattern_groups(miss)
         reference = oracles.pattern_groups(miss)
         assert list(groups) == list(reference)
         for key, rows in reference.items():
