@@ -3,8 +3,9 @@
 
 Plain IPI needs the imputer trained on rows it never touches at
 inference time. The cross-fitted variant folds the data, imputes each
-fold with a model trained on the others, and replaces the plug-in
-variance with an out-of-bag bootstrap, so no data is sacrificed.
+fold with a model trained on the others, and evaluates the plug-in
+variance on bootstrap models' out-of-bag-averaged imputations, so no
+data is sacrificed.
 
 Usage:
     python 03_cross_fitting.py

@@ -7,6 +7,8 @@ interchangeably.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from .errors import ConfigError, DataError, RankDeficiencyError
@@ -96,16 +98,13 @@ def _slice_tables(tables: ScoreTables, r: int) -> ScoreTables:
     i = r - 1
     if not 0 <= i < tables.n_patterns:
         raise ConfigError(f"unknown pattern id {r}")
-    return ScoreTables(
-        loss=tables.loss,
-        theta=tables.theta,
-        counts=tables.counts[i : i + 1],
-        g_complete=tables.g_complete,
-        g_masked=(tables.g_masked[i],),
-        g_imputed=(tables.g_imputed[i],),
-        fold_complete=tables.fold_complete,
-        fold_imputed=(tables.fold_imputed[i],),
-        h_complete=tables.h_complete,
+    rows = tables.pattern_imputed == i
+    return replace(
+        tables,
+        g_masked=tables.g_masked[i : i + 1],
+        g_imputed=tables.g_imputed[rows],
+        pattern_imputed=tables.pattern_imputed[rows] - i,
+        fold_imputed=tables.fold_imputed[rows],
         h_folds=tables.h_folds[:, [0, 1 + i, 1 + tables.n_patterns + i]],
     )
 

@@ -80,7 +80,7 @@ def _gap_moments(tables: ScoreTables) -> tuple[np.ndarray, np.ndarray]:
         tables.h_complete
     )
     transfer = np.hstack((mismatch.reshape(-1, p), np.eye(big_r * p)))
-    scaled = [(n / n_r) * cov for n_r, cov in zip(tables.counts, imputed)]
+    scaled = (n / tables.counts)[:, None, None] * imputed
     v = transfer @ joint @ transfer.T + linalg.block_diag(*scaled)
     return means[1 + big_r :] - means[1 : 1 + big_r], v
 
@@ -215,5 +215,5 @@ def apply_gradient_shift(tables: ScoreTables, shifts) -> ScoreTables:
         shifts = np.full(big_r, float(shifts))
     if shifts.shape != (big_r,):
         raise DataError(f"expected {big_r} shifts, got shape {shifts.shape}")
-    g_imputed = tuple(tables.g_imputed[r] + shifts[r] for r in range(big_r))
-    return replace(tables, g_imputed=g_imputed)
+    shifted = tables.g_imputed + shifts[tables.pattern_imputed][:, None]
+    return replace(tables, g_imputed=shifted)

@@ -36,7 +36,7 @@ from .errors import (
 )
 from .imputers import ImputationModel, fit as fit_imputer
 from .losses import LossModel, grad_matrix, mean_hessian, solve_complete_case
-from .patterns import COMPLETE_PATTERN_ID, PatternedDataset, mask_matrix
+from .patterns import PatternedDataset
 
 COMPLETE_CASE_HESSIAN = "complete_case_hessian"
 FULL_IPI_HESSIAN = "full_ipi_hessian"
@@ -108,24 +108,29 @@ class ScoreTables:
     Everything lambda-independent is computed once here; gradients,
     Hessians, variances, tuning, and diagnostics all read from the same
     tables.  g_masked[r] aligns row-for-row with g_complete (complete rows
-    masked by pattern r+1 and re-imputed); g_imputed[r] covers pattern
-    r+1's own rows.  Every row carries the id of the fold whose imputer
-    filled it: all zero for a single imputer (K = 1), 0..K-1 for
-    cross-fitted tables.  h_folds[j] holds fold j's mean Hessians of the
+    masked by pattern r+1 and re-imputed); g_imputed holds the incomplete
+    rows sorted by pattern, pattern_imputed[i] = r for pattern r+1's rows.
+    Every row carries the id of the fold whose imputer filled it (a masked
+    row its complete row's): all zero for a single imputer (K = 1), 0..K-1
+    for cross-fitted tables.  h_folds[j] holds fold j's mean Hessians of the
     1 + 2R row groups: the complete rows, the R masked groups, then the R
     pattern groups.  h_complete is the mean Hessian over all complete rows.
     """
 
     loss: LossModel
     theta: np.ndarray
-    counts: np.ndarray  # (R,) pattern-group sizes
     g_complete: np.ndarray  # (n, p)
-    g_masked: tuple[np.ndarray, ...]  # R x (n, p)
-    g_imputed: tuple[np.ndarray, ...]  # R x (counts[r], p)
+    g_masked: np.ndarray  # (R, n, p)
+    g_imputed: np.ndarray  # (N - n, p), sorted by pattern
+    pattern_imputed: np.ndarray  # (N - n,) pattern index r in 0..R-1
     fold_complete: np.ndarray  # (n,)
-    fold_imputed: tuple[np.ndarray, ...]  # R x (counts[r],)
+    fold_imputed: np.ndarray  # (N - n,)
     h_complete: np.ndarray  # (p, p)
     h_folds: np.ndarray  # (K, 1 + 2R, p, p)
+
+    def __post_init__(self) -> None:
+        if np.any(np.diff(self.pattern_imputed) < 0):
+            raise DataError("imputed score rows must be sorted by pattern")
 
     @property
     def n_complete(self) -> int:
@@ -133,7 +138,7 @@ class ScoreTables:
 
     @property
     def n_patterns(self) -> int:
-        return len(self.g_masked)
+        return int(self.g_masked.shape[0])
 
     @property
     def param_dim(self) -> int:
@@ -143,15 +148,14 @@ class ScoreTables:
     def k_folds(self) -> int:
         return int(self.h_folds.shape[0])
 
-    @property
-    def h_masked(self) -> np.ndarray:
-        """(R, p, p) fold-averaged mean Hessians of the masked complete rows."""
-        return self.h_folds[:, 1 : 1 + self.n_patterns].mean(axis=0)
+    @cached_property
+    def counts(self) -> np.ndarray:
+        """(R,) rows per pattern."""
+        return np.bincount(self.pattern_imputed, minlength=self.n_patterns)
 
-    @property
-    def h_imputed(self) -> np.ndarray:
-        """(R, p, p) fold-averaged mean Hessians of each pattern's own rows."""
-        return self.h_folds[:, 1 + self.n_patterns :].mean(axis=0)
+    def _by_pattern(self, rows: np.ndarray) -> list[np.ndarray]:
+        """The R per-pattern slices of an array aligned with g_imputed."""
+        return np.split(rows, np.cumsum(self.counts)[:-1])[: self.n_patterns]
 
     @cached_property
     def group_means(self) -> tuple[np.ndarray, np.ndarray]:
@@ -168,13 +172,12 @@ class ScoreTables:
             (gradient means (1 + 2R, p), mean Hessians (1 + 2R, p, p)).
         """
         big_r = self.n_patterns
-        groups = [(self.g_complete, self.fold_complete)]
-        groups += [(g, self.fold_complete) for g in self.g_masked]
-        groups += list(zip(self.g_imputed, self.fold_imputed))
+        groups = [self.g_complete, *self.g_masked, *self._by_pattern(self.g_imputed)]
+        folds = [self.fold_complete] * (1 + big_r) + self._by_pattern(self.fold_imputed)
         means = np.empty((self.k_folds, len(groups), self.param_dim))
-        for i, (rows, folds) in enumerate(groups):
+        for i, (rows, row_folds) in enumerate(zip(groups, folds)):
             for j in range(self.k_folds):
-                in_fold = folds == j
+                in_fold = row_folds == j
                 count = np.count_nonzero(in_fold)
                 if count == 0:
                     where = "complete rows" if i == 0 else f"rows of pattern {i - big_r}"
@@ -204,8 +207,9 @@ class ScoreTables:
             DataError: when the complete rows or a pattern hold fewer than
                 2 rows.
         """
+        per_pattern = self._by_pattern(self.g_imputed)
         groups = [("complete rows", self.g_complete)]
-        groups += [(f"pattern {r + 1}", g) for r, g in enumerate(self.g_imputed)]
+        groups += [(f"pattern {r + 1}", g) for r, g in enumerate(per_pattern)]
         for where, rows in groups:
             if rows.shape[0] < 2:
                 raise DataError(
@@ -214,7 +218,7 @@ class ScoreTables:
                 )
         p = self.param_dim
         joint = sample_cov(np.hstack((self.g_complete, *self.g_masked)))
-        imputed = np.array([sample_cov(g) for g in self.g_imputed]).reshape(-1, p, p)
+        imputed = np.array([sample_cov(g) for g in per_pattern]).reshape(-1, p, p)
         for array in (joint, imputed):
             array.flags.writeable = False
         return joint, imputed
@@ -248,53 +252,49 @@ def score_tables(
 
 
 def _build_tables(dataset, loss, theta, fold_ids, k_folds, fill) -> ScoreTables:
-    """Tables from fold-wise fills, one fill call per (fold, group) cell.
+    """Tables from fold-wise fills, one fill call per fold.
 
-    fill(j, rows, row_ids) imputes the rows of fold j, which sit at row_ids
-    in the dataset.  Each cell's filled rows are reduced to their mean
-    Hessian as soon as they are filled.
+    The rows stack in the 1 + 2R groups of h_folds: the complete rows, the
+    complete rows masked by each pattern, then the incomplete rows by
+    pattern.  fill(j, rows, row_ids) imputes fold j's masked and incomplete
+    rows (at row_ids in the dataset) in one batch, on which no row's fill
+    depends.  Groups, and their rows within a fold, are contiguous slices.
     """
     theta = np.asarray(theta, dtype=float)
     tdims = list(dataset.target_dims)
-    big_r = dataset.n_patterns
-    p = loss.param_dim
+    big_r, p, n = dataset.n_patterns, loss.param_dim, dataset.n_complete
+    order = np.argsort(dataset.pattern_ids, kind="stable")
+    complete_rows = dataset.values[order[:n]]
+    masked = np.where(dataset.masks[1:, None, :], complete_rows, np.nan)
+    stacked = np.vstack((complete_rows, *masked, dataset.values[order[n:]]))
+    row_ids = np.concatenate((np.tile(order[:n], 1 + big_r), order[n:]))
+    groups = np.repeat(np.arange(1 + big_r), n)
+    groups = np.concatenate((groups, big_r + dataset.pattern_ids[order[n:]]))
+    folds = fold_ids[row_ids]
+    starts = np.arange(1, 1 + 2 * big_r)  # of groups 1..2R in a sorted selection
     h_folds = np.full((k_folds, 1 + 2 * big_r, p, p), np.nan)
+    for j in range(k_folds):
+        in_fold = np.flatnonzero(folds == j)
+        to_fill = in_fold[groups[in_fold] > 0]
+        if to_fill.size:
+            stacked[to_fill] = fill(j, stacked[to_fill], row_ids[to_fill])
+        bounds = np.searchsorted(groups[in_fold], starts)
+        for group, cell in enumerate(np.split(stacked[in_fold][:, tdims], bounds)):
+            if len(cell):
+                h_folds[j, group] = mean_hessian(loss, cell, theta)
 
-    def _group(group, base, row_ids, fill_cell):
-        folds = fold_ids[row_ids]
-        out = base.copy()
-        for j in range(k_folds):
-            rows = np.flatnonzero(folds == j)
-            if rows.size:
-                filled = fill_cell(j, base[rows], row_ids[rows])
-                out[rows] = filled
-                h_folds[j, group] = mean_hessian(loss, filled[:, tdims], theta)
-        return grad_matrix(loss, out[:, tdims], theta), folds
-
-    complete_idx = dataset.rows_of(COMPLETE_PATTERN_ID)
-    complete_rows = dataset.values[complete_idx]
-    g_complete, fold_complete = _group(
-        0, complete_rows, complete_idx, lambda j, rows, row_ids: rows
-    )
-    g_masked, g_imputed, fold_imputed, counts = [], [], [], []
-    for r in range(1, big_r + 1):
-        masked = mask_matrix(complete_rows, dataset.masks[r])
-        g_masked.append(_group(r, masked, complete_idx, fill)[0])
-        rows_r = dataset.rows_of(r)
-        g_own, folds_r = _group(big_r + r, dataset.values[rows_r], rows_r, fill)
-        g_imputed.append(g_own)
-        fold_imputed.append(folds_r)
-        counts.append(rows_r.size)
-
+    # one call per group: the BLAS batches, and so the rounding, of tests/oracles.py
+    parts = np.split(stacked[:, tdims], np.searchsorted(groups, starts))
+    g = np.concatenate([grad_matrix(loss, part, theta) for part in parts])
     return ScoreTables(
         loss=loss,
         theta=theta,
-        counts=np.asarray(counts, dtype=int),
-        g_complete=g_complete,
-        g_masked=tuple(g_masked),
-        g_imputed=tuple(g_imputed),
-        fold_complete=fold_complete,
-        fold_imputed=tuple(fold_imputed),
+        g_complete=g[:n],
+        g_masked=g[n : n + big_r * n].reshape(big_r, n, p),
+        g_imputed=g[n + big_r * n :],
+        pattern_imputed=dataset.pattern_ids[order[n:]] - 1,
+        fold_complete=folds[:n],
+        fold_imputed=folds[n + big_r * n :],
         h_complete=mean_hessian(loss, complete_rows[:, tdims], theta),
         h_folds=h_folds,
     )
@@ -306,24 +306,22 @@ def _build_tables(dataset, loss, theta, fold_ids, k_folds, fill) -> ScoreTables:
 
 def ipi_grad(tables: ScoreTables, lam) -> np.ndarray:
     """Gradient of the weighted imputation-powered objective at tables.theta."""
-    lam = as_weights(lam, tables.n_patterns).lam
-    big_r = tables.n_patterns
-    means, _ = tables.group_means
-    g = means[0].copy()
-    for r in range(big_r):
-        g = g + (lam[r] / big_r) * (means[1 + big_r + r] - means[1 + r])
-    return g
+    return _weighted(tables.group_means[0], as_weights(lam, tables.n_patterns).lam)
 
 
 def full_ipi_hessian(tables: ScoreTables, lam) -> np.ndarray:
     """Hessian of the weighted objective itself (plug-in form)."""
-    lam = as_weights(lam, tables.n_patterns).lam
-    big_r = tables.n_patterns
-    _, hessians = tables.group_means
-    h = hessians[0].copy()
+    return _weighted(tables.group_means[1], as_weights(lam, tables.n_patterns).lam)
+
+
+def _weighted(means: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """means[0] + sum_r (lam_r / R) (means[1 + R + r] - means[1 + r]) over
+    the 1 + 2R group means of the gradient or the Hessian."""
+    big_r = lam.size
+    out = means[0].copy()
     for r in range(big_r):
-        h += (lam[r] / big_r) * (hessians[1 + big_r + r] - hessians[1 + r])
-    return h
+        out = out + (lam[r] / big_r) * (means[1 + big_r + r] - means[1 + r])
+    return out
 
 
 def _select_hessian(tables: ScoreTables, weights: TuningWeights, hessian_mode: str):
@@ -852,13 +850,15 @@ def bootstrap_variance(
     seed,
     hessian=None,
 ) -> np.ndarray:
-    """Bootstrap-averaged sandwich variance for the cross-fitted estimator.
+    """Plug-in sandwich variance on out-of-bag-averaged score tables.
 
     Trains n_boot imputers on bootstrap multisets of size
-    floor(N (K-1) / K), averages each row's imputed values over the models
-    whose sample missed the row, and evaluates the plug-in variance formula
-    on those averaged imputations.  Resamples are redrawn (up to 100
-    attempts) until every row is out-of-bag for at least one model.
+    floor(N (K-1) / K).  Each model fills, in one call, the table rows its
+    sample missed; estimate_variance then reads the tables of those fills
+    averaged per row.  It never measures how the estimate moves across
+    imputer fits, so it adds no term for the imputer's estimation noise.
+    Resamples are redrawn (at most 100 redraws) until every row is
+    out-of-bag for at least one model.
 
     Args:
         theta: reference parameter (the complete-case estimate).
@@ -885,21 +885,19 @@ def bootstrap_variance(
 
     draws = [rng.integers(0, n_rows, size) for _ in range(n_boot)]
     in_bag = np.zeros((n_boot, n_rows), dtype=bool)
-    for b, idx in enumerate(draws):
-        in_bag[b, idx] = True
-    for attempt in range(_BOOTSTRAP_ATTEMPTS):
-        uncovered = np.flatnonzero(in_bag.all(axis=0))
-        if uncovered.size == 0:
-            break
-        b = attempt % n_boot
+    in_bag[np.arange(n_boot)[:, None], np.array(draws)] = True
+    redraws = 0
+    while in_bag.all(axis=0).any():
+        if redraws == _BOOTSTRAP_ATTEMPTS:
+            raise DataError(
+                "some rows were in-bag for every bootstrap model; "
+                "increase n_boot or k_folds"
+            )
+        b = redraws % n_boot
         draws[b] = rng.integers(0, n_rows, size)
         in_bag[b] = False
         in_bag[b, draws[b]] = True
-    else:
-        raise DataError(
-            "some rows were in-bag for every bootstrap model; "
-            "increase n_boot or k_folds"
-        )
+        redraws += 1
 
     models = [factory(dataset.values[idx]) for idx in draws]
     oob = ~in_bag
@@ -933,11 +931,12 @@ def cipi_fit(
     mcar: bool = True,
     seed=0,
 ) -> IPIFit:
-    """Cross-fitted fit with bootstrap-averaged variance.
+    """Cross-fitted fit with the bootstrap variance.
 
-    The imputer is retrained K times (each fold scored by models that never
-    saw it) so no training/inference split is needed, and the variance uses
-    bootstrap model averaging to absorb the imputer's sampling noise.
+    The imputer is retrained K times, each fold scored by the model that
+    never saw it, so no training/inference split is needed.  The variance
+    is bootstrap_variance: the plug-in sandwich on n_boot more models'
+    out-of-bag-averaged fills.
 
     Args:
         imputer: imputer kind string or factory(matrix).

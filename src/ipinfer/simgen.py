@@ -551,7 +551,7 @@ def gen_shift_experiment(
 
 def _shift_trial(config, trial, population, settings, include_full) -> list:
     """One trial's (weighted, full) p-values under every shift setting;
-    (None, None) where the build or that setting's tests failed."""
+    (None, None) where no pattern survives or a build or test failed."""
     loss, target_dims = config.make_loss()
 
     def build():
@@ -559,7 +559,7 @@ def _shift_trial(config, trial, population, settings, include_full) -> list:
         return _split_tables(config, dataset, loss, rng)["tables"]
 
     tables = _unless_failed(build)
-    if tables is None:
+    if tables is None or tables.n_patterns == 0:
         return [(None, None)] * len(settings)
     return [
         _unless_failed(_shift_p_values, tables, s, config.objective, include_full)

@@ -2,15 +2,20 @@
 
 Everything in this module is deliberately written from the mathematical
 definitions, without calling into ipinfer, so tests can compare the library
-against a second route.
+against a second route.  The one exception is the reference score tables at
+the end, which call the library's per-row loss gradients and Hessians: they
+pin the table layout and the fill calls, not the losses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import optimize
+
+from ipinfer.losses import grad_matrix, mean_hessian
 
 
 def finite_difference_gradient(f, theta: np.ndarray, eps: float = 1e-6) -> np.ndarray:
@@ -304,3 +309,127 @@ def build_registry_dataset(
         ids[out_i] = mask_key_to_id[observed[i].tobytes()]
 
     return RegistryDataset(values[kept], ids, tuple(registry), dims, dropped)
+
+
+# ---------------------------------------------------------------------------
+# Score tables as they were before the tables were stacked: R-tuples of
+# ragged per-pattern arrays, built with one fill call per (fold, group)
+# cell.  Kept as they were apart from the error type (ValueError), the
+# masking (inline), the read-only flags and the properties nothing reads.
+
+
+def _sample_cov(rows: np.ndarray) -> np.ndarray:
+    m = rows.shape[0]
+    if m < 2:
+        raise ValueError("covariance needs at least 2 rows")
+    centered = rows - rows.mean(axis=0)
+    return centered.T @ centered / (m - 1)
+
+
+@dataclass(frozen=True)
+class TupleScoreTables:
+    """Per-row gradients and per-fold mean Hessians at a reference parameter."""
+
+    loss: object
+    theta: np.ndarray
+    counts: np.ndarray  # (R,) pattern-group sizes
+    g_complete: np.ndarray  # (n, p)
+    g_masked: tuple[np.ndarray, ...]  # R x (n, p)
+    g_imputed: tuple[np.ndarray, ...]  # R x (counts[r], p)
+    fold_complete: np.ndarray  # (n,)
+    fold_imputed: tuple[np.ndarray, ...]  # R x (counts[r],)
+    h_complete: np.ndarray  # (p, p)
+    h_folds: np.ndarray  # (K, 1 + 2R, p, p)
+
+    @property
+    def n_complete(self) -> int:
+        return int(self.g_complete.shape[0])
+
+    @property
+    def n_patterns(self) -> int:
+        return len(self.g_masked)
+
+    @property
+    def param_dim(self) -> int:
+        return int(self.g_complete.shape[1])
+
+    @property
+    def k_folds(self) -> int:
+        return int(self.h_folds.shape[0])
+
+    @cached_property
+    def group_means(self) -> tuple[np.ndarray, np.ndarray]:
+        big_r = self.n_patterns
+        groups = [(self.g_complete, self.fold_complete)]
+        groups += [(g, self.fold_complete) for g in self.g_masked]
+        groups += list(zip(self.g_imputed, self.fold_imputed))
+        means = np.empty((self.k_folds, len(groups), self.param_dim))
+        for i, (rows, folds) in enumerate(groups):
+            for j in range(self.k_folds):
+                in_fold = folds == j
+                count = np.count_nonzero(in_fold)
+                if count == 0:
+                    where = "complete rows" if i == 0 else f"rows of pattern {i - big_r}"
+                    raise ValueError(f"fold {j} has no {where}")
+                means[j, i] = np.add.reduce(rows, axis=0, where=in_fold[:, None]) / count
+        return means.mean(axis=0), self.h_folds.mean(axis=0)
+
+    @cached_property
+    def score_cov(self) -> tuple[np.ndarray, np.ndarray]:
+        p = self.param_dim
+        joint = _sample_cov(np.hstack((self.g_complete, *self.g_masked)))
+        imputed = np.array([_sample_cov(g) for g in self.g_imputed]).reshape(-1, p, p)
+        return joint, imputed
+
+
+def build_tuple_tables(dataset, loss, theta, fold_ids, k_folds, fill) -> TupleScoreTables:
+    """Tables from fold-wise fills, one fill call per (fold, group) cell.
+
+    fill(j, rows, row_ids) imputes the rows of fold j, which sit at row_ids
+    in the dataset.
+    """
+    theta = np.asarray(theta, dtype=float)
+    tdims = list(dataset.target_dims)
+    big_r = dataset.n_patterns
+    p = loss.param_dim
+    h_folds = np.full((k_folds, 1 + 2 * big_r, p, p), np.nan)
+
+    def _group(group, base, row_ids, fill_cell):
+        folds = fold_ids[row_ids]
+        out = base.copy()
+        for j in range(k_folds):
+            rows = np.flatnonzero(folds == j)
+            if rows.size:
+                filled = fill_cell(j, base[rows], row_ids[rows])
+                out[rows] = filled
+                h_folds[j, group] = mean_hessian(loss, filled[:, tdims], theta)
+        return grad_matrix(loss, out[:, tdims], theta), folds
+
+    complete_idx = dataset.rows_of(0)
+    complete_rows = dataset.values[complete_idx]
+    g_complete, fold_complete = _group(
+        0, complete_rows, complete_idx, lambda j, rows, row_ids: rows
+    )
+    g_masked, g_imputed, fold_imputed, counts = [], [], [], []
+    for r in range(1, big_r + 1):
+        masked = complete_rows.copy()
+        masked[:, ~dataset.masks[r]] = np.nan
+        g_masked.append(_group(r, masked, complete_idx, fill)[0])
+        rows_r = dataset.rows_of(r)
+        g_own, folds_r = _group(big_r + r, dataset.values[rows_r], rows_r, fill)
+        g_imputed.append(g_own)
+        fold_imputed.append(folds_r)
+        counts.append(rows_r.size)
+
+    return TupleScoreTables(
+        loss=loss,
+        theta=theta,
+        counts=np.asarray(counts, dtype=int),
+        g_complete=g_complete,
+        g_masked=tuple(g_masked),
+        g_imputed=tuple(g_imputed),
+        fold_complete=fold_complete,
+        fold_imputed=tuple(fold_imputed),
+        h_complete=mean_hessian(loss, complete_rows[:, tdims], theta),
+        h_folds=h_folds,
+    )

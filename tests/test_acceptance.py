@@ -238,7 +238,7 @@ def _plug_in_trace(tables):
         for r in range(big_r):
             n_r = int(tables.counts[r])
             v = v + (lam[r] / big_r) ** 2 * (n / n_r) * np.atleast_2d(
-                np.cov(tables.g_imputed[r], rowvar=False, ddof=1)
+                np.cov(tables.g_imputed[tables.pattern_imputed == r], rowvar=False, ddof=1)
             )
         return float(np.trace(h_inv @ v @ h_inv.T))
 

@@ -1046,6 +1046,24 @@ class TestSimulate:
         assert lines[0] == "magnitude,trial,p_value_weighted,p_value_full"
         assert len(lines) == 1 + 2 * 3
 
+    def test_shift_run_that_tests_no_pattern_has_no_rate(self, capsys, tmp_path):
+        # min_pattern_count 190 drops every pattern of the 150 + 1,500 rows,
+        # so no trial tests anything: each counts as a failure and no
+        # setting reports a rejection rate.
+        cfg = write_config(tmp_path / "c.json", {
+            "experiment": "shift", "n_complete": 150, "min_pattern_count": 190,
+            "imputer": "mean", "trials": 2, "shift_magnitudes": [0.0, 0.1],
+        })
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        capsys.readouterr()
+        payload = json.loads((out / "shift.json").read_text())
+        assert payload["rejection_rates"] == {
+            "weighted": {level: [None, None] for level in ("0.01", "0.05", "0.10")}
+        }
+        assert payload["failures"] == 2 * 2
+        validate(payload, "metrics-v1")
+
 
 # The config fuzz tests draw each field of a command's table in cli.FIELDS
 # from its default or the bounded values of its kind that its row accepts,

@@ -74,10 +74,11 @@ class TestWeightedTest:
         # float error, so build tables whose gap is identically zero.
         t = fixture_tables(eight_row)
         zeroed = ScoreTables(
-            loss=t.loss, theta=t.theta, counts=t.counts,
+            loss=t.loss, theta=t.theta,
             g_complete=t.g_complete,
             g_masked=t.g_masked,
-            g_imputed=(t.g_masked[0].copy(),),
+            g_imputed=t.g_masked[0].copy(),
+            pattern_imputed=t.pattern_imputed,
             fold_complete=t.fold_complete, fold_imputed=t.fold_imputed,
             h_complete=t.h_complete, h_folds=t.h_folds,
         )
@@ -127,8 +128,8 @@ class TestScaleInvariance:
         scaled = replace(
             t,
             g_complete=kappa * t.g_complete,
-            g_masked=tuple(kappa * g for g in t.g_masked),
-            g_imputed=tuple(kappa * g for g in t.g_imputed),
+            g_masked=kappa * t.g_masked,
+            g_imputed=kappa * t.g_imputed,
         )
         base = t_ipi_test(t, lambda_hat=[0.5, 0.8])
         resc = t_ipi_test(scaled, lambda_hat=[0.5, 0.8])
@@ -144,9 +145,10 @@ class TestSingularCovariance:
         g_imputed = np.array([[3.0, 3.0], [1.0, 1.0], [5.0, 5.0], [3.0, 3.0]])
         eye = np.eye(2)
         return ScoreTables(
-            loss=loss, theta=np.zeros(2), counts=np.array([4]),
-            g_complete=g_complete, g_masked=(g_masked,), g_imputed=(g_imputed,),
-            fold_complete=np.zeros(4, dtype=int), fold_imputed=(np.zeros(4, dtype=int),),
+            loss=loss, theta=np.zeros(2),
+            g_complete=g_complete, g_masked=g_masked[None], g_imputed=g_imputed,
+            pattern_imputed=np.zeros(4, dtype=int),
+            fold_complete=np.zeros(4, dtype=int), fold_imputed=np.zeros(4, dtype=int),
             h_complete=eye, h_folds=np.array([[eye, eye, eye]]),
         )
 
@@ -159,10 +161,11 @@ class TestSingularCovariance:
     def test_hopeless_covariance_reports_undefined(self):
         t = self.crafted_tables()
         constant = ScoreTables(
-            loss=t.loss, theta=t.theta, counts=t.counts,
+            loss=t.loss, theta=t.theta,
             g_complete=t.g_complete,
-            g_masked=(np.zeros((4, 2)),),
-            g_imputed=(np.ones((4, 2)),),
+            g_masked=np.zeros((1, 4, 2)),
+            g_imputed=np.ones((4, 2)),
+            pattern_imputed=t.pattern_imputed,
             fold_complete=t.fold_complete, fold_imputed=t.fold_imputed,
             h_complete=t.h_complete, h_folds=t.h_folds,
         )
@@ -215,7 +218,7 @@ class TestGradientShift:
         shifted = apply_gradient_shift(t, 0.7)
         assert np.array_equal(shifted.g_masked[0], t.g_masked[0])
         assert np.array_equal(shifted.g_complete, t.g_complete)
-        assert np.allclose(shifted.g_imputed[0], t.g_imputed[0] + 0.7)
+        assert np.allclose(shifted.g_imputed, t.g_imputed + 0.7)
 
     def test_chi_square_follows_shifted_gap(self, eight_row):
         t = fixture_tables(eight_row)
@@ -234,7 +237,7 @@ class TestGradientShift:
     def test_vector_shift_and_validation(self, eight_row):
         t = fixture_tables(eight_row)
         shifted = apply_gradient_shift(t, [1.5])
-        assert np.allclose(shifted.g_imputed[0], t.g_imputed[0] + 1.5)
+        assert np.allclose(shifted.g_imputed, t.g_imputed + 1.5)
         with pytest.raises(DataError, match="shifts"):
             apply_gradient_shift(t, [1.0, 2.0])
 

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from ipinfer import estimators, imputers, losses
+from ipinfer import estimators, imputers, losses, simgen
 from ipinfer.errors import ConfigError, DataError
 from ipinfer.estimators import (
     COMPLETE_CASE_HESSIAN,
@@ -48,6 +48,7 @@ from ipinfer.diagnostics import apply_gradient_shift, t_full_test, t_ipi_test
 from ipinfer.patterns import PatternedDataset, build_dataset, mask_matrix
 
 from conftest import random_blockwise, three_pattern_tables
+import oracles
 from oracles import numeric_lambda_minimizer
 
 nan = np.nan
@@ -79,20 +80,22 @@ class TestScoreTables:
         assert t.param_dim == 1
         assert list(t.counts) == [4]
         assert t.g_complete.shape == (4, 1)
-        assert t.g_masked[0].shape == (4, 1)
-        assert t.g_imputed[0].shape == (4, 1)
+        assert t.g_masked.shape == (1, 4, 1)
+        assert t.g_imputed.shape == (4, 1)
+        assert list(t.pattern_imputed) == [0] * 4
 
     def test_hand_computed_gradients(self, eight_row):
         t = fixture_tables(eight_row)
         assert np.allclose(t.g_complete[:, 0], G_COMPLETE, atol=1e-9)
         assert np.allclose(t.g_masked[0][:, 0], G_MASKED, atol=1e-9)
-        assert np.allclose(t.g_imputed[0][:, 0], G_IMPUTED, atol=1e-9)
+        assert np.allclose(t.g_imputed[:, 0], G_IMPUTED, atol=1e-9)
 
     def test_mean_loss_hessians_are_identity(self, eight_row):
         t = fixture_tables(eight_row)
         assert np.array_equal(t.h_complete, [[1.0]])
-        assert np.array_equal(t.h_masked[0], [[1.0]])
-        assert np.array_equal(t.h_imputed[0], [[1.0]])
+        _, hessians = t.group_means  # complete, masked, then imputed rows
+        assert np.array_equal(hessians[1], [[1.0]])
+        assert np.array_equal(hessians[2], [[1.0]])
 
 
 class TestWeights:
@@ -176,7 +179,7 @@ class TestMaskingCancellation:
         model = imputers.fit(imputers.MEAN_KIND, complete)
         tables = score_tables(ds, loss, model, np.array([3.0]))
         assert np.array_equal(tables.g_masked[0], tables.g_complete)
-        assert np.array_equal(tables.g_imputed[0], tables.g_complete)
+        assert np.array_equal(tables.g_imputed, tables.g_complete)
         for lam in (0.3, 0.7, 1.0):
             est = ipi_point_estimate(tables, lam)
             base = ipi_point_estimate(tables, 0.0)
@@ -227,7 +230,7 @@ class TestTuning:
             for r in range(big_r):
                 n_r = int(tables.counts[r])
                 v = v + (lam[r] / big_r) ** 2 * (n / n_r) * np.cov(
-                    tables.g_imputed[r], rowvar=False, ddof=1
+                    tables.g_imputed[tables.pattern_imputed == r], rowvar=False, ddof=1
                 )
             return float(np.trace(np.atleast_2d(v)))
 
@@ -281,7 +284,7 @@ class TestVariance:
         middle = np.cov(resid, rowvar=False, ddof=1)
         for r in range(big_r):
             middle += (lam[r] / big_r) ** 2 * (n / tables.counts[r]) * np.cov(
-                tables.g_imputed[r], rowvar=False, ddof=1
+                tables.g_imputed[tables.pattern_imputed == r], rowvar=False, ddof=1
             )
         hinv = np.linalg.inv(tables.h_complete)
         assert not np.allclose(tables.h_complete, np.eye(2))
@@ -586,28 +589,6 @@ class TestFoldedTables:
         assert np.allclose(grad, np.mean(grads, axis=0), rtol=1e-10, atol=1e-12)
         assert np.allclose(hess, np.mean(hessians, axis=0), rtol=1e-10, atol=1e-12)
 
-    def test_each_fold_group_cell_is_filled_once(self, rng):
-        matrix = random_blockwise(rng, n_complete=16, per_pattern=8)
-        ds = build_dataset(matrix, target_dims=(0, 1))
-        fills = []
-
-        class Counting:
-            def __init__(self, model):
-                self.model = model
-
-            def fill(self, rows):
-                fills.append(rows.shape[0])
-                return self.model.fill(rows)
-
-        def factory(train):
-            return Counting(imputers.fit(imputers.MEAN_KIND, train))
-
-        folded = cross_fit(ds, 3, factory, seed=2)
-        score_tables(ds, losses.mean_loss(2), folded, np.zeros(2))
-        assert len(fills) == 2 * ds.n_patterns * 3
-        n_incomplete = ds.n_rows - ds.n_complete
-        assert sum(fills) == ds.n_complete * ds.n_patterns + n_incomplete
-
     @pytest.mark.parametrize("k_folds", [1, 3])
     def test_gradient_shift_is_weighted_gap_sum(self, rng, k_folds):
         ds, loss = self.regression(rng)
@@ -622,6 +603,49 @@ class TestFoldedTables:
         gaps = t_ipi_test(tables, lam).gaps
         expected = (lam[:, None] * gaps).sum(axis=0) / ds.n_patterns
         assert np.allclose(shift, expected, rtol=1e-10, atol=1e-13)
+
+
+@pytest.fixture
+def fill_calls(monkeypatch):
+    """Row counts of the ImputationModel.fill calls made during a test."""
+    calls = []
+    fill = imputers.ImputationModel.fill
+
+    def counting(self, values):
+        calls.append(np.atleast_2d(values).shape[0])
+        return fill(self, values)
+
+    monkeypatch.setattr(imputers.ImputationModel, "fill", counting)
+    return calls
+
+
+class TestFillCalls:
+    """Each model fills every row it scores in one call: the R masked
+    copies of its complete rows and its own incomplete rows."""
+
+    def dataset(self, rng):
+        matrix = random_blockwise(rng, n_complete=16, per_pattern=8)
+        return build_dataset(matrix, target_dims=(0, 1))
+
+    def test_single_model_fills_once(self, rng, fill_calls):
+        ds = self.dataset(rng)
+        model = imputers.fit(imputers.MEAN_KIND, ds.values)
+        score_tables(ds, losses.mean_loss(2), model, np.zeros(2))
+        n_incomplete = ds.n_rows - ds.n_complete
+        assert fill_calls == [ds.n_complete * ds.n_patterns + n_incomplete]
+
+    def test_cross_fitted_tables_fill_once_per_fold(self, rng, fill_calls):
+        ds = self.dataset(rng)
+        folded = cross_fit(ds, 3, imputers.MEAN_KIND, seed=2)
+        score_tables(ds, losses.mean_loss(2), folded, np.zeros(2))
+        assert len(fill_calls) == 3
+        n_incomplete = ds.n_rows - ds.n_complete
+        assert sum(fill_calls) == ds.n_complete * ds.n_patterns + n_incomplete
+
+    def test_cipi_fit_fills_once_per_model(self, rng, fill_calls):
+        ds = self.dataset(rng)
+        cipi_fit(ds, losses.mean_loss(2), imputers.MEAN_KIND, k_folds=3, n_boot=6, seed=1)
+        assert len(fill_calls) == 3 + 6
 
 
 class TestBootstrapVariance:
@@ -651,6 +675,20 @@ class TestBootstrapVariance:
         a = bootstrap_variance(*args, seed=7)
         b = bootstrap_variance(*args, seed=7)
         assert np.array_equal(a, b)
+
+    def test_attempts_count_redraws(self, rng, monkeypatch):
+        # With no redraws allowed, first draws that already leave every row
+        # out of some model's sample pass, and draws that do not are refused.
+        matrix = random_blockwise(rng, n_complete=20, per_pattern=8)
+        ds = build_dataset(matrix, target_dims=(0, 1))
+        loss = losses.mean_loss(2)
+        theta_n = losses.solve_complete_case(ds, loss)
+        lam = np.array([0.5, 0.5])
+        monkeypatch.setattr(estimators, "_BOOTSTRAP_ATTEMPTS", 0)
+        v = bootstrap_variance(ds, loss, theta_n, lam, 5, 30, imputers.MEAN_KIND, seed=2)
+        assert np.isfinite(v).all()
+        with pytest.raises(DataError, match="in-bag"):
+            bootstrap_variance(ds, loss, theta_n, lam, 2, 2, imputers.MEAN_KIND, seed=2)
 
     def test_parameter_validation(self, eight_row):
         with pytest.raises(ConfigError):
@@ -701,3 +739,101 @@ class TestCipiFit:
         b = cipi_fit(ds, losses.mean_loss(2), imputers.HOTDECK_KIND,
                      k_folds=4, n_boot=6, seed=4)
         assert not np.array_equal(a.se, b.se)
+
+
+class TestReferenceParity:
+    """The stacked tables equal the per-cell tuple tables they replaced
+    (tests/oracles.py): bitwise for every imputer but the gaussian one,
+    whose batched solves may round differently in a larger batch."""
+
+    def problem(self, rng, complete_only=False):
+        """Headline-shaped data (d = 20, R = 10, linear loss) at 500 rows:
+        the (22, 22) joint score covariance is large enough for a change in
+        its summation order to show in the last bit."""
+        config = simgen.ExperimentConfig(n_complete=100, ratio=4.0)
+        population = simgen.build_population(config.factor)
+        loss, dims = config.make_loss()
+        matrix = population.sample(rng, config.n_total())
+        ds = simgen.gen_mcar_missingness(matrix, config.missingness(), dims, rng)
+        if complete_only:
+            ds = ds.subset(ds.rows_of(0))
+        train = population.sample(rng, 200)
+        return ds, train, loss, losses.solve_complete_case(ds, loss)
+
+    @staticmethod
+    def built(monkeypatch, run):
+        """run()'s tables from the library builder, and the reference
+        tables from the same fills."""
+        calls = []
+        build = estimators._build_tables
+
+        def recording(*args):
+            calls.append((args, build(*args)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(estimators, "_build_tables", recording)
+        run()
+        (args, tables), = calls
+        return tables, oracles.build_tuple_tables(*args)
+
+    @staticmethod
+    def assert_same(new, old, kind):
+        if kind == imputers.GAUSSIAN_KIND:
+            def same(a, b):
+                return np.allclose(a, b, rtol=0, atol=1e-12)
+        else:
+            same = np.array_equal
+        big_r = old.n_patterns
+        assert new.n_patterns == big_r
+        assert np.array_equal(new.counts, old.counts)
+        assert np.array_equal(new.fold_complete, old.fold_complete)
+        assert np.array_equal(
+            new.fold_imputed, np.concatenate((np.zeros(0, int), *old.fold_imputed))
+        )
+        assert np.array_equal(new.pattern_imputed, np.repeat(np.arange(big_r), old.counts))
+        assert same(new.g_complete, old.g_complete)
+        assert same(new.g_masked, np.reshape(old.g_masked, new.g_masked.shape))
+        assert same(new.g_imputed, np.concatenate((np.zeros((0, new.param_dim)), *old.g_imputed)))
+        assert same(new.h_complete, old.h_complete)
+        assert same(new.h_folds, old.h_folds)
+        for a, b in zip(new.group_means + new.score_cov, old.group_means + old.score_cov):
+            assert same(a, b)
+        for mode in ("tuned", "pooled"):
+            fit_new, fit_old = fit_from_tables(new, mode), fit_from_tables(old, mode)
+            for field in ("theta_hat", "se", "ci", "variance", "n_effective"):
+                assert same(getattr(fit_new, field), getattr(fit_old, field))
+            assert same(fit_new.weights.lam, fit_old.weights.lam)
+
+    @pytest.mark.parametrize("kind", imputers.KINDS)
+    def test_single_model(self, rng, monkeypatch, kind):
+        ds, train, loss, theta = self.problem(rng)
+        model = imputers.fit(kind, train)
+        new, old = self.built(monkeypatch, lambda: score_tables(ds, loss, model, theta))
+        assert new.k_folds == 1
+        self.assert_same(new, old, kind)
+
+    @pytest.mark.parametrize("kind", imputers.KINDS)
+    def test_five_folds(self, rng, monkeypatch, kind):
+        ds, _, loss, theta = self.problem(rng)
+        folded = cross_fit(ds, 5, kind, seed=4)
+        new, old = self.built(monkeypatch, lambda: score_tables(ds, loss, folded, theta))
+        assert new.k_folds == 5
+        self.assert_same(new, old, kind)
+
+    @pytest.mark.parametrize("kind", imputers.KINDS)
+    def test_bootstrap_averaged_tables(self, rng, monkeypatch, kind):
+        ds, _, loss, theta = self.problem(rng)
+        new, old = self.built(monkeypatch, lambda: bootstrap_variance(
+            ds, loss, theta, np.ones(ds.n_patterns), k_folds=4, n_boot=12, imputer=kind, seed=5
+        ))
+        self.assert_same(new, old, kind)
+
+    @pytest.mark.parametrize("k_folds", [1, 5])
+    def test_no_patterns(self, rng, monkeypatch, k_folds):
+        ds, train, loss, theta = self.problem(rng, complete_only=True)
+        imputer = imputers.fit(imputers.MEAN_KIND, train)
+        if k_folds > 1:
+            imputer = cross_fit(ds, k_folds, imputers.MEAN_KIND, seed=4)
+        new, old = self.built(monkeypatch, lambda: score_tables(ds, loss, imputer, theta))
+        assert new.n_patterns == 0 and new.g_imputed.shape == (0, 2)
+        self.assert_same(new, old, imputers.MEAN_KIND)
