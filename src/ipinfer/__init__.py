@@ -9,10 +9,8 @@ assumption, classical baselines, and a simulation harness.
 
 from .baselines import (
     aipw_fit,
-    augmentation_dimension,
     best_single_pattern,
     complete_case_fit,
-    monomial_features,
     naive_single_impute_fit,
     single_pattern_ipi,
 )
@@ -41,20 +39,17 @@ from .estimators import (
     TuningWeights,
     bootstrap_variance,
     cipi_fit,
-    confidence_interval,
     cross_fit,
     effective_sample_size,
     estimate_variance,
     fit_from_tables,
     full_ipi_hessian,
     ipi_fit,
-    ipi_grad,
     ipi_point_estimate,
     score_tables,
     split_train_inference,
     tune_lambda,
     tuning_components,
-    zero_weights,
 )
 from .imputers import (
     CHAINED_KIND,
@@ -63,22 +58,13 @@ from .imputers import (
     KINDS,
     MEAN_KIND,
     ZERO_KIND,
-    ChainedRegressionImputer,
-    GaussianConditionalImputer,
-    HotDeckImputer,
     ImputationModel,
-    MeanImputer,
-    ZeroImputer,
     fit as fit_imputer,
 )
 from .losses import (
     LossModel,
-    linear_regression_loss,
-    logistic_regression_loss,
     loss_for_columns,
-    mean_loss,
     solve_complete_case,
-    solve_mean_loss,
 )
 from .patterns import (
     PatternedDataset,
@@ -91,7 +77,6 @@ from .simgen import (
     ExperimentResult,
     FactorModelConfig,
     MissingnessConfig,
-    gen_factor_data,
     gen_mcar_missingness,
     gen_shift_experiment,
     run_trials,
@@ -101,7 +86,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CHAINED_KIND",
-    "ChainedRegressionImputer",
     "ConfigError",
     "ConvergenceError",
     "DataError",
@@ -113,16 +97,13 @@ __all__ = [
     "FitError",
     "FoldedImputers",
     "GAUSSIAN_KIND",
-    "GaussianConditionalImputer",
     "HOTDECK_KIND",
-    "HotDeckImputer",
     "IPIFit",
     "ImputationModel",
     "IpinferError",
     "KINDS",
     "LossModel",
     "MEAN_KIND",
-    "MeanImputer",
     "MissingnessConfig",
     "NumericError",
     "PatternedDataset",
@@ -132,45 +113,34 @@ __all__ = [
     "TuningWeights",
     "UnusableDatasetError",
     "ZERO_KIND",
-    "ZeroImputer",
     "aipw_fit",
     "apply_gradient_shift",
-    "augmentation_dimension",
     "best_single_pattern",
     "bootstrap_variance",
     "build_dataset",
     "cipi_fit",
     "complete_case_fit",
-    "confidence_interval",
     "cross_fit",
     "effective_sample_size",
     "estimate_variance",
     "fit_from_tables",
     "fit_imputer",
     "full_ipi_hessian",
-    "gen_factor_data",
     "gen_mcar_missingness",
     "gen_shift_experiment",
     "ipi_fit",
-    "ipi_grad",
     "ipi_point_estimate",
-    "linear_regression_loss",
     "load_csv",
-    "logistic_regression_loss",
     "loss_for_columns",
     "mask_matrix",
-    "mean_loss",
-    "monomial_features",
     "naive_single_impute_fit",
     "run_trials",
     "score_tables",
     "single_pattern_ipi",
     "solve_complete_case",
-    "solve_mean_loss",
     "split_train_inference",
     "t_full_test",
     "t_ipi_test",
     "tune_lambda",
     "tuning_components",
-    "zero_weights",
 ]

@@ -312,16 +312,7 @@ def build_experiment_config(values: dict) -> simgen.ExperimentConfig:
     methods = values["methods"]
     if not isinstance(methods, list) or not all(isinstance(m, str) for m in methods):
         raise ConfigError("field 'methods' must be a list of method names")
-    for method in methods:
-        name, _, arg = method.partition(":")
-        if name != "single_pattern" or arg == "best":
-            continue
-        try:
-            int(arg)
-        except ValueError:
-            raise ConfigError(
-                f"field 'methods': {method!r} needs a pattern id or 'best' after ':'"
-            ) from None
+    simgen.check_methods(methods, values["n_patterns"])
     # the fields an ExperimentConfig takes under their config names
     same = {f.name for f in fields(simgen.ExperimentConfig)} - {"methods"}
     config = simgen.ExperimentConfig(
@@ -453,15 +444,9 @@ def _trained_imputer(dataset, kind, train_frac, seed, warnings):
             "set train_frac>0 or use method 'cipi' for honest training"
         )
         return imputers.fit(kind, dataset.values), dataset
-    train, inference = estimators.split_train_inference(
-        dataset, train_frac, np.random.SeedSequence((seed, 0))
+    return estimators.train_imputer(
+        dataset, kind, train_frac, np.random.SeedSequence((seed, 0))
     )
-    if not len(train):
-        raise ConfigError(
-            f"field 'train_frac': {train_frac} of {dataset.n_rows} rows "
-            "leaves no imputer training rows"
-        )
-    return imputers.fit(kind, train), inference
 
 
 def _ipi_tables(dataset, loss, values, warnings, score=True):
@@ -573,6 +558,13 @@ def _simulate_shift(config, magnitudes, include_full) -> dict:
         for which in (("weighted", "full") if include_full else ("weighted",))
     }
     failures = sum(rec.p_value_weighted is None for res in results for rec in res.records)
+    untested = [repr(mag) for mag, res in zip(magnitudes, results) if not res.p_values().size]
+    warnings = [] if not untested else [
+        f"no trial produced a p-value at shift magnitude(s) {', '.join(untested)}, "
+        "so their rejection rates are null: a trial tests nothing when every "
+        f"pattern falls below min_pattern_count ({config.min_pattern_count}) "
+        "or its imputer or test fails"
+    ]
     payload = {
         "schema": "ipinfer/metrics-v1",
         "experiment": "shift",
@@ -581,7 +573,7 @@ def _simulate_shift(config, magnitudes, include_full) -> dict:
         "rejection_rates": rates,
         "n_trials": config.trials,
         "failures": failures,
-        "warnings": [],
+        "warnings": warnings,
     }
     return {"pvalues.csv": _csv_text(rows), "shift.json": _dump_json(payload)}
 

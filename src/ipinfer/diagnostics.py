@@ -86,26 +86,40 @@ def _gap_moments(tables: ScoreTables) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _chi_square(statistic, v, n, df):
+    """(n s' v^-1 s, its p-value, warnings); a failed solve or a negative
+    statistic gets one retry with a diagonal ridge."""
     warnings = []
     if not np.any(statistic):
         return 0.0, 1.0, warnings
-    try:
-        stat = float(n * statistic @ np.linalg.solve(v, statistic))
+    for retry in (False, True):
+        if retry:
+            ridge = _RIDGE * float(np.trace(v)) / max(df, 1)
+            warnings.append("gap covariance was singular; applied a diagonal ridge")
+            v = v + ridge * np.eye(df)
+        try:
+            stat = float(n * statistic @ np.linalg.solve(v, statistic))
+        except np.linalg.LinAlgError:
+            continue
         if stat >= 0:
             return stat, float(stats.chi2.sf(stat, df)), warnings
-    except np.linalg.LinAlgError:
-        pass
-    ridge = _RIDGE * float(np.trace(v)) / max(df, 1)
-    warnings.append("gap covariance was singular; applied a diagonal ridge")
-    try:
-        v_r = v + ridge * np.eye(df)
-        stat = float(n * statistic @ np.linalg.solve(v_r, statistic))
-        if stat >= 0:
-            return stat, float(stats.chi2.sf(stat, df)), warnings
-    except np.linalg.LinAlgError:
-        pass
     warnings.append("gap covariance singular even after ridge; p-value undefined")
     return None, None, warnings
+
+
+def _gap_test(tables: ScoreTables, df: int, projection=None) -> DiagnosticReport:
+    """The chi-square test of the stacked gaps, or of W = projection() times
+    them.  With no nontrivial pattern, projection is not called, the
+    statistic is identically zero and the p-value is 1."""
+    if tables.n_patterns == 0:
+        zero = np.zeros((0, tables.param_dim))
+        return DiagnosticReport(np.zeros(df), np.zeros((df, df)), 0.0, df, 1.0, zero)
+    w = None if projection is None else projection()
+    gaps, v_t = _gap_moments(tables)
+    statistic = gaps.reshape(-1)
+    if w is not None:
+        statistic, v_t = w @ statistic, w @ v_t @ w.T
+    chi2_stat, p_value, warnings = _chi_square(statistic, v_t, tables.n_complete, df)
+    return DiagnosticReport(statistic, v_t, chi2_stat, df, p_value, gaps, tuple(warnings))
 
 
 def t_ipi_test(tables: ScoreTables, lambda_hat=None) -> DiagnosticReport:
@@ -116,41 +130,17 @@ def t_ipi_test(tables: ScoreTables, lambda_hat=None) -> DiagnosticReport:
 
     Args:
         lambda_hat: weights to aggregate with; defaults to tuned weights.
-
-    Returns:
-        A DiagnosticReport; with no nontrivial patterns the statistic is
-        identically zero and the p-value is 1.
     """
-    p = tables.param_dim
-    big_r = tables.n_patterns
-    if big_r == 0:
-        return DiagnosticReport(
-            statistic=np.zeros(p),
-            v_t=np.zeros((p, p)),
-            chi2_stat=0.0,
-            df=p,
-            p_value=1.0,
-            gaps=np.zeros((0, p)),
-        )
-    if lambda_hat is None:
-        weights, _ = tune_lambda(tables)
-    else:
-        weights = as_weights(lambda_hat, big_r)
-    gaps, v = _gap_moments(tables)
-    w = np.kron(weights.lam / big_r, np.eye(p))
-    statistic = w @ gaps.reshape(-1)
-    v_t = w @ v @ w.T
+    big_r, p = tables.n_patterns, tables.param_dim
 
-    chi2_stat, p_value, warnings = _chi_square(statistic, v_t, tables.n_complete, p)
-    return DiagnosticReport(
-        statistic=statistic,
-        v_t=v_t,
-        chi2_stat=chi2_stat,
-        df=p,
-        p_value=p_value,
-        gaps=gaps,
-        warnings=tuple(warnings),
-    )
+    def projection():
+        if lambda_hat is None:
+            weights, _ = tune_lambda(tables)
+        else:
+            weights = as_weights(lambda_hat, big_r)
+        return np.kron(weights.lam / big_r, np.eye(p))
+
+    return _gap_test(tables, p, projection)
 
 
 def t_full_test(tables: ScoreTables) -> DiagnosticReport:
@@ -165,37 +155,13 @@ def t_full_test(tables: ScoreTables) -> DiagnosticReport:
         DataError: when p * R >= n / 2; the statistic's dimension makes the
             chi-square approximation unstable.
     """
-    p = tables.param_dim
-    big_r = tables.n_patterns
-    n = tables.n_complete
-    if big_r == 0:
-        return DiagnosticReport(
-            statistic=np.zeros(0),
-            v_t=np.zeros((0, 0)),
-            chi2_stat=0.0,
-            df=0,
-            p_value=1.0,
-            gaps=np.zeros((0, p)),
-        )
-    df = p * big_r
-    if df >= n / 2:
+    df, n = tables.param_dim * tables.n_patterns, tables.n_complete
+    if tables.n_patterns and df >= n / 2:
         raise DataError(
             f"stacked statistic dimension {df} is too large for {n} complete "
             "rows; use the weighted test instead"
         )
-    gaps, v_t = _gap_moments(tables)
-    statistic = gaps.reshape(-1)
-
-    chi2_stat, p_value, warnings = _chi_square(statistic, v_t, n, df)
-    return DiagnosticReport(
-        statistic=statistic,
-        v_t=v_t,
-        chi2_stat=chi2_stat,
-        df=df,
-        p_value=p_value,
-        gaps=gaps,
-        warnings=tuple(warnings),
-    )
+    return _gap_test(tables, df)
 
 
 def apply_gradient_shift(tables: ScoreTables, shifts) -> ScoreTables:

@@ -762,6 +762,19 @@ def split_train_inference(dataset: PatternedDataset, train_frac: float, seed):
     return dataset.values[train_idx], dataset.subset(infer_idx)
 
 
+def train_imputer(dataset: PatternedDataset, kind: str, train_frac: float, seed):
+    """Split off the training rows (split_train_inference) and fit the
+    imputer on them; returns (model, inference_dataset).  A split that
+    leaves no training row is a ConfigError."""
+    train, inference = split_train_inference(dataset, train_frac, seed)
+    if not len(train):
+        raise ConfigError(
+            f"field 'train_frac': {train_frac} of {dataset.n_rows} rows "
+            "leaves no imputer training rows"
+        )
+    return fit_imputer(kind, train), inference
+
+
 # ---------------------------------------------------------------------------
 # cross-fitting
 

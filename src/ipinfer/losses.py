@@ -199,10 +199,6 @@ def loss_value_matrix(loss: LossModel, x_matrix, theta) -> np.ndarray:
     return np.logaddexp(0.0, eta) - resp * eta
 
 
-def loss_value(loss: LossModel, x, theta) -> float:
-    return float(loss_value_matrix(loss, np.atleast_2d(x), theta)[0])
-
-
 def grad_matrix(loss: LossModel, x_matrix, theta) -> np.ndarray:
     """Per-row loss gradients, shape (m, p)."""
     x_matrix = _check_rows(loss, x_matrix)
@@ -216,11 +212,6 @@ def grad_matrix(loss: LossModel, x_matrix, theta) -> np.ndarray:
     else:
         resid = _sigmoid(eta) - resp
     return covars * resid[:, None]
-
-
-def grad(loss: LossModel, x, theta) -> np.ndarray:
-    """Loss gradient at one target vector, shape (p,)."""
-    return grad_matrix(loss, np.atleast_2d(x), theta)[0]
 
 
 def mean_hessian(loss: LossModel, x_matrix, theta) -> np.ndarray:

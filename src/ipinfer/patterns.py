@@ -156,16 +156,6 @@ class PatternedDataset:
             sub_values, new_ids, self.masks[present], self.target_dims, self.dropped_rows
         )
 
-    def restrict_to_patterns(self, pattern_ids) -> "PatternedDataset":
-        """Dataset keeping the complete rows plus the named pattern groups."""
-        keep = [COMPLETE_PATTERN_ID]
-        for pid in pattern_ids:
-            self._check_pattern_id(pid)
-            if pid != COMPLETE_PATTERN_ID:
-                keep.append(int(pid))
-        mask = np.isin(self.pattern_ids, keep)
-        return self.subset(np.flatnonzero(mask))
-
     def _check_pattern_id(self, pattern_id: int) -> None:
         if not 0 <= pattern_id < self.masks.shape[0]:
             raise ConfigError(f"unknown pattern id {pattern_id}")

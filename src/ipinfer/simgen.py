@@ -23,7 +23,7 @@ from functools import cache, partial
 import numpy as np
 
 from . import baselines, diagnostics, estimators, imputers
-from .errors import ConfigError, IpinferError
+from .errors import ConfigError, DataError, IpinferError
 from .losses import LINEAR, MEAN, LossModel, loss_for_columns, solve_complete_case
 from .patterns import PatternedDataset, build_dataset
 
@@ -106,17 +106,6 @@ def build_population(config: FactorModelConfig) -> FactorPopulation:
         )
     sigma = loadings @ loadings.T + noise_var * np.eye(config.d)
     return FactorPopulation(loadings, noise_var, sigma)
-
-
-def gen_factor_data(
-    config: FactorModelConfig, n_total: int, seed=None
-) -> tuple[np.ndarray, FactorPopulation]:
-    """Sample a fully observed (n_total, d) matrix plus its population."""
-    population = build_population(config)
-    if seed is None:
-        seed = np.random.SeedSequence((config.seed, 1))
-    rng = np.random.default_rng(seed)
-    return population.sample(rng, n_total), population
 
 
 # ---------------------------------------------------------------------------
@@ -255,6 +244,39 @@ class ExperimentConfig:
         )
 
 
+# The methods a coverage run accepts, with the suffixes each takes after
+# ':'; single_pattern needs one, 'best' or a pattern id in [1, n_patterns].
+METHOD_SUFFIXES = {
+    "complete_case": (), "aipw": (), "naive": (), "single_pattern": ("best",),
+    "ipi": ("tuned", "pooled", "zero"), "cipi": ("tuned", "pooled", "zero"),
+}
+
+
+def check_methods(methods, n_patterns: int) -> None:
+    """Raise ConfigError unless every entry names a method of
+    METHOD_SUFFIXES, alone or with a suffix it takes."""
+    for method in methods:
+        name, sep, arg = method.partition(":")
+        if name not in METHOD_SUFFIXES:
+            raise ConfigError(
+                f"field 'methods': unknown method {method!r}; "
+                f"expected one of {', '.join(METHOD_SUFFIXES)}"
+            )
+        suffixes = METHOD_SUFFIXES[name]
+        if name == "single_pattern":
+            # no id is longer than n_patterns, and int() refuses very long strings
+            ok = arg == "best" or (
+                arg.isdecimal() and len(arg) <= len(str(n_patterns))
+                and 1 <= int(arg) <= n_patterns
+            )
+            takes = f"':best' or a pattern id in [1, {n_patterns}] after ':'"
+        else:
+            ok = not sep or arg in suffixes
+            takes = " or ".join(["no suffix", *(f"':{s}'" for s in suffixes)])
+        if not ok:
+            raise ConfigError(f"field 'methods': {method!r}: {name} takes {takes}")
+
+
 @dataclass
 class TrialRecord:
     method: str
@@ -310,13 +332,9 @@ def _simulate_dataset(config: ExperimentConfig, population, target_dims, trial: 
 def _split_tables(config: ExperimentConfig, dataset, loss, rng) -> dict:
     """The train/inference split, the imputer fitted on the training rows,
     and the inference rows' score tables at the complete-case estimate."""
-    train, inference = estimators.split_train_inference(dataset, config.train_frac, rng)
-    if not len(train):
-        raise ConfigError(
-            f"field 'train_frac': {config.train_frac} of {dataset.n_rows} rows "
-            "leaves no imputer training rows"
-        )
-    model = imputers.fit(config.imputer, train)
+    model, inference = estimators.train_imputer(
+        dataset, config.imputer, config.train_frac, rng
+    )
     theta_n = solve_complete_case(inference, loss)
     tables = estimators.score_tables(inference, loss, model, theta_n)
     return {"inference": inference, "model": model, "tables": tables}
@@ -359,6 +377,7 @@ def run_one_trial(config: ExperimentConfig, trial: int, population=None):
         ConfigError: a method is misconfigured; this propagates rather than
             counting as a failed trial.
     """
+    check_methods(config.methods, config.n_patterns)
     if population is None:
         population = build_population(config.factor)
     loss, target_dims = config.make_loss()
@@ -402,11 +421,10 @@ def _run_method(method, config, dataset, loss, cc_fit, split_artifacts, trial):
     if name == "aipw":
         return baselines.aipw_fit(dataset, loss, alpha=config.alpha)
     if name == "cipi":
-        lambda_mode = arg or "tuned"
         return estimators.cipi_fit(
             dataset, loss, config.imputer,
             k_folds=config.k_folds, n_boot=config.n_boot,
-            lambda_mode=lambda_mode, alpha=config.alpha,
+            lambda_mode=arg or "tuned", alpha=config.alpha,
             objective=config.objective,
             seed=(config.seed, 3, trial),
         )
@@ -420,16 +438,21 @@ def _run_method(method, config, dataset, loss, cc_fit, split_artifacts, trial):
         return baselines.naive_single_impute_fit(
             state["inference"], loss, state["model"], alpha=config.alpha
         )
-    if name == "single_pattern":
-        if arg == "best":
-            fit, _ = baselines.best_single_pattern(
-                state["tables"], alpha=config.alpha, objective=config.objective
-            )
-            return fit
-        return baselines.single_pattern_ipi(
-            state["tables"], int(arg), alpha=config.alpha, objective=config.objective
+    # single_pattern: check_methods passed 'best' or an id in [1, n_patterns]
+    tables = state["tables"]
+    if arg == "best":
+        fit, _ = baselines.best_single_pattern(
+            tables, alpha=config.alpha, objective=config.objective
         )
-    raise ConfigError(f"unknown method {method!r}")
+        return fit
+    if int(arg) > tables.n_patterns:
+        raise DataError(
+            f"this trial's data hold {tables.n_patterns} of the "
+            f"{config.n_patterns} patterns, so no pattern {arg}"
+        )
+    return baselines.single_pattern_ipi(
+        tables, int(arg), alpha=config.alpha, objective=config.objective
+    )
 
 
 def run_trials(config: ExperimentConfig, collect_records: bool = False) -> ExperimentResult:

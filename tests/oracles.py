@@ -2,9 +2,10 @@
 
 Everything in this module is deliberately written from the mathematical
 definitions, without calling into ipinfer, so tests can compare the library
-against a second route.  The one exception is the reference score tables at
-the end, which call the library's per-row loss gradients and Hessians: they
-pin the table layout and the fill calls, not the losses.
+against a second route.  The exceptions are at the end: the reference
+score tables call the library's per-row loss gradients and Hessians (they
+pin the table layout and the fill calls, not the losses), and the
+restricted dataset is cut with the dataset's own row subset.
 """
 
 from __future__ import annotations
@@ -433,3 +434,11 @@ def build_tuple_tables(dataset, loss, theta, fold_ids, k_folds, fill) -> TupleSc
         h_complete=mean_hessian(loss, complete_rows[:, tdims], theta),
         h_folds=h_folds,
     )
+
+
+def restrict_to_patterns(dataset, pattern_ids):
+    """The dataset keeping its complete rows plus the named pattern groups,
+    renumbered: the route single-pattern fits took before they sliced the
+    shared score tables."""
+    keep = np.isin(dataset.pattern_ids, [0, *pattern_ids])
+    return dataset.subset(np.flatnonzero(keep))

@@ -438,9 +438,9 @@ def test_criterion_12_gradients_and_hessians():
             x[0] = float(x[0] > 0)
         theta = 0.7 * rng.standard_normal(loss.param_dim)
 
-        ana = losses.grad(loss, x, theta)
+        ana = losses.grad_matrix(loss, x, theta)[0]
         num = finite_difference_gradient(
-            lambda t: losses.loss_value(loss, x, t), theta
+            lambda t: losses.loss_value_matrix(loss, x, t)[0], theta
         )
         max_grad = max(
             max_grad,

@@ -20,7 +20,7 @@ from ipinfer.estimators import score_tables
 from ipinfer.patterns import build_dataset
 
 from conftest import random_blockwise
-from oracles import ols_coefficients
+from oracles import ols_coefficients, restrict_to_patterns
 
 nan = np.nan
 
@@ -116,7 +116,7 @@ class TestSinglePattern:
         tables = complete_case_tables(ds, loss, model)
         for r in (1, 2):
             via_tables = single_pattern_ipi(tables, r)
-            restricted = ds.restrict_to_patterns([r])
+            restricted = restrict_to_patterns(ds, [r])
             via_restrict = single_pattern_ipi(
                 complete_case_tables(restricted, loss, model), 1
             )

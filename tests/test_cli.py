@@ -402,6 +402,15 @@ class TestConfigErrors:
             ({"n_complete": 0}, "n_complete must be positive"),
             ({"n_patterns": -1}, "n_patterns must be nonnegative"),
             ({"feature_mask_prob": 1.0}, "feature_mask_prob must be in (0, 1)"),
+            ({"methods": ["complete_case:xyz"]}, "'methods'"),
+            ({"methods": ["naive:junk"]}, "'methods'"),
+            ({"methods": ["aipw:1"]}, "'methods'"),
+            ({"methods": ["bogus"]}, "'methods'"),
+            ({"methods": ["ipi:bogus"]}, "'methods'"),
+            ({"methods": ["ipi:fixed"]}, "'methods'"),
+            ({"methods": ["cipi:fixed"]}, "'methods'"),
+            ({"methods": ["single_pattern:99"], "n_patterns": 3}, "'methods'"),
+            ({"methods": ["single_pattern:" + "9" * 5000]}, "'methods'"),
         ],
     )
     def test_simulate_rejects_unusable_field(self, capsys, tmp_path, change, field):
@@ -945,6 +954,22 @@ class TestSimulate:
         assert methods["complete_case"]["failures"] == 0
         assert methods["complete_case"]["n_trials"] == 3
 
+    def test_pattern_a_trial_lacks_fails_that_trial(self, capsys, tmp_path):
+        # Three incomplete rows over three patterns: some trial draws no row
+        # of pattern 3, which fails that trial's single_pattern:3 fit only.
+        payload = dict(self.COVERAGE, n_complete=30, ratio=0.1, n_patterns=3,
+                       methods=["complete_case", "single_pattern:3"])
+        cfg = write_config(tmp_path / "c.json", payload)
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        capsys.readouterr()
+        methods = {
+            m["method"]: m
+            for m in json.loads((out / "metrics.json").read_text())["methods"]
+        }
+        assert methods["single_pattern:3"]["failures"] >= 1
+        assert methods["complete_case"]["failures"] == 0
+
     def test_train_frac_zero_without_split_methods(self, capsys, tmp_path):
         # cipi and complete_case split off no training rows.
         payload = dict(self.COVERAGE, methods=["cipi", "complete_case"],
@@ -1049,7 +1074,7 @@ class TestSimulate:
     def test_shift_run_that_tests_no_pattern_has_no_rate(self, capsys, tmp_path):
         # min_pattern_count 190 drops every pattern of the 150 + 1,500 rows,
         # so no trial tests anything: each counts as a failure and no
-        # setting reports a rejection rate.
+        # setting reports a rejection rate; the warning says why.
         cfg = write_config(tmp_path / "c.json", {
             "experiment": "shift", "n_complete": 150, "min_pattern_count": 190,
             "imputer": "mean", "trials": 2, "shift_magnitudes": [0.0, 0.1],
@@ -1062,6 +1087,9 @@ class TestSimulate:
             "weighted": {level: [None, None] for level in ("0.01", "0.05", "0.10")}
         }
         assert payload["failures"] == 2 * 2
+        [warning] = payload["warnings"]
+        assert "0.0, 0.1" in warning
+        assert "min_pattern_count (190)" in warning
         validate(payload, "metrics-v1")
 
 

@@ -43,9 +43,9 @@ class TestDerivativeConsistency:
             theta = 0.5 * rng.standard_normal(loss.param_dim)
             for row in x[:3]:
                 num = finite_difference_gradient(
-                    lambda t: losses.loss_value(loss, row, t), theta
+                    lambda t: losses.loss_value_matrix(loss, row, t)[0], theta
                 )
-                ana = losses.grad(loss, row, theta)
+                ana = losses.grad_matrix(loss, row, theta)[0]
                 assert np.allclose(ana, num, rtol=1e-6, atol=1e-8)
 
     @pytest.mark.parametrize("family", FAMILIES)
@@ -66,14 +66,14 @@ class TestDerivativeConsistency:
         theta = rng.standard_normal(loss.param_dim)
         stacked = losses.grad_matrix(loss, x, theta)
         for i in range(x.shape[0]):
-            assert np.allclose(stacked[i], losses.grad(loss, x[i], theta))
+            assert np.allclose(stacked[i], losses.grad_matrix(loss, x[i], theta)[0])
 
 
 class TestMeanLoss:
     def test_gradient_is_theta_minus_x(self):
         loss = losses.mean_loss(2)
-        g = losses.grad(loss, [1.0, 4.0], [3.0, 1.0])
-        assert np.array_equal(g, [2.0, -3.0])
+        g = losses.grad_matrix(loss, [1.0, 4.0], [3.0, 1.0])
+        assert np.array_equal(g, [[2.0, -3.0]])
 
     def test_solution_is_the_sample_mean(self, rng):
         loss = losses.mean_loss(3)
@@ -134,7 +134,7 @@ class TestLinearLoss:
         row = np.array([2.0, 1.0, -1.0])
         theta = np.array([0.5, 0.25])
         resid = row[[1, 2]] @ theta - row[0]
-        assert np.allclose(losses.grad(loss, row, theta), resid * row[[1, 2]])
+        assert np.allclose(losses.grad_matrix(loss, row, theta), resid * row[[1, 2]])
 
     def test_duplicate_covariate_gives_singular_newton(self, rng):
         loss = losses.linear_regression_loss(3, 0, (1, 2))
@@ -178,7 +178,7 @@ class TestLogisticLoss:
 
     def test_continuous_response_allowed_in_gradients(self):
         loss = losses.logistic_regression_loss(2, 0, (1,))
-        g = losses.grad(loss, np.array([0.3, 1.0]), np.array([0.0]))
+        g = losses.grad_matrix(loss, np.array([0.3, 1.0]), np.array([0.0]))
         assert np.allclose(g, (0.5 - 0.3) * 1.0)
 
 
@@ -212,12 +212,12 @@ class TestShapesAndValidation:
     def test_wrong_row_width_raises(self):
         loss = losses.mean_loss(2)
         with pytest.raises(DimensionError):
-            losses.grad(loss, np.zeros(3), np.zeros(2))
+            losses.grad_matrix(loss, np.zeros(3), np.zeros(2))
 
     def test_wrong_theta_width_raises(self):
         loss = losses.mean_loss(2)
         with pytest.raises(DimensionError):
-            losses.grad(loss, np.zeros(2), np.zeros(3))
+            losses.grad_matrix(loss, np.zeros(2), np.zeros(3))
 
     def test_solver_polish_hits_machine_precision(self, rng):
         loss = losses.linear_regression_loss(3, 0, (1, 2))

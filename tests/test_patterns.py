@@ -190,7 +190,7 @@ class TestPatternedDataset:
 
     def test_restrict_to_patterns_renumbers(self):
         ds = build_dataset(small_matrix(), target_dims=(0,))
-        sub = ds.restrict_to_patterns([2])
+        sub = oracles.restrict_to_patterns(ds, [2])
         assert sub.n_patterns == 1
         assert sub.n_complete == 2
         assert sub.n_rows == 3
@@ -234,9 +234,10 @@ def test_masking_preserves_observed_cells_property(n_extra, data):
 
 def mcar_raw(n_complete, ratio, seed) -> np.ndarray:
     """A simulation's masked matrix: complete rows first, then MCAR rows."""
-    factor = simgen.FactorModelConfig(seed=seed)
+    population = simgen.build_population(simgen.FactorModelConfig(seed=seed))
     n_total = n_complete + int(round(ratio * n_complete))
-    matrix, _ = simgen.gen_factor_data(factor, n_total)
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 1)))
+    matrix = population.sample(rng, n_total)
     mcfg = simgen.MissingnessConfig(n_complete=n_complete, seed=seed)
     return simgen.gen_mcar_missingness(matrix, mcfg, target_dims=(0,)).values
 

@@ -15,7 +15,6 @@ from ipinfer.simgen import (
     MissingnessConfig,
     build_population,
     draw_patterns,
-    gen_factor_data,
     gen_mcar_missingness,
     gen_shift_experiment,
     run_one_trial,
@@ -99,14 +98,6 @@ class TestFactorPopulation:
         )
         with pytest.raises(ConfigError):
             pop.theta_star(logistic, dims)
-
-    def test_gen_factor_data_deterministic_by_config_seed(self):
-        cfg = FactorModelConfig(d=4, n_factors=2, seed=4)
-        a, _ = gen_factor_data(cfg, 50)
-        b, _ = gen_factor_data(cfg, 50)
-        assert np.array_equal(a, b)
-        c, _ = gen_factor_data(cfg, 50, seed=123)
-        assert not np.array_equal(a, c)
 
 
 class TestMissingness:
