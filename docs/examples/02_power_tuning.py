@@ -53,9 +53,7 @@ def main():
     }
     print(f"pattern sizes: {[int(c) for c in inference.pattern_counts()][1:]}")
     for name, lam in modes.items():
-        fit = estimators.fit_from_tables(
-            tables, lambda_mode="fixed", fixed_lambda=lam
-        )
+        fit = estimators.fit_from_tables(tables, weights=lam)
         width = float(np.mean(np.diff(fit.ci, axis=1)))
         print(
             f"{name:>6s}: objective {components.objective(lam):9.6f}  "

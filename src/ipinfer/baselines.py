@@ -110,35 +110,25 @@ def _slice_tables(tables: ScoreTables, r: int) -> ScoreTables:
 
 
 def single_pattern_ipi(
-    tables: ScoreTables,
-    r: int,
-    alpha: float = 0.1,
-    lambda_mode: str = "tuned",
-    objective=TRACE_OBJECTIVE,
-    mcar: bool = True,
+    tables: ScoreTables, r: int, alpha: float = 0.1, objective=TRACE_OBJECTIVE
 ) -> IPIFit:
-    """The estimator restricted to one pattern's correction (R = 1).
+    """The estimator restricted to one pattern's correction (R = 1), with
+    tuned weights.
 
     Equivalent to running the full fit on the dataset with every other
     pattern's rows removed; computed by slicing the shared tables.
     """
     return fit_from_tables(
         _slice_tables(tables, r),
-        lambda_mode=lambda_mode,
         alpha=alpha,
         hessian_mode=COMPLETE_CASE_HESSIAN,
         objective=objective,
-        mcar=mcar,
         method=f"single_pattern:{r}",
     )
 
 
 def best_single_pattern(
-    tables: ScoreTables,
-    alpha: float = 0.1,
-    lambda_mode: str = "tuned",
-    objective=TRACE_OBJECTIVE,
-    mcar: bool = True,
+    tables: ScoreTables, alpha: float = 0.1, objective=TRACE_OBJECTIVE
 ) -> tuple[IPIFit, int]:
     """Single-pattern fit maximizing plug-in effective sample size.
 
@@ -151,10 +141,7 @@ def best_single_pattern(
     coords = objective_coords(objective, tables.param_dim)
     best = None
     for r in range(1, tables.n_patterns + 1):
-        fit = single_pattern_ipi(
-            tables, r,
-            alpha=alpha, lambda_mode=lambda_mode, objective=objective, mcar=mcar,
-        )
+        fit = single_pattern_ipi(tables, r, alpha=alpha, objective=objective)
         score = float(np.sum(np.diag(fit.variance)[coords]))
         if best is None or score < best[0]:
             best = (score, fit, r)

@@ -66,6 +66,8 @@ class Field:
     default that is itself a Field stands for that field's value.
     `choices` names the accepted strings; otherwise `ok` tests the value and
     `must` says what passes.  `what`, if set, names the kind in a type error.
+    `flag`, if set, is the help of the command-line flag `--<name>` that
+    overrides the field (a bool flag turns it on).
     """
 
     name: str
@@ -75,6 +77,7 @@ class Field:
     ok: Callable[[object], bool] | None = None
     choices: tuple[str, ...] = ()
     what: str = ""
+    flag: str = ""
 
     def read(self, cfg: dict, default):
         """This field's checked value in `cfg`; `default` if it is absent."""
@@ -120,10 +123,15 @@ def _as_kind(value, kind):
 
 _NON_NEGATIVE = "a non-negative integer"
 _NUMBERS = "a list of numbers"
-_SEED = Field("seed", int, 0, _NON_NEGATIVE, lambda s: s >= 0, what=_NON_NEGATIVE)
+_SEED = Field(
+    "seed", int, 0, _NON_NEGATIVE, lambda s: s >= 0, what=_NON_NEGATIVE,
+    flag="override master seed",
+)
 _LOSS = Field("loss", object)
 _IMPUTER = Field("imputer", str, imputers.GAUSSIAN_KIND, choices=imputers.KINDS)
-_ALPHA = Field("alpha", float, 0.1, "in (0, 1)", lambda a: 0.0 < a < 1.0)
+_ALPHA = Field(
+    "alpha", float, 0.1, "in (0, 1)", lambda a: 0.0 < a < 1.0, flag="interval level"
+)
 _TRAIN_FRAC = Field("train_frac", float, 0.0, "in [0, 1)", lambda f: 0.0 <= f < 1.0)
 _K_FOLDS = Field("k_folds", int, 10, "at least 2", lambda k: k >= 2)
 _N_BOOT = Field("n_boot", int, 50, "at least 2", lambda b: b >= 2)
@@ -133,16 +141,20 @@ _OBJECTIVE = Field(
     lambda o: o == "trace" or type(o) is int,
 )
 _MIN_COUNT = Field("min_pattern_count", int, 1)
-_FULL = Field("full", bool, False)
+_FULL = Field("full", bool, False, flag="also run the per-pattern test")
 _OUT = Field("out", str)
 
-# the fields analyze and diagnose share, in the order they are checked
-_DATA_FIELDS = (
-    _LOSS, _MIN_COUNT, _IMPUTER, _TRAIN_FRAC, _SEED,
-    Field("lambda_mode", str, "tuned", choices=("tuned", "pooled", "zero", "fixed")),
-    Field("fixed_lambda", list, what=_NUMBERS),
-    _FULL, _OUT,
-)
+
+def _data_fields(out_help: str) -> tuple[Field, ...]:
+    """The fields analyze and diagnose share, in the order they are
+    checked; `out_help` is the help of the command's --out flag."""
+    return (
+        _LOSS, _MIN_COUNT, _IMPUTER, _TRAIN_FRAC, _SEED,
+        Field("lambda_mode", str, "tuned", choices=(*estimators.WEIGHT_MODES, "fixed")),
+        Field("fixed_lambda", list, what=_NUMBERS),
+        _FULL, replace(_OUT, flag=out_help),
+    )
+
 
 # Every config key each command accepts, in the order its fields are
 # checked.  'loss' and simulate's 'methods' are read whole here and checked
@@ -150,7 +162,7 @@ _DATA_FIELDS = (
 FIELDS = {
     "simulate": (
         _SEED,
-        replace(_SEED, name="population_seed", default=_SEED),
+        replace(_SEED, name="population_seed", default=_SEED, flag=""),
         Field("d", int, 20),
         Field("n_factors", int, 2),
         Field("variance_explained", float, 0.5),
@@ -172,26 +184,26 @@ FIELDS = {
         _OBJECTIVE,
         Field("target_coordinate", int, 0),
         _MIN_COUNT,
-        Field("jobs", int, 1, "at least 1", lambda j: j >= 1),
-        _OUT,
+        Field("jobs", int, 1, "at least 1", lambda j: j >= 1, flag="worker processes"),
+        replace(_OUT, flag="output directory"),
         Field("experiment", str, "coverage", choices=("coverage", "shift")),
-        Field("records", bool, False),
+        Field("records", bool, False, flag="include per-trial records in JSON"),
         Field("shift_magnitudes", list, [0.0], what=_NUMBERS),
         Field("include_full", bool, False),
     ),
-    "analyze": _DATA_FIELDS + (
+    "analyze": _data_fields("result JSON path (default stdout)") + (
         Field(
             "method", str, "ipi", choices=("complete_case", "aipw", "cipi", "ipi", "naive")
         ),
         _K_FOLDS,
         _N_BOOT,
-        Field("diagnose", bool, False),
+        Field("diagnose", bool, False, flag="attach the transfer-gap report"),
         _ALPHA,
         Field("mcar", bool, True),
         Field("hessian_mode", str, None, choices=estimators.HESSIAN_MODES),
         _OBJECTIVE,
     ),
-    "diagnose": _DATA_FIELDS,
+    "diagnose": _data_fields("output JSON path (default stdout)"),
 }
 
 
@@ -312,7 +324,7 @@ def build_experiment_config(values: dict) -> simgen.ExperimentConfig:
     methods = values["methods"]
     if not isinstance(methods, list) or not all(isinstance(m, str) for m in methods):
         raise ConfigError("field 'methods' must be a list of method names")
-    simgen.check_methods(methods, values["n_patterns"])
+    simgen.check_methods(methods, values["n_patterns"], loss["family"])
     # the fields an ExperimentConfig takes under their config names
     same = {f.name for f in fields(simgen.ExperimentConfig)} - {"methods"}
     config = simgen.ExperimentConfig(
@@ -331,16 +343,27 @@ def build_experiment_config(values: dict) -> simgen.ExperimentConfig:
 
 
 def _apply_overrides(cfg: dict, args) -> dict:
-    """CLI flags override config fields one-to-one."""
+    """The command's flags given on the command line override their config
+    fields one-to-one."""
     out = dict(cfg)
-    for key in ("seed", "jobs", "alpha", "out"):
-        value = getattr(args, key, None)
+    for f in FIELDS[args.command]:
+        value = getattr(args, f.name) if f.flag else None
         if value is not None:
-            out[key] = value
-    for key in ("diagnose", "full"):
-        if getattr(args, key, False):
-            out[key] = True
+            out[f.name] = value
     return out
+
+
+def _weights(values: dict):
+    """The `weights` argument that the checked lambda_mode and fixed_lambda
+    fields ask for: a weight mode, or the fixed weights."""
+    mode, fixed = values["lambda_mode"], values["fixed_lambda"]
+    if mode == "fixed":
+        if fixed is None:
+            raise ConfigError("lambda_mode='fixed' needs fixed_lambda")
+        return fixed
+    if fixed is not None:
+        raise ConfigError("field 'fixed_lambda' only applies to lambda_mode='fixed'")
+    return mode
 
 
 # ---------------------------------------------------------------------------
@@ -469,10 +492,11 @@ def _dataset_summary(inference: PatternedDataset) -> dict:
             **{name: getattr(inference, name) for name in names}}
 
 
-def _diagnostics_payload(tables, weights, run_full):
-    """Both transfer-gap reports; weights None means tuned weights."""
-    if weights is None:
-        weights, _ = estimators.tune_lambda(tables)
+def _diagnostics_payload(tables, weights, run_full, warnings):
+    """Both transfer-gap reports at `weights` (a weight mode or the weights
+    themselves); any warning the weight tuning raised goes to `warnings`."""
+    weights, tune_warnings = estimators.resolve_weights(tables, weights)
+    warnings.extend(tune_warnings)
     return {
         "weighted": _report_payload(diagnostics.t_ipi_test(tables, weights)),
         "full": _report_payload(diagnostics.t_full_test(tables)) if run_full else None,
@@ -498,7 +522,7 @@ def cmd_simulate(args) -> int:
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot write output {out_dir}: {exc}") from None
     if values["experiment"] == "coverage":
-        outputs = _simulate_coverage(config, values["records"] or args.records)
+        outputs = _simulate_coverage(config, values["records"])
     else:
         outputs = _simulate_shift(
             config, values["shift_magnitudes"], values["include_full"]
@@ -583,8 +607,8 @@ def cmd_analyze(args) -> int:
     method, alpha, mcar = values["method"], values["alpha"], values["mcar"]
     run_diag = values["diagnose"]
     # the options the cipi and ipi fits share
-    shared = ("lambda_mode", "fixed_lambda", "alpha", "hessian_mode", "objective", "mcar")
-    options = {key: values[key] for key in shared}
+    shared = ("alpha", "hessian_mode", "objective", "mcar")
+    options = {"weights": _weights(values), **{key: values[key] for key in shared}}
     if run_diag and method in ("cipi", "complete_case", "aipw"):
         raise ConfigError(
             f"--diagnose is not available with method {method!r}: its estimate "
@@ -633,8 +657,10 @@ def cmd_analyze(args) -> int:
         "hessian_mode": fit.hessian_mode,
         "n_effective": fit.n_effective,
         **_dataset_summary(inference),
+        # naive carries no weights; its report uses tuned ones
         "diagnostics": (
-            _diagnostics_payload(tables, fit.weights, values["full"]) if run_diag else None
+            _diagnostics_payload(tables, fit.weights or "tuned", values["full"], warnings)
+            if run_diag else None
         ),
         "warnings": warnings + list(fit.warnings),
     }
@@ -644,18 +670,16 @@ def cmd_analyze(args) -> int:
 
 def cmd_diagnose(args) -> int:
     values = _read_fields(_apply_overrides(load_config(args.config), args), "diagnose")
+    weights = _weights(values)
     dataset, loss, _, warnings = _load_dataset(
         args.csv, values["loss"], values["min_pattern_count"]
     )
     _, inference, tables = _ipi_tables(dataset, loss, values, warnings)
-    weights, tune_warnings = estimators.resolve_weights(
-        tables, values["lambda_mode"], values["fixed_lambda"]
-    )
     payload = {
         "schema": "ipinfer/diagnostics-v1",
-        **_diagnostics_payload(tables, weights, values["full"]),
+        **_diagnostics_payload(tables, weights, values["full"], warnings),
         **_dataset_summary(inference),
-        "warnings": warnings + tune_warnings,
+        "warnings": warnings,
     }
     _emit(payload, values["out"])
     return EXIT_OK
@@ -675,40 +699,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sim = sub.add_parser("simulate", help="run a Monte Carlo experiment")
-    sim.add_argument("--config", required=True, help="experiment config JSON")
-    sim.add_argument("--seed", type=int, default=None, help="override master seed")
-    sim.add_argument("--jobs", type=int, default=None, help="worker processes")
-    sim.add_argument("--alpha", type=float, default=None, help="interval level")
-    sim.add_argument("--out", default=None, help="output directory")
-    sim.add_argument(
-        "--records", action="store_true", help="include per-trial records in JSON"
-    )
-    sim.set_defaults(func=cmd_simulate)
-
-    ana = sub.add_parser("analyze", help="fit an estimator on a data CSV")
-    ana.add_argument("csv", help="data CSV; ''/'NA' mark missing cells")
-    ana.add_argument("--config", required=True, help="analysis config JSON")
-    ana.add_argument("--seed", type=int, default=None)
-    ana.add_argument("--alpha", type=float, default=None)
-    ana.add_argument("--out", default=None, help="result JSON path (default stdout)")
-    ana.add_argument(
-        "--diagnose", action="store_true", help="attach the transfer-gap report"
-    )
-    ana.add_argument(
-        "--full", action="store_true", help="also run the per-pattern test"
-    )
-    ana.set_defaults(func=cmd_analyze)
-
-    dia = sub.add_parser("diagnose", help="transfer-gap tests on a data CSV")
-    dia.add_argument("csv", help="data CSV; ''/'NA' mark missing cells")
-    dia.add_argument("--config", required=True, help="diagnostics config JSON")
-    dia.add_argument("--seed", type=int, default=None)
-    dia.add_argument("--out", default=None, help="output JSON path (default stdout)")
-    dia.add_argument(
-        "--full", action="store_true", help="also run the per-pattern test"
-    )
-    dia.set_defaults(func=cmd_diagnose)
+    commands = {
+        "simulate": ("run a Monte Carlo experiment", cmd_simulate, "experiment"),
+        "analyze": ("fit an estimator on a data CSV", cmd_analyze, "analysis"),
+        "diagnose": ("transfer-gap tests on a data CSV", cmd_diagnose, "diagnostics"),
+    }
+    for command, (help_text, func, config_kind) in commands.items():
+        cmd = sub.add_parser(command, help=help_text)
+        if command != "simulate":
+            cmd.add_argument("csv", help="data CSV; ''/'NA' mark missing cells")
+        cmd.add_argument("--config", required=True, help=f"{config_kind} config JSON")
+        for f in (f for f in FIELDS[command] if f.flag):
+            kind = {"action": "store_true"} if f.kind is bool else {"type": f.kind}
+            cmd.add_argument(f"--{f.name}", default=None, help=f.flag, **kind)
+        cmd.set_defaults(func=func)
     return parser
 
 

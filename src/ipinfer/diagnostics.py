@@ -30,12 +30,7 @@ import numpy as np
 from scipy import linalg, stats
 
 from .errors import DataError
-from .estimators import (
-    ScoreTables,
-    as_weights,
-    inverse_hessian,
-    tune_lambda,
-)
+from .estimators import ScoreTables, inverse_hessian, resolve_weights
 
 # Both diagnostics read score tables, which these two build.  They stay
 # bound here because perfbench/selftest.py checks that the benchmark's
@@ -122,23 +117,21 @@ def _gap_test(tables: ScoreTables, df: int, projection=None) -> DiagnosticReport
     return DiagnosticReport(statistic, v_t, chi2_stat, df, p_value, gaps, tuple(warnings))
 
 
-def t_ipi_test(tables: ScoreTables, lambda_hat=None) -> DiagnosticReport:
+def t_ipi_test(tables: ScoreTables, weights="tuned") -> DiagnosticReport:
     """Weighted transfer-gap test with chi-square df = p.
 
     The statistic averages the per-pattern gaps with weights lambda_r / R,
     W times the stacked gaps; its covariance is W V W' (module docstring).
 
     Args:
-        lambda_hat: weights to aggregate with; defaults to tuned weights.
+        weights: the weights to aggregate with, or a mode of
+            estimators.WEIGHT_MODES (see estimators.resolve_weights).
     """
     big_r, p = tables.n_patterns, tables.param_dim
 
     def projection():
-        if lambda_hat is None:
-            weights, _ = tune_lambda(tables)
-        else:
-            weights = as_weights(lambda_hat, big_r)
-        return np.kron(weights.lam / big_r, np.eye(p))
+        lam = resolve_weights(tables, weights)[0].lam
+        return np.kron(lam / big_r, np.eye(p))
 
     return _gap_test(tables, p, projection)
 

@@ -44,6 +44,10 @@ HESSIAN_MODES = (COMPLETE_CASE_HESSIAN, FULL_IPI_HESSIAN)
 
 TRACE_OBJECTIVE = "trace"
 
+# the modes resolve_weights turns into pattern weights; weights given as
+# values carry the mode label "fixed"
+WEIGHT_MODES = ("tuned", "pooled", "zero")
+
 POPULATION = "population"
 SUBPOPULATION = "subpopulation"
 
@@ -632,42 +636,37 @@ def summarize_fit(
 
 
 def resolve_weights(
-    tables: ScoreTables, lambda_mode: str, fixed_lambda=None, objective=TRACE_OBJECTIVE
+    tables: ScoreTables, weights, objective=TRACE_OBJECTIVE
 ) -> tuple[TuningWeights, list[str]]:
-    """Pattern weights for a lambda_mode, with any warning the choice raised.
+    """Pattern weights, with any warning the choice raised.
 
     Args:
-        lambda_mode: "tuned" (closed-form variance minimizer at the
-            complete-case Hessian), "pooled", "zero", or "fixed" with
-            fixed_lambda.
+        weights: a mode of WEIGHT_MODES -- "tuned" (closed-form variance
+            minimizer at the complete-case Hessian), "pooled" or "zero"
+            (complete-case) -- or the weights themselves, in any form
+            as_weights takes (mode "fixed").
+        objective: "trace" or a coordinate index for tuning.
     """
-    warnings: list[str] = []
-    if lambda_mode == "tuned":
-        weights, _ = tune_lambda(tables, objective)
-        if weights.fallback:
-            warnings.append(
-                "weight tuning system was singular; fell back to pooled weights"
-            )
-    elif lambda_mode == "pooled":
-        weights = TuningWeights(_pooled_lam(tables.counts), "pooled")
-    elif lambda_mode == "zero":
-        weights = zero_weights(tables.n_patterns)
-    elif lambda_mode == "fixed":
-        if fixed_lambda is None:
-            raise ConfigError("lambda_mode='fixed' needs fixed_lambda")
-        weights = as_weights(fixed_lambda, tables.n_patterns)
-    else:
+    if not isinstance(weights, str):
+        return as_weights(weights, tables.n_patterns), []
+    if weights not in WEIGHT_MODES:
         raise ConfigError(
-            f"unknown lambda_mode {lambda_mode!r}; "
-            "expected tuned, pooled, zero, or fixed"
+            f"unknown weight mode {weights!r}; expected one of "
+            f"{', '.join(WEIGHT_MODES)}, or the weights themselves"
         )
-    return weights, warnings
+    if weights == "pooled":
+        return TuningWeights(_pooled_lam(tables.counts), "pooled"), []
+    if weights == "zero":
+        return zero_weights(tables.n_patterns), []
+    tuned, _ = tune_lambda(tables, objective)
+    if tuned.fallback:
+        return tuned, ["weight tuning system was singular; fell back to pooled weights"]
+    return tuned, []
 
 
 def fit_from_tables(
     tables: ScoreTables,
-    lambda_mode: str = "tuned",
-    fixed_lambda=None,
+    weights="tuned",
     alpha: float = 0.1,
     hessian_mode: str | None = None,
     objective=TRACE_OBJECTIVE,
@@ -679,8 +678,8 @@ def fit_from_tables(
     complete-case estimate.
 
     Args:
-        lambda_mode: "tuned" (closed-form variance minimizer), "pooled",
-            "zero" (complete-case), or "fixed" with fixed_lambda.
+        weights: a mode of WEIGHT_MODES or the weights themselves (see
+            resolve_weights).
         hessian_mode: defaults to the complete-case Hessian under mcar=True
             and to the full objective Hessian otherwise.
         objective: "trace" or a coordinate index for tuning.
@@ -694,7 +693,7 @@ def fit_from_tables(
     """
     if hessian_mode is None:
         hessian_mode = COMPLETE_CASE_HESSIAN if mcar else FULL_IPI_HESSIAN
-    weights, warnings = resolve_weights(tables, lambda_mode, fixed_lambda, objective)
+    weights, warnings = resolve_weights(tables, weights, objective)
     hessian = _select_hessian(tables, weights, hessian_mode)
     theta = one_step(tables.theta, hessian, ipi_grad(tables, weights))
     sigma = variance(tables, weights, hessian)
@@ -714,8 +713,7 @@ def ipi_fit(
     dataset: PatternedDataset,
     loss: LossModel,
     imputer: ImputationModel,
-    lambda_mode: str = "tuned",
-    fixed_lambda=None,
+    weights="tuned",
     alpha: float = 0.1,
     hessian_mode: str | None = None,
     objective=TRACE_OBJECTIVE,
@@ -731,8 +729,7 @@ def ipi_fit(
     tables = score_tables(dataset, loss, imputer, solve_complete_case(dataset, loss))
     return fit_from_tables(
         tables,
-        lambda_mode=lambda_mode,
-        fixed_lambda=fixed_lambda,
+        weights=weights,
         alpha=alpha,
         hessian_mode=hessian_mode,
         objective=objective,
@@ -936,8 +933,7 @@ def cipi_fit(
     imputer,
     k_folds: int = 10,
     n_boot: int = 50,
-    lambda_mode: str = "tuned",
-    fixed_lambda=None,
+    weights="tuned",
     alpha: float = 0.1,
     hessian_mode: str | None = None,
     objective=TRACE_OBJECTIVE,
@@ -969,8 +965,7 @@ def cipi_fit(
 
     return fit_from_tables(
         tables,
-        lambda_mode=lambda_mode,
-        fixed_lambda=fixed_lambda,
+        weights=weights,
         alpha=alpha,
         hessian_mode=hessian_mode,
         objective=objective,

@@ -37,6 +37,10 @@ _FAMILIES = (MEAN, LINEAR, LOGISTIC)
 # Newton iterates beyond this norm indicate separation (logistic only).
 _SEPARATION_NORM = 1e4
 
+# solve_mean_loss's stopping tolerance and iteration cap
+_NEWTON_TOL = 1e-10
+_NEWTON_MAX_ITER = 100
+
 # The mean gradient cannot be computed more exactly than a few ulps of the
 # per-row gradients it averages; stopping tests use this many ulps.
 _ROUNDING_ULPS = 64.0
@@ -108,18 +112,6 @@ class LossModel:
 def mean_loss(dim: int) -> LossModel:
     """Componentwise mean loss over a target vector of the given length."""
     return LossModel(MEAN, dim)
-
-
-def linear_regression_loss(
-    dim: int, response_index: int, covariate_indices, intercept: bool = False
-) -> LossModel:
-    return LossModel(LINEAR, dim, response_index, tuple(covariate_indices), intercept)
-
-
-def logistic_regression_loss(
-    dim: int, response_index: int, covariate_indices, intercept: bool = False
-) -> LossModel:
-    return LossModel(LOGISTIC, dim, response_index, tuple(covariate_indices), intercept)
 
 
 def loss_for_columns(
@@ -238,35 +230,30 @@ def _sigmoid(eta: np.ndarray) -> np.ndarray:
     return out
 
 
-def solve_mean_loss(
-    loss: LossModel,
-    x_matrix: np.ndarray,
-    tol: float = 1e-10,
-    max_iter: int = 100,
-) -> np.ndarray:
+def solve_mean_loss(loss: LossModel, x_matrix: np.ndarray) -> np.ndarray:
     """Minimize the empirical mean loss over the given target rows by Newton.
 
     Damped Newton with step-halving on the objective; stops when the mean
-    gradient's max-norm falls below tol, or below its rounding floor
-    (64 ulps of the largest per-coordinate mean absolute per-row gradient)
-    when the data's scale puts tol out of reach, then takes one undamped
-    polishing step so the returned point sits at the root to machine
-    precision.
+    gradient's max-norm falls below _NEWTON_TOL, or below its rounding
+    floor (64 ulps of the largest per-coordinate mean absolute per-row
+    gradient) when the data's scale puts _NEWTON_TOL out of reach, then
+    takes one undamped polishing step so the returned point sits at the
+    root to machine precision.
 
     Raises:
-        ConvergenceError: no convergence in max_iter iterations, or the
-            iterates blow up (logistic separation).
+        ConvergenceError: no convergence in _NEWTON_MAX_ITER iterations, or
+            the iterates blow up (logistic separation).
         RankDeficiencyError: singular Newton system.
     """
     x_matrix = _check_rows(loss, x_matrix)
     p = loss.param_dim
     theta = np.zeros(p)
     value = float(np.mean(loss_value_matrix(loss, x_matrix, theta)))
-    for _ in range(max_iter):
+    for _ in range(_NEWTON_MAX_ITER):
         rows = grad_matrix(loss, x_matrix, theta)
         g = rows.mean(axis=0)
         floor = _ROUNDING_ULPS * np.finfo(float).eps * np.abs(rows).mean(axis=0).max()
-        if np.max(np.abs(g)) <= max(tol, floor):
+        if np.max(np.abs(g)) <= max(_NEWTON_TOL, floor):
             polished = theta - _newton_step(loss, x_matrix, theta, g)
             g_pol = grad_matrix(loss, x_matrix, polished).mean(axis=0)
             if np.max(np.abs(g_pol)) <= np.max(np.abs(g)):
@@ -285,7 +272,7 @@ def solve_mean_loss(
             raise ConvergenceError(
                 "iterates diverged; the problem looks separable or degenerate"
             )
-    raise ConvergenceError(f"Newton did not converge in {max_iter} iterations")
+    raise ConvergenceError(f"Newton did not converge in {_NEWTON_MAX_ITER} iterations")
 
 
 def _newton_step(loss, x_matrix, theta, g) -> np.ndarray:
@@ -296,12 +283,7 @@ def _newton_step(loss, x_matrix, theta, g) -> np.ndarray:
         raise RankDeficiencyError("singular Hessian in Newton step") from None
 
 
-def solve_complete_case(
-    dataset: PatternedDataset,
-    loss: LossModel,
-    tol: float = 1e-10,
-    max_iter: int = 100,
-) -> np.ndarray:
+def solve_complete_case(dataset: PatternedDataset, loss: LossModel) -> np.ndarray:
     """Complete-case M-estimate: minimize the mean loss over complete rows.
 
     Observed logistic responses must be coded 0/1.  Imputed responses fed to
@@ -311,5 +293,5 @@ def solve_complete_case(
     x = dataset.complete_values()[:, list(dataset.target_dims)]
     if loss.family == LOGISTIC and not np.isin(x[:, loss.response_index], (0.0, 1.0)).all():
         raise ConfigError("observed logistic responses must be coded 0/1")
-    return solve_mean_loss(loss, x, tol=tol, max_iter=max_iter)
+    return solve_mean_loss(loss, x)
 

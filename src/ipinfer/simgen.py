@@ -248,13 +248,14 @@ class ExperimentConfig:
 # ':'; single_pattern needs one, 'best' or a pattern id in [1, n_patterns].
 METHOD_SUFFIXES = {
     "complete_case": (), "aipw": (), "naive": (), "single_pattern": ("best",),
-    "ipi": ("tuned", "pooled", "zero"), "cipi": ("tuned", "pooled", "zero"),
+    "ipi": estimators.WEIGHT_MODES, "cipi": estimators.WEIGHT_MODES,
 }
 
 
-def check_methods(methods, n_patterns: int) -> None:
+def check_methods(methods, n_patterns: int, loss_family: str) -> None:
     """Raise ConfigError unless every entry names a method of
-    METHOD_SUFFIXES, alone or with a suffix it takes."""
+    METHOD_SUFFIXES, alone or with a suffix it takes, that fits the loss
+    family (aipw is defined for linear regression only)."""
     for method in methods:
         name, sep, arg = method.partition(":")
         if name not in METHOD_SUFFIXES:
@@ -275,6 +276,11 @@ def check_methods(methods, n_patterns: int) -> None:
             takes = " or ".join(["no suffix", *(f"':{s}'" for s in suffixes)])
         if not ok:
             raise ConfigError(f"field 'methods': {method!r}: {name} takes {takes}")
+        if name == "aipw" and loss_family != LINEAR:
+            raise ConfigError(
+                f"field 'methods': {method!r} is defined for linear regression "
+                f"only, not {loss_family}"
+            )
 
 
 @dataclass
@@ -350,15 +356,15 @@ def _unless_failed(fn, *args):
         return None
 
 
-def _map_trials(config: ExperimentConfig, trial_fn, population) -> list:
-    """trial_fn(config, t, population=population) for every trial t.
+def _map_trials(config: ExperimentConfig, trial_fn) -> list:
+    """trial_fn(config, t) for every trial t.
 
     The trials run in min(jobs, trials, CPUs) worker processes when that is
     more than one: the pool starts every worker at once, so a large `jobs`
     must not reach it.  The outputs come back in trial order either way,
     so results do not depend on scheduling.
     """
-    one = partial(trial_fn, config, population=population)
+    one = partial(trial_fn, config)
     workers = min(config.jobs, config.trials, os.cpu_count() or 1)
     if workers > 1:
         chunk = max(1, config.trials // (4 * workers))
@@ -377,7 +383,7 @@ def run_one_trial(config: ExperimentConfig, trial: int, population=None):
         ConfigError: a method is misconfigured; this propagates rather than
             counting as a failed trial.
     """
-    check_methods(config.methods, config.n_patterns)
+    check_methods(config.methods, config.n_patterns, config.loss_family)
     if population is None:
         population = build_population(config.factor)
     loss, target_dims = config.make_loss()
@@ -424,14 +430,14 @@ def _run_method(method, config, dataset, loss, cc_fit, split_artifacts, trial):
         return estimators.cipi_fit(
             dataset, loss, config.imputer,
             k_folds=config.k_folds, n_boot=config.n_boot,
-            lambda_mode=arg or "tuned", alpha=config.alpha,
+            weights=arg or "tuned", alpha=config.alpha,
             objective=config.objective,
             seed=(config.seed, 3, trial),
         )
     state = split_artifacts()
     if name == "ipi":
         return estimators.fit_from_tables(
-            state["tables"], lambda_mode=arg or "tuned", alpha=config.alpha,
+            state["tables"], weights=arg or "tuned", alpha=config.alpha,
             objective=config.objective,
         )
     if name == "naive":
@@ -460,7 +466,8 @@ def run_trials(config: ExperimentConfig, collect_records: bool = False) -> Exper
     population = build_population(config.factor)
     loss, target_dims = config.make_loss()
     theta_star = population.theta_star(loss, target_dims)
-    results = [out for _, out in _map_trials(config, run_one_trial, population)]
+    trial_fn = partial(run_one_trial, population=population)
+    results = [out for _, out in _map_trials(config, trial_fn)]
 
     metrics = []
     records: list[TrialRecord] = []
@@ -560,8 +567,11 @@ def gen_shift_experiment(
                 f"each shift setting must be a number or {big_r} values "
                 f"(one per pattern), got shape {s.shape}"
             )
-    trial_fn = partial(_shift_trial, settings=settings, include_full=include_full)
-    p_values = _map_trials(config, trial_fn, build_population(config.factor))
+    trial_fn = partial(
+        _shift_trial, population=build_population(config.factor),
+        settings=settings, include_full=include_full,
+    )
+    p_values = _map_trials(config, trial_fn)
     return [
         ShiftExperimentResult(
             config=config,
@@ -595,7 +605,7 @@ def _shift_p_values(tables, shift, objective, include_full):
     # A number is applied as a number, so it covers every pattern the
     # trial's data hold.
     shifted = diagnostics.apply_gradient_shift(tables, shift)
-    weights, _ = estimators.tune_lambda(shifted, objective)
+    weights, _ = estimators.resolve_weights(shifted, "tuned", objective)
     weighted = diagnostics.t_ipi_test(shifted, weights).p_value
     full = diagnostics.t_full_test(shifted).p_value if include_full else None
     return weighted, full

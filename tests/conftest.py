@@ -112,7 +112,7 @@ def three_pattern_tables(rng: np.random.Generator):
     )
     matrix = random_blockwise(rng, n_complete=40, per_pattern=15, masks=masks)
     dataset = build_dataset(matrix, target_dims=(0, 1))
-    loss = losses.linear_regression_loss(2, 0, (1,), intercept=True)
+    loss = losses.LossModel(losses.LINEAR, 2, 0, (1,), intercept=True)
     train = random_blockwise(rng, n_complete=30, per_pattern=10, masks=masks)
     model = imputers.fit(imputers.GAUSSIAN_KIND, train)
     return estimators.score_tables(

@@ -170,8 +170,7 @@ def test_criterion_05_zero_lambda_reduces_to_complete_case():
                 model = imputers.fit(kind, ds.values)
                 fit0 = estimators.ipi_fit(
                     ds, loss, model,
-                    lambda_mode="fixed",
-                    fixed_lambda=np.zeros(ds.n_patterns),
+                    weights=np.zeros(ds.n_patterns),
                     alpha=ALPHA,
                 )
                 cc = baselines.complete_case_fit(ds, loss, alpha=ALPHA)
@@ -430,9 +429,9 @@ def test_criterion_12_gradients_and_hessians():
         if family == losses.MEAN:
             loss = losses.mean_loss(p)
         elif family == losses.LINEAR:
-            loss = losses.linear_regression_loss(p, 0, tuple(range(1, p)))
+            loss = losses.LossModel(losses.LINEAR, p, 0, tuple(range(1, p)))
         else:
-            loss = losses.logistic_regression_loss(p, 0, tuple(range(1, p)))
+            loss = losses.LossModel(losses.LOGISTIC, p, 0, tuple(range(1, p)))
         x = rng.standard_normal(p)
         if family == losses.LOGISTIC:
             x[0] = float(x[0] > 0)

@@ -236,3 +236,84 @@ def test_rows_are_grouped_by_mask_in_one_function():
                 callers.add(f"{path.name}:{func.name}")
     assert callers == {"imputers.py:pattern_groups"}
     assert n_calls == 1
+
+
+def _defaulted_parameters(tree: ast.Module):
+    """(function, parameter, position) for every parameter with a default
+    of every function in the module; position counts the arguments a call
+    passes (so a method's self is not one), and is None for keyword-only."""
+    found = []
+
+    def visit(node, in_class):
+        for child in ast.iter_child_nodes(node):
+            if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, isinstance(child, ast.ClassDef))
+                continue
+            args = child.args
+            positional = args.posonlyargs + args.args
+            bound = in_class and not any(
+                isinstance(d, ast.Name) and d.id == "staticmethod"
+                for d in child.decorator_list
+            )
+            for i in range(len(positional) - len(args.defaults), len(positional)):
+                found.append((child.name, positional[i].arg, i - bound))
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    found.append((child.name, arg.arg, None))
+            visit(child, False)
+
+    visit(tree, False)
+    return found
+
+
+def _called_name(node) -> str | None:
+    """f for a call of f or of x.f."""
+    return getattr(node, "id", getattr(node, "attr", None))
+
+
+def _calls(tree: ast.Module):
+    """(callee name, positional count, keyword names) for every call; a
+    functools.partial(f, ...) is a call of f, a starred argument counts as
+    every position and a **mapping as every keyword (None)."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func, args = node.func, node.args
+        if _called_name(func) == "partial" and args:
+            func, args = args[0], args[1:]
+        if _called_name(func) is not None:
+            starred = any(isinstance(a, ast.Starred) for a in args)
+            n_positional = float("inf") if starred else len(args)
+            yield _called_name(func), n_positional, {k.arg for k in node.keywords}
+
+
+def test_every_option_has_a_caller():
+    # A parameter with a default is an option: some call in the package,
+    # the tests, the examples or the benchmark sets it, by keyword or by
+    # position.  An option no call sets is dead code.
+    callers = [
+        *sorted(PACKAGE_DIR.glob("*.py")),
+        *sorted((REPO_DIR / "tests").glob("*.py")),
+        *sorted((REPO_DIR / "docs" / "examples").glob("*.py")),
+        *sorted((REPO_DIR / "perfbench").glob("*.py")),
+    ]
+    calls = {}
+    for path in callers:
+        for name, n_positional, keywords in _calls(ast.parse(path.read_text())):
+            calls.setdefault(name, []).append((n_positional, keywords))
+    options = [
+        (path.name, *option)
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        for option in _defaulted_parameters(ast.parse(path.read_text()))
+    ]
+    assert len(options) > 50
+    unset = [
+        f"{module}:{function}({parameter})"
+        for module, function, parameter, position in options
+        if not any(
+            None in keywords or parameter in keywords
+            or (position is not None and n_positional > position)
+            for n_positional, keywords in calls.get(function, [])
+        )
+    ]
+    assert unset == []

@@ -43,7 +43,7 @@ class TestCompleteCase:
         x = rng.standard_normal((60, 3))
         x[:, 0] = 1.5 * x[:, 1] - 0.5 * x[:, 2] + 0.3 * rng.standard_normal(60)
         ds = build_dataset(x, target_dims=(0, 1, 2))
-        loss = losses.linear_regression_loss(3, 0, (1, 2))
+        loss = losses.LossModel(losses.LINEAR, 3, 0, (1, 2))
         fit = complete_case_fit(ds, loss, alpha=0.05)
 
         theta = ols_coefficients(x[:, [1, 2]], x[:, 0])
@@ -208,7 +208,7 @@ class TestAipw:
             block[:, ~np.asarray(mask)] = nan
             blocks.append(block)
         ds = build_dataset(np.vstack(blocks), target_dims=(0, 1, 2))
-        loss = losses.linear_regression_loss(3, 0, (1, 2))
+        loss = losses.LossModel(losses.LINEAR, 3, 0, (1, 2))
         return ds, loss
 
     def test_linear_loss_only(self, eight_row):
@@ -219,7 +219,7 @@ class TestAipw:
         x = rng.standard_normal((50, 3))
         x[:, 0] = x[:, 1] - x[:, 2] + 0.2 * rng.standard_normal(50)
         ds = build_dataset(x, target_dims=(0, 1, 2))
-        loss = losses.linear_regression_loss(3, 0, (1, 2))
+        loss = losses.LossModel(losses.LINEAR, 3, 0, (1, 2))
         aipw = aipw_fit(ds, loss)
         cc = complete_case_fit(ds, loss)
         assert np.allclose(aipw.theta_hat, cc.theta_hat, atol=1e-8)
@@ -280,7 +280,7 @@ class TestAipw:
             [[1.0, 1.0], [2.0, 2.0], [3.0, 2.5], [nan, 4.0], [nan, 5.0]]
         )
         ds = build_dataset(matrix, target_dims=(0, 1))
-        loss = losses.linear_regression_loss(2, 0, (1,))
+        loss = losses.LossModel(losses.LINEAR, 2, 0, (1,))
         with pytest.raises(DataError, match="augmentation dimension"):
             aipw_fit(ds, loss)
 

@@ -10,6 +10,7 @@ import io
 import json
 import os
 import pathlib
+import re
 import tempfile
 
 import jsonschema
@@ -115,6 +116,24 @@ class TestParser:
             cli.main(["analyze", eight_csv])
         assert excinfo.value.code == 2
         capsys.readouterr()
+
+    def test_flags_are_the_flagged_fields(self):
+        # Each command's flags are the rows of its field table that declare
+        # one, and the README sentence on flags names exactly those.
+        parser = cli.build_parser()
+        [commands] = [a.choices for a in parser._actions if a.dest == "command"]
+        flagged = set()
+        for command, sub in commands.items():
+            options = {
+                opt for action in sub._actions for opt in action.option_strings
+                if opt.startswith("--") and opt not in ("--config", "--help")
+            }
+            expected = {f"--{f.name}" for f in cli.FIELDS[command] if f.flag}
+            assert options == expected, command
+            flagged |= expected
+        readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+        [sentence] = re.findall(r"The CLI flags [^.]*\.", " ".join(readme.split()))
+        assert set(re.findall(r"`(--[a-z_]+)`", sentence)) == flagged
 
 
 def readme_field_tables():
@@ -346,6 +365,35 @@ class TestConfigErrors:
         assert f"'{key}'" in err and repr(value) in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "command, method",
+        [("analyze", m) for m in ("complete_case", "aipw", "cipi", "ipi", "naive")]
+        + [("diagnose", None)],
+    )
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"fixed_lambda": [1.0]},
+             "field 'fixed_lambda' only applies to lambda_mode='fixed'"),
+            ({"lambda_mode": "fixed"}, "lambda_mode='fixed' needs fixed_lambda"),
+        ],
+        ids=["stray_fixed_lambda", "fixed_without_weights"],
+    )
+    def test_weight_fields_checked_when_read(
+        self, capsys, tmp_path, command, method, change, message
+    ):
+        # Stray weights were once dropped silently, and fixed weights went
+        # unchecked under methods that use none.  Both are errors of the
+        # config alone, so the data file is never opened.
+        payload = {"loss": MEAN_X_LOSS, "imputer": "mean", **change}
+        if method is not None:
+            payload["method"] = method
+        cfg = write_config(tmp_path / "c.json", payload)
+        absent = str(tmp_path / "absent.csv")
+        code, err = run_error(capsys, [command, absent, "--config", cfg])
+        assert code == 2
+        assert err == f"ipinfer: config error: {message}\n"
+
     @pytest.mark.parametrize("method", ["cipi", "complete_case", "aipw"])
     def test_diagnose_flag_rejected_for_method(
         self, capsys, tmp_path, eight_csv, method
@@ -411,6 +459,7 @@ class TestConfigErrors:
             ({"methods": ["cipi:fixed"]}, "'methods'"),
             ({"methods": ["single_pattern:99"], "n_patterns": 3}, "'methods'"),
             ({"methods": ["single_pattern:" + "9" * 5000]}, "'methods'"),
+            ({"methods": ["aipw"]}, "linear regression only"),
         ],
     )
     def test_simulate_rejects_unusable_field(self, capsys, tmp_path, change, field):

@@ -39,7 +39,7 @@ def tables_at_complete_case(ds, loss, model):
 
 class TestWeightedTest:
     def test_fixture_chi_square_frozen(self, eight_row):
-        report = t_ipi_test(fixture_tables(eight_row), lambda_hat=[0.2])
+        report = t_ipi_test(fixture_tables(eight_row), weights=[0.2])
         assert report.df == 1
         assert report.gaps.shape == (1, 1)
         assert report.gaps[0, 0] == pytest.approx(-4.4, abs=1e-9)
@@ -50,8 +50,8 @@ class TestWeightedTest:
 
     def test_weight_scale_cancels_for_single_pattern(self, eight_row):
         t = fixture_tables(eight_row)
-        a = t_ipi_test(t, lambda_hat=[0.2])
-        b = t_ipi_test(t, lambda_hat=[1.7])
+        a = t_ipi_test(t, weights=[0.2])
+        b = t_ipi_test(t, weights=[1.7])
         assert a.chi2_stat == pytest.approx(b.chi2_stat, rel=1e-12)
 
     def test_default_weights_are_tuned(self, eight_row):
@@ -82,7 +82,7 @@ class TestWeightedTest:
             fold_complete=t.fold_complete, fold_imputed=t.fold_imputed,
             h_complete=t.h_complete, h_folds=t.h_folds,
         )
-        report = t_ipi_test(zeroed, lambda_hat=[1.0])
+        report = t_ipi_test(zeroed, weights=[1.0])
         assert report.chi2_stat == 0.0
         assert report.p_value == 1.0
 
@@ -92,7 +92,7 @@ class TestWeightedTest:
         model = imputers.fit(imputers.MEAN_KIND, matrix)
         t = tables_at_complete_case(ds, losses.mean_loss(1), model)
         with pytest.raises(DataError, match="2 rows"):
-            t_ipi_test(t, lambda_hat=[1.0])
+            t_ipi_test(t, weights=[1.0])
 
 
 class TestSharedCovariance:
@@ -104,7 +104,7 @@ class TestSharedCovariance:
         t = three_pattern_tables(rng)
         lam = np.array([0.3, 1.1, -0.4])
         full = t_full_test(t)
-        weighted = t_ipi_test(t, lambda_hat=lam)
+        weighted = t_ipi_test(t, weights=lam)
         w = np.kron(lam / 3, np.eye(2))
         assert full.df == 6 and weighted.df == 2
         assert np.allclose(
@@ -131,8 +131,8 @@ class TestScaleInvariance:
             g_masked=kappa * t.g_masked,
             g_imputed=kappa * t.g_imputed,
         )
-        base = t_ipi_test(t, lambda_hat=[0.5, 0.8])
-        resc = t_ipi_test(scaled, lambda_hat=[0.5, 0.8])
+        base = t_ipi_test(t, weights=[0.5, 0.8])
+        resc = t_ipi_test(scaled, weights=[0.5, 0.8])
         assert resc.chi2_stat == pytest.approx(base.chi2_stat, rel=1e-9)
         assert resc.p_value == pytest.approx(base.p_value, rel=1e-9)
 
@@ -153,7 +153,7 @@ class TestSingularCovariance:
         )
 
     def test_rank_deficient_covariance_gets_ridge_repair(self):
-        report = t_ipi_test(self.crafted_tables(), lambda_hat=[1.0])
+        report = t_ipi_test(self.crafted_tables(), weights=[1.0])
         assert any("ridge" in w for w in report.warnings)
         assert report.chi2_stat is not None and report.chi2_stat >= 0
         assert 0.0 <= report.p_value <= 1.0
@@ -169,7 +169,7 @@ class TestSingularCovariance:
             fold_complete=t.fold_complete, fold_imputed=t.fold_imputed,
             h_complete=t.h_complete, h_folds=t.h_folds,
         )
-        report = t_ipi_test(constant, lambda_hat=[1.0])
+        report = t_ipi_test(constant, weights=[1.0])
         assert report.chi2_stat is None
         assert report.p_value is None
         assert any("undefined" in w for w in report.warnings)
@@ -223,15 +223,15 @@ class TestGradientShift:
     def test_chi_square_follows_shifted_gap(self, eight_row):
         t = fixture_tables(eight_row)
         for c in (0.0, 2.0, 10.0):
-            report = t_ipi_test(apply_gradient_shift(t, c), lambda_hat=[0.2])
+            report = t_ipi_test(apply_gradient_shift(t, c), weights=[0.2])
             assert report.chi2_stat == pytest.approx(
                 3.0 * (4.4 - c) ** 2 / 4.0, abs=1e-6
             )
 
     def test_power_grows_with_shift_magnitude(self, eight_row):
         t = fixture_tables(eight_row)
-        p_small = t_ipi_test(apply_gradient_shift(t, 5.0), lambda_hat=[1.0]).p_value
-        p_large = t_ipi_test(apply_gradient_shift(t, 15.0), lambda_hat=[1.0]).p_value
+        p_small = t_ipi_test(apply_gradient_shift(t, 5.0), weights=[1.0]).p_value
+        p_large = t_ipi_test(apply_gradient_shift(t, 15.0), weights=[1.0]).p_value
         assert p_large < p_small
 
     def test_vector_shift_and_validation(self, eight_row):
@@ -242,7 +242,7 @@ class TestGradientShift:
             apply_gradient_shift(t, [1.0, 2.0])
 
     def test_report_is_immutable_record(self, eight_row):
-        report = t_ipi_test(fixture_tables(eight_row), lambda_hat=[1.0])
+        report = t_ipi_test(fixture_tables(eight_row), weights=[1.0])
         assert isinstance(report, DiagnosticReport)
         with pytest.raises(AttributeError):
             report.df = 2

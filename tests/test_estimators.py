@@ -355,27 +355,27 @@ class TestFitBundle:
     def test_zero_mode_matches_fixed_zero(self, eight_row):
         a = ipi_fit(
             eight_row.dataset, eight_row.loss, eight_row.imputer,
-            lambda_mode="zero",
+            weights="zero",
         )
         b = ipi_fit(
-            eight_row.dataset, eight_row.loss, eight_row.imputer,
-            lambda_mode="fixed", fixed_lambda=[0.0],
+            eight_row.dataset, eight_row.loss, eight_row.imputer, weights=[0.0]
         )
         assert np.array_equal(a.theta_hat, b.theta_hat)
         assert np.array_equal(a.se, b.se)
 
     def test_fixed_mode_requires_weights(self, eight_row):
-        with pytest.raises(ConfigError, match="fixed_lambda"):
+        # "fixed" labels weights given as values; as a string it is no mode
+        with pytest.raises(ConfigError, match="unknown weight mode 'fixed'.*themselves"):
             ipi_fit(
                 eight_row.dataset, eight_row.loss, eight_row.imputer,
-                lambda_mode="fixed",
+                weights="fixed",
             )
 
     def test_unknown_mode_rejected(self, eight_row):
-        with pytest.raises(ConfigError, match="lambda_mode"):
+        with pytest.raises(ConfigError, match="unknown weight mode 'auto'"):
             ipi_fit(
                 eight_row.dataset, eight_row.loss, eight_row.imputer,
-                lambda_mode="auto",
+                weights="auto",
             )
 
     def test_mcar_flag_controls_estimand_and_hessian(self, eight_row):
@@ -384,6 +384,29 @@ class TestFitBundle:
         )
         assert fit.estimand == "subpopulation"
         assert fit.hessian_mode == FULL_IPI_HESSIAN
+
+    def test_tuning_objective_and_hessian_options_match_table_fit(self, rng):
+        # ipi_fit's objective and hessian_mode, and ipi_point_estimate's
+        # hessian_mode, give what fit_from_tables gives on the same tables.
+        matrix = random_blockwise(rng, n_complete=40, per_pattern=20)
+        model = imputers.fit(imputers.GAUSSIAN_KIND, random_blockwise(rng))
+        loss, dims = losses.loss_for_columns(
+            losses.LINEAR, response=0, covariates=(1, 2), intercept=True
+        )
+        ds = build_dataset(matrix, dims)
+        fit = ipi_fit(ds, loss, model, objective=0, hessian_mode=FULL_IPI_HESSIAN)
+        tables = complete_case_tables(ds, loss, model)
+        reference = fit_from_tables(tables, objective=0, hessian_mode=FULL_IPI_HESSIAN)
+        for field in ("theta_hat", "se", "ci", "variance", "hessian", "n_effective"):
+            assert np.array_equal(getattr(fit, field), getattr(reference, field)), field
+        assert np.array_equal(fit.weights.lam, reference.weights.lam)
+        assert fit.hessian_mode == FULL_IPI_HESSIAN
+        point = ipi_point_estimate(tables, fit.weights, hessian_mode=FULL_IPI_HESSIAN)
+        assert np.array_equal(point, fit.theta_hat)
+        # both options change the fit
+        default = fit_from_tables(tables)
+        assert not np.array_equal(fit.weights.lam, default.weights.lam)
+        assert not np.array_equal(fit.hessian, default.hessian)
 
     def test_full_hessian_evaluated_once_per_fit(self, eight_row, monkeypatch):
         calls = []
@@ -464,10 +487,8 @@ class TestFitBundle:
         model = imputers.fit(imputers.GAUSSIAN_KIND, train)
         loss = losses.mean_loss(2)
         perm = rng.permutation(matrix.shape[0])
-        a = ipi_fit(build_dataset(matrix, (0, 1)), loss, model,
-                    lambda_mode="fixed", fixed_lambda=[0.5, 0.5])
-        b = ipi_fit(build_dataset(matrix[perm], (0, 1)), loss, model,
-                    lambda_mode="fixed", fixed_lambda=[0.5, 0.5])
+        a = ipi_fit(build_dataset(matrix, (0, 1)), loss, model, weights=[0.5, 0.5])
+        b = ipi_fit(build_dataset(matrix[perm], (0, 1)), loss, model, weights=[0.5, 0.5])
         assert np.allclose(a.theta_hat, b.theta_hat, rtol=1e-12)
         assert np.allclose(a.se, b.se, rtol=1e-12)
 

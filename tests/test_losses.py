@@ -23,8 +23,8 @@ def make_loss(family: str, p: int = 3) -> losses.LossModel:
     if family == losses.MEAN:
         return losses.mean_loss(p)
     if family == losses.LINEAR:
-        return losses.linear_regression_loss(p, 0, tuple(range(1, p)))
-    return losses.logistic_regression_loss(p, 0, tuple(range(1, p)))
+        return losses.LossModel(losses.LINEAR, p, 0, tuple(range(1, p)))
+    return losses.LossModel(losses.LOGISTIC, p, 0, tuple(range(1, p)))
 
 
 def draw_rows(rng, family: str, m: int = 12, p: int = 3) -> np.ndarray:
@@ -106,14 +106,14 @@ class TestMeanLoss:
 
 class TestLinearLoss:
     def test_solution_matches_ols_oracle(self, rng):
-        loss = losses.linear_regression_loss(3, 0, (1, 2))
+        loss = losses.LossModel(losses.LINEAR, 3, 0, (1, 2))
         x = draw_rows(rng, losses.LINEAR, m=40)
         theta = losses.solve_mean_loss(loss, x)
         expected = ols_coefficients(x[:, [1, 2]], x[:, 0])
         assert np.allclose(theta, expected, atol=1e-10)
 
     def test_intercept_column_appended_last(self, rng):
-        loss = losses.linear_regression_loss(3, 0, (1, 2), intercept=True)
+        loss = losses.LossModel(losses.LINEAR, 3, 0, (1, 2), intercept=True)
         x = draw_rows(rng, losses.LINEAR, m=40)
         theta = losses.solve_mean_loss(loss, x)
         design = np.column_stack([x[:, [1, 2]], np.ones(len(x))])
@@ -122,7 +122,7 @@ class TestLinearLoss:
         assert np.allclose(theta, expected, atol=1e-10)
 
     def test_regression_at_1e8_scale_converges(self, rng):
-        loss = losses.linear_regression_loss(2, 0, (1,), intercept=True)
+        loss = losses.LossModel(losses.LINEAR, 2, 0, (1,), intercept=True)
         u = 1e8 * rng.standard_normal(30)
         y = 3.0 * u + 1e8 * (1.0 + 0.1 * rng.standard_normal(30))
         theta = losses.solve_mean_loss(loss, np.column_stack([y, u]))
@@ -130,14 +130,14 @@ class TestLinearLoss:
         assert np.allclose(theta, expected, rtol=1e-9, atol=0.0)
 
     def test_residual_gradient_form(self, rng):
-        loss = losses.linear_regression_loss(3, 0, (1, 2))
+        loss = losses.LossModel(losses.LINEAR, 3, 0, (1, 2))
         row = np.array([2.0, 1.0, -1.0])
         theta = np.array([0.5, 0.25])
         resid = row[[1, 2]] @ theta - row[0]
         assert np.allclose(losses.grad_matrix(loss, row, theta), resid * row[[1, 2]])
 
     def test_duplicate_covariate_gives_singular_newton(self, rng):
-        loss = losses.linear_regression_loss(3, 0, (1, 2))
+        loss = losses.LossModel(losses.LINEAR, 3, 0, (1, 2))
         x = draw_rows(rng, losses.LINEAR, m=30)
         x[:, 2] = x[:, 1]
         with pytest.raises(losses.RankDeficiencyError):
@@ -146,7 +146,7 @@ class TestLinearLoss:
 
 class TestLogisticLoss:
     def test_solution_matches_gradient_descent_oracle(self, rng):
-        loss = losses.logistic_regression_loss(3, 0, (1, 2))
+        loss = losses.LossModel(losses.LOGISTIC, 3, 0, (1, 2))
         x = draw_rows(rng, losses.LOGISTIC, m=60)
         theta = losses.solve_mean_loss(loss, x)
         expected = logistic_fit_gradient_descent(x[:, [1, 2]], x[:, 0])
@@ -155,7 +155,7 @@ class TestLogisticLoss:
     def test_separable_data_raises(self):
         # Small covariate scale: the separating coefficient must blow up
         # past the divergence guard before the gradient can vanish.
-        loss = losses.logistic_regression_loss(2, 0, (1,))
+        loss = losses.LossModel(losses.LOGISTIC, 2, 0, (1,))
         x = np.array([[0.0, -0.001], [0.0, -0.002], [1.0, 0.001], [1.0, 0.002]])
         with pytest.raises(ConvergenceError):
             losses.solve_mean_loss(loss, x)
@@ -163,7 +163,7 @@ class TestLogisticLoss:
     def test_separation_still_raises_with_rounding_floor(self, rng):
         # Separated rows all push the gradient the same way, so its size
         # stays that of the rows and never meets their rounding floor.
-        loss = losses.logistic_regression_loss(2, 0, (1,))
+        loss = losses.LossModel(losses.LOGISTIC, 2, 0, (1,))
         u = 1e-3 * (rng.uniform(0.5, 1.0, 40) * rng.choice([-1.0, 1.0], 40))
         x = np.column_stack([(u > 0).astype(float), u])
         with pytest.raises(ConvergenceError):
@@ -172,12 +172,12 @@ class TestLogisticLoss:
     def test_continuous_response_rejected_on_complete_case(self):
         matrix = np.array([[0.3, 1.0], [0.7, 2.0], [0.1, 0.5]])
         ds = build_dataset(matrix, target_dims=(0, 1))
-        loss = losses.logistic_regression_loss(2, 0, (1,))
+        loss = losses.LossModel(losses.LOGISTIC, 2, 0, (1,))
         with pytest.raises(ConfigError, match="0/1"):
             losses.solve_complete_case(ds, loss)
 
     def test_continuous_response_allowed_in_gradients(self):
-        loss = losses.logistic_regression_loss(2, 0, (1,))
+        loss = losses.LossModel(losses.LOGISTIC, 2, 0, (1,))
         g = losses.grad_matrix(loss, np.array([0.3, 1.0]), np.array([0.0]))
         assert np.allclose(g, (0.5 - 0.3) * 1.0)
 
@@ -220,7 +220,7 @@ class TestShapesAndValidation:
             losses.grad_matrix(loss, np.zeros(2), np.zeros(3))
 
     def test_solver_polish_hits_machine_precision(self, rng):
-        loss = losses.linear_regression_loss(3, 0, (1, 2))
+        loss = losses.LossModel(losses.LINEAR, 3, 0, (1, 2))
         x = draw_rows(rng, losses.LINEAR, m=25)
         theta = losses.solve_mean_loss(loss, x)
         g = losses.grad_matrix(loss, x, theta).mean(axis=0)

@@ -190,7 +190,12 @@ class TestRunTrials:
             return replace(fit, ci=np.repeat(fit.theta_hat[:, None], 2, axis=1))
 
         monkeypatch.setattr(baselines, "aipw_fit", zero_width)
-        _, out = run_one_trial(small_config(methods=("aipw", "complete_case")), 0)
+        # aipw takes a linear loss only
+        cfg = small_config(
+            methods=("aipw", "complete_case"), loss_family=losses.LINEAR,
+            response=2, covariates=(0, 1), mean_columns=None,
+        )
+        _, out = run_one_trial(cfg, 0)
         assert out["aipw"] is None
         assert out["complete_case"] is not None
 
