@@ -657,9 +657,11 @@ def cmd_analyze(args) -> int:
         "hessian_mode": fit.hessian_mode,
         "n_effective": fit.n_effective,
         **_dataset_summary(inference),
-        # naive carries no weights; its report uses tuned ones
+        # naive carries no weights; its report uses the configured ones
         "diagnostics": (
-            _diagnostics_payload(tables, fit.weights or "tuned", values["full"], warnings)
+            _diagnostics_payload(
+                tables, fit.weights or options["weights"], values["full"], warnings
+            )
             if run_diag else None
         ),
         "warnings": warnings + list(fit.warnings),

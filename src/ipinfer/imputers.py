@@ -38,6 +38,14 @@ _EM_RIDGE = 1e-8
 _CHAIN_TOL = 1e-4
 _CHAIN_MAX_SWEEPS = 20
 
+# Hotdeck search: query rows per screen block, (row, donor) pairs per
+# recheck, and the screen's error bound per coordinate, relative to the
+# summed squares and absolute for underflow.
+_HOTDECK_BLOCK = 256
+_RECHECK_PAIRS = 16384
+_SCREEN_RELATIVE = 8 * np.finfo(float).eps
+_SCREEN_ABSOLUTE = 8 * np.finfo(float).tiny
+
 
 class ImputationModel:
     """Base class; subclasses implement _fill_missing on a writable copy."""
@@ -140,10 +148,29 @@ class ZeroImputer(ImputationModel):
 class HotDeckImputer(ImputationModel):
     """Copy missing cells from the nearest training donor.
 
-    Distance is Euclidean over the coordinates observed in both the query
-    row and the donor; ties break toward the lowest donor index.  Cells the
-    chosen donor is also missing, and query rows sharing no observed
-    coordinate with any donor, fall back to column means.
+    Distance is the squared Euclidean distance over the coordinates observed
+    in both the query row and the donor, summed per pair as
+    einsum("ij,ij->i") of the masked differences; ties break toward the
+    lowest donor index.  Cells the chosen donor is also missing, and query
+    rows sharing no observed coordinate with any donor, fall back to column
+    means.
+
+    Filling screens, then rechecks.  For each block of 256 incomplete query
+    rows, three matmuls on zero-filled copies give every (row, donor)
+    distance in expanded form, a - 2 x.y + c, where a sums the query's
+    squares over the donor's observed cells and c the donor's squares over
+    the query's.  That form and the einsum distance each lie within
+    about (d + 2) eps (a + c) of the exact distance, for any summation
+    order, with or without FMA; the bound 8 (d + 2) (eps (a + c) + tiny)
+    covers both with room to spare, and its tiny term covers underflow.  A
+    donor whose screened distance minus its bound exceeds some usable
+    donor's screened distance plus that donor's bound is farther than that
+    donor in einsum distance too, so it cannot be chosen.  The remaining
+    usable donors are rechecked with the einsum distance, whose value for
+    a pair depends on that pair alone, and the lowest (distance, donor
+    index) wins: exactly the donor an argmin over every donor picks.  A
+    row whose screen overflows (data beyond about 1e154) rechecks every
+    donor, the unusable ones at infinite distance, as that argmin does.
     """
 
     kind = HOTDECK_KIND
@@ -153,33 +180,75 @@ class HotDeckImputer(ImputationModel):
         self.donors = np.asarray(donors, dtype=float)
         self.donor_observed = ~np.isnan(self.donors)
         self.column_means = np.asarray(column_means, dtype=float)
+        # the screen's donor operands, zero at missing cells: the observed
+        # mask, the squares, and -2 times the values
+        values = np.where(self.donor_observed, self.donors, 0.0)
+        self._screen_mask = self.donor_observed.astype(float)
+        with np.errstate(all="ignore"):
+            self._screen_squares = values * values
+            self._screen_cross = -2.0 * values
 
     @classmethod
     def _fit(cls, matrix):
         return cls(matrix.shape[1], matrix, _observed_column_means(matrix))
 
     def _fill_missing(self, arr):
-        donors = self.donors
-        donor_obs = self.donor_observed
-        for i in range(arr.shape[0]):
-            row = arr[i]
-            miss = np.isnan(row)
-            if not miss.any():
-                continue
-            obs = ~miss
-            shared = donor_obs & obs
-            counts = shared.sum(axis=1)
-            usable = counts > 0
-            fill = self.column_means[miss]
-            if usable.any():
-                diff = np.where(shared, donors - row, 0.0)
-                dist2 = np.einsum("ij,ij->i", diff, diff)
-                dist2[~usable] = np.inf
-                best = int(np.argmin(dist2))
-                donor_row = donors[best]
-                take = donor_obs[best][miss]
-                fill = np.where(take, donor_row[miss], fill)
-            row[miss] = fill
+        miss = np.isnan(arr)
+        incomplete = np.flatnonzero(miss.any(axis=1))
+        for start in range(0, incomplete.size, _HOTDECK_BLOCK):
+            rows = incomplete[start:start + _HOTDECK_BLOCK]
+            x, x_miss = arr[rows], miss[rows]
+            best = self._nearest(x, ~x_miss)
+            fill = np.broadcast_to(self.column_means, x.shape).copy()
+            found = best >= 0
+            donor = best[found]
+            fill[found] = np.where(
+                self.donor_observed[donor], self.donors[donor], fill[found]
+            )
+            arr[rows] = np.where(x_miss, fill, x)
+
+    def _nearest(self, x, obs):
+        """Each query row's nearest usable donor, or -1 when no donor shares
+        an observed coordinate with the row."""
+        xq = np.where(obs, x, 0.0)
+        mq = obs.astype(float)
+        usable = mq @ self._screen_mask.T > 0.0
+        # the screen's overflow and underflow are the bound's business, not
+        # the caller's: the recheck alone does the arithmetic argmin did
+        with np.errstate(all="ignore"):
+            bound = (xq * xq) @ self._screen_mask.T
+            bound += mq @ self._screen_squares.T
+            low = xq @ self._screen_cross.T
+            low += bound
+            bound *= (self.d + 2) * _SCREEN_RELATIVE
+            bound += (self.d + 2) * _SCREEN_ABSOLUTE
+            high = low + bound
+            low -= bound
+        # low and bound are finite wherever high is
+        overflowed = ~np.isfinite(high).all(axis=1)
+        high[~usable] = np.inf
+        pairs = low <= high.min(axis=1, keepdims=True)
+        pairs &= usable
+        pairs[overflowed] = usable[overflowed].any(axis=1, keepdims=True)
+
+        q, j = np.nonzero(pairs)
+        dist = np.empty(q.size)
+        for s in range(0, q.size, _RECHECK_PAIRS):
+            qs, js = q[s:s + _RECHECK_PAIRS], j[s:s + _RECHECK_PAIRS]
+            diff = np.where(
+                self.donor_observed[js] & obs[qs], self.donors[js] - x[qs], 0.0
+            )
+            dist[s:s + _RECHECK_PAIRS] = np.einsum("ij,ij->i", diff, diff)
+        # argmin's order: a NaN distance (from infinite data) wins, and
+        # unusable donors lose
+        dist[np.isnan(dist)] = -np.inf
+        dist[~usable[q, j]] = np.inf
+        order = np.lexsort((j, dist, q))
+        q, j = q[order], j[order]
+        first = np.flatnonzero(np.diff(q, prepend=-1))
+        best = np.full(len(x), -1)
+        best[q[first]] = j[first]
+        return best
 
 
 class GaussianConditionalImputer(ImputationModel):

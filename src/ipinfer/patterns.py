@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from itertools import compress
 
 import numpy as np
 
@@ -25,6 +26,8 @@ COMPLETE_PATTERN_ID = 0
 
 # CSV tokens that denote a missing cell.
 _NA_TOKENS = frozenset({"", "NA"})
+# Records load_csv converts at once.
+_CSV_BLOCK = 256
 
 
 def mask_matrix(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -221,6 +224,12 @@ def _validate_target_dims(target_dims, d: int) -> tuple[int, ...]:
 def load_csv(path) -> tuple[list[str], np.ndarray]:
     """Read a data CSV: header row, real-valued cells, ''/'NA' missing.
 
+    Records are converted a block of 256 at a time: the stripped non-NA
+    cells go through one map(float) and one finiteness check.  A block
+    with a cell that float() rejects, or reads as non-finite, goes through
+    the per-cell loop instead, which reports the first bad cell with its
+    line and column.  Either route reads each cell as float(cell.strip()).
+
     Returns:
         (column names, (N, d) float matrix with NaN for missing cells).
     """
@@ -234,37 +243,79 @@ def load_csv(path) -> tuple[list[str], np.ndarray]:
             columns = [c.strip() for c in header]
             if len(set(columns)) != len(columns):
                 raise DataError(f"{path}: duplicate column names")
-            rows = []
-            for lineno, rec in enumerate(reader, start=2):
-                if not rec:
-                    continue
-                if len(rec) != len(columns):
-                    raise DataError(
-                        f"{path}:{lineno}: expected {len(columns)} cells, got {len(rec)}"
-                    )
-                vals = np.empty(len(columns))
-                for j, tok in enumerate(rec):
-                    tok = tok.strip()
-                    if tok in _NA_TOKENS:
-                        vals[j] = MISSING
-                    else:
-                        try:
-                            vals[j] = float(tok)
-                        except ValueError:
-                            raise DataError(
-                                f"{path}:{lineno}: cannot parse {tok!r} in column "
-                                f"{columns[j]!r}"
-                            ) from None
-                        if not np.isfinite(vals[j]):
-                            raise DataError(
-                                f"{path}:{lineno}: non-finite value in column "
-                                f"{columns[j]!r}; use '' or 'NA' for missing"
-                            )
-                rows.append(vals)
+            blocks = [
+                _convert_block(path, columns, block)
+                for block in _record_blocks(path, reader, len(columns))
+                if block
+            ]
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text: {exc}") from None
     except csv.Error as exc:  # e.g. a cell beyond the csv module's field limit
         raise DataError(f"{path}:{reader.line_num}: unreadable CSV: {exc}") from None
-    if not rows:
+    if not blocks:
         raise DataError(f"{path}: no data rows")
-    return columns, np.vstack(rows)
+    return columns, np.vstack(blocks)
+
+
+def _record_blocks(path, reader, n_columns):
+    """The nonblank records as lists of at most _CSV_BLOCK (line number,
+    cells) pairs.
+
+    A ragged record or a read error is raised only after the records before
+    it have been yielded, so that a bad cell on an earlier line is reported
+    first.
+    """
+    block = []
+    try:
+        for lineno, rec in enumerate(reader, start=2):
+            if not rec:
+                continue
+            if len(rec) != n_columns:
+                raise DataError(
+                    f"{path}:{lineno}: expected {n_columns} cells, got {len(rec)}"
+                )
+            block.append((lineno, rec))
+            if len(block) == _CSV_BLOCK:
+                yield block
+                block = []
+    except (DataError, csv.Error, UnicodeDecodeError):
+        yield block
+        raise
+    yield block
+
+
+def _convert_block(path, columns, block) -> np.ndarray:
+    """The value matrix of a block of (line number, cells) records."""
+    tokens = [tok.strip() for _, rec in block for tok in rec]
+    present = [tok not in _NA_TOKENS for tok in tokens]
+    try:
+        parsed = np.fromiter(map(float, compress(tokens, present)), float)
+    except ValueError:
+        parsed = None
+    if parsed is not None and np.isfinite(parsed).all():
+        vals = np.full((len(block), len(columns)), MISSING)
+        vals.reshape(-1)[np.array(present)] = parsed
+        return vals
+    return np.vstack([_convert_record(path, columns, lineno, rec) for lineno, rec in block])
+
+
+def _convert_record(path, columns, lineno, rec) -> np.ndarray:
+    """One record's values, cell by cell; the first bad cell raises."""
+    vals = np.empty(len(columns))
+    for j, tok in enumerate(rec):
+        tok = tok.strip()
+        if tok in _NA_TOKENS:
+            vals[j] = MISSING
+            continue
+        try:
+            vals[j] = float(tok)
+        except ValueError:
+            raise DataError(
+                f"{path}:{lineno}: cannot parse {tok!r} in column {columns[j]!r}"
+            ) from None
+        if not np.isfinite(vals[j]):
+            raise DataError(
+                f"{path}:{lineno}: non-finite value in column "
+                f"{columns[j]!r}; use '' or 'NA' for missing"
+            )
+    return vals

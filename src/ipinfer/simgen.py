@@ -15,8 +15,10 @@ aggregates with Monte Carlo standard errors.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cache, partial
 
@@ -28,6 +30,8 @@ from .losses import LINEAR, MEAN, LossModel, loss_for_columns, solve_complete_ca
 from .patterns import PatternedDataset, build_dataset
 
 _PATTERN_DRAW_ATTEMPTS = 1000
+# Environment variables that fix a BLAS library's thread count.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 # ---------------------------------------------------------------------------
@@ -361,16 +365,40 @@ def _map_trials(config: ExperimentConfig, trial_fn) -> list:
 
     The trials run in min(jobs, trials, CPUs) worker processes when that is
     more than one: the pool starts every worker at once, so a large `jobs`
-    must not reach it.  The outputs come back in trial order either way,
+    must not reach it.  The workers are spawned, each with one BLAS thread.  The outputs come back in trial order either way,
     so results do not depend on scheduling.
     """
     one = partial(trial_fn, config)
     workers = min(config.jobs, config.trials, os.cpu_count() or 1)
     if workers > 1:
         chunk = max(1, config.trials // (4 * workers))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with _single_threaded_blas(), ProcessPoolExecutor(
+            max_workers=workers, mp_context=multiprocessing.get_context("spawn")
+        ) as pool:
             return list(pool.map(one, range(config.trials), chunksize=chunk))
     return [one(t) for t in range(config.trials)]
+
+
+@contextmanager
+def _single_threaded_blas():
+    """Set the BLAS thread variables to 1 for processes started inside, and
+    restore the caller's environment on exit.
+
+    A pool worker runs one trial at a time, so BLAS threads in it only
+    compete with the other workers for the CPUs.  The variables take effect
+    when numpy loads, which is why the pool spawns fresh workers rather than
+    forking this process and its loaded BLAS.
+    """
+    saved = {var: os.environ.get(var) for var in _BLAS_THREAD_VARS}
+    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
+    try:
+        yield
+    finally:
+        for var, value in saved.items():
+            if value is None:
+                os.environ.pop(var)
+            else:
+                os.environ[var] = value
 
 
 def run_one_trial(config: ExperimentConfig, trial: int, population=None):

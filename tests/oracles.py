@@ -10,6 +10,7 @@ restricted dataset is cut with the dataset's own row subset.
 
 from __future__ import annotations
 
+import csv
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -209,6 +210,95 @@ def em_gaussian(matrix, observed):
     if eigs[0] < -1e-8 * max(1.0, eigs[-1]):
         raise ValueError("EM produced a non-PSD covariance")
     return mu, sigma, n_iter
+
+
+# ---------------------------------------------------------------------------
+# hotdeck and CSV reading before block-wise work
+#
+# The hotdeck fill as a loop over query rows, and the CSV reader as a loop
+# over cells.  The library's screened fill and block-converted reader must
+# reproduce these bit for bit, messages included.
+
+
+def hotdeck_fill(donors: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The hotdeck fill as a per-row loop: for each incomplete row, the
+    masked-difference distance to every donor, then argmin (the first
+    minimum, so ties go to the lowest donor index)."""
+    donors = np.asarray(donors, dtype=float)
+    donor_obs = ~np.isnan(donors)
+    column_means = _observed_column_means(donors)
+    arr = np.array(values, dtype=float)
+    for i in range(arr.shape[0]):
+        row = arr[i]
+        miss = np.isnan(row)
+        if not miss.any():
+            continue
+        obs = ~miss
+        shared = donor_obs & obs
+        counts = shared.sum(axis=1)
+        usable = counts > 0
+        fill = column_means[miss]
+        if usable.any():
+            diff = np.where(shared, donors - row, 0.0)
+            dist2 = np.einsum("ij,ij->i", diff, diff)
+            dist2[~usable] = np.inf
+            best = int(np.argmin(dist2))
+            donor_row = donors[best]
+            take = donor_obs[best][miss]
+            fill = np.where(take, donor_row[miss], fill)
+        row[miss] = fill
+    return arr
+
+
+def load_csv_per_cell(path) -> tuple[list[str], np.ndarray]:
+    """The CSV reader as a loop over cells: float(cell.strip()) per cell,
+    ''/'NA' missing, and the first bad cell raising.  Errors are ValueErrors
+    carrying the library's DataError messages."""
+    na_tokens = frozenset({"", "NA"})
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise ValueError(f"{path}: empty file") from None
+            columns = [c.strip() for c in header]
+            if len(set(columns)) != len(columns):
+                raise ValueError(f"{path}: duplicate column names")
+            rows = []
+            for lineno, rec in enumerate(reader, start=2):
+                if not rec:
+                    continue
+                if len(rec) != len(columns):
+                    raise ValueError(
+                        f"{path}:{lineno}: expected {len(columns)} cells, got {len(rec)}"
+                    )
+                vals = np.empty(len(columns))
+                for j, tok in enumerate(rec):
+                    tok = tok.strip()
+                    if tok in na_tokens:
+                        vals[j] = np.nan
+                    else:
+                        try:
+                            vals[j] = float(tok)
+                        except ValueError:
+                            raise ValueError(
+                                f"{path}:{lineno}: cannot parse {tok!r} in column "
+                                f"{columns[j]!r}"
+                            ) from None
+                        if not np.isfinite(vals[j]):
+                            raise ValueError(
+                                f"{path}:{lineno}: non-finite value in column "
+                                f"{columns[j]!r}; use '' or 'NA' for missing"
+                            )
+                rows.append(vals)
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
+    except csv.Error as exc:
+        raise ValueError(f"{path}:{reader.line_num}: unreadable CSV: {exc}") from None
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
+    return columns, np.vstack(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -442,3 +532,4 @@ def restrict_to_patterns(dataset, pattern_ids):
     shared score tables."""
     keep = np.isin(dataset.pattern_ids, [0, *pattern_ids])
     return dataset.subset(np.flatnonzero(keep))
+

@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import eight_row_matrix
+import oracles
 from ipinfer import baselines, cli, estimators, imputers, losses
 from ipinfer.patterns import build_dataset
 
@@ -667,6 +668,40 @@ class TestNumericErrors:
         assert err.count("\n") == 1
         assert "overflow" in err
 
+    @pytest.mark.parametrize("scale", [1e160, 1e-160])
+    def test_hotdeck_at_extreme_scale_matches_per_row_fill(
+        self, capsys, monkeypatch, tmp_path, scale
+    ):
+        # Squared distances over x and u overflow (or underflow) at these
+        # scales, while the mean of y stays finite.  Under the CLI's error
+        # state the hotdeck screen must neither raise where the per-row fill
+        # did not, nor pick another donor.
+        rng = np.random.default_rng(8)
+        x = rng.standard_normal((90, 3)) * [1.0, scale, scale]
+        x[30:60, 0] = np.nan
+        x[60:, 1] = np.nan
+        lines = ["y,x,u"] + [
+            ",".join("" if np.isnan(v) else repr(float(v)) for v in row) for row in x
+        ]
+        csv = write(tmp_path / "d.csv", "\n".join(lines) + "\n")
+        cfg = write_config(
+            tmp_path / "c.json",
+            {"loss": {"family": "mean", "columns": ["y"]}, "imputer": "hotdeck",
+             "train_frac": 0.5},
+        )
+        argv = ["analyze", csv, "--config", cfg, "--diagnose"]
+
+        def run():
+            code = cli.main(argv)
+            return code, *capsys.readouterr()
+
+        def per_row_fill(model, arr):
+            arr[...] = oracles.hotdeck_fill(model.donors, arr)
+
+        screened = run()
+        monkeypatch.setattr(imputers.HotDeckImputer, "_fill_missing", per_row_fill)
+        assert run() == screened
+
 
 class TestAnalyze:
     def test_eight_row_fixture_matches_frozen_numbers(
@@ -756,6 +791,27 @@ class TestAnalyze:
         payload = run_json(capsys, ["analyze", eight_csv, "--config", cfg])
         assert payload["method"] == "naive"
         assert payload["theta_hat"] == pytest.approx(list(naive.theta_hat), rel=1e-12)
+
+    def test_naive_diagnose_uses_configured_weights(self, capsys, tmp_path, eight_csv):
+        # naive fits no weights; its report tests the ones lambda_mode asks
+        # for, as `ipinfer diagnose` does
+        reports = {}
+        for mode in ("tuned", "pooled"):
+            config = {"loss": MEAN_X_LOSS, "imputer": "chained_regression",
+                      "train_frac": 0.0, "lambda_mode": mode}
+            diagnose = run_json(capsys, [
+                "diagnose", eight_csv,
+                "--config", write_config(tmp_path / "d.json", config),
+            ])
+            config["method"] = "naive"
+            naive = run_json(capsys, [
+                "analyze", eight_csv, "--diagnose",
+                "--config", write_config(tmp_path / "a.json", config),
+            ])
+            reports[mode] = naive["diagnostics"]
+            assert reports[mode]["lambda"] == diagnose["lambda"]
+            assert reports[mode]["weighted"] == diagnose["weighted"]
+        assert reports["pooled"]["lambda"] != reports["tuned"]["lambda"]
 
     def test_cipi_method_runs(self, capsys, tmp_path, rng):
         from conftest import random_blockwise

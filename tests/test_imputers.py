@@ -102,7 +102,11 @@ def test_fill_does_not_depend_on_batch(kind, rng):
     train, query = blockwise_train_and_query(rng)
     model = imputers.fit(kind, train)
     alone = np.vstack([model.fill(row) for row in query])
-    np.testing.assert_allclose(model.fill(query), alone, rtol=0.0, atol=1e-12)
+    if kind == imputers.HOTDECK_KIND:
+        # the screened search rechecks each candidate with one row's arithmetic
+        assert np.array_equal(model.fill(query), alone)
+    else:
+        np.testing.assert_allclose(model.fill(query), alone, rtol=0.0, atol=1e-12)
 
 
 class TestMeanAndZero:
@@ -150,6 +154,63 @@ class TestHotDeck:
         out = model.fill(np.array([nan, nan]))
         assert out[0] == pytest.approx(2.0)
         assert out[1] == pytest.approx(4.0)
+
+    @pytest.mark.parametrize(
+        "case",
+        ["duplicated", "integer_grid", "scale_1e-8", "scale_1e8", "subnormal",
+         "unshared", "overflow", "infinite", "d1", "many_donors"],
+    )
+    def test_fill_matches_per_row_oracle(self, case):
+        """The screened search picks the donor a per-row argmin picks: on
+        exact ties, near-ties, tiny and huge scales, squares that are
+        subnormal or overflow, infinite cells, incomplete donors, rows
+        sharing no coordinate with some donors, all-missing rows, d = 1, and
+        1,980 donors, over several query blocks."""
+        donors, queries = hotdeck_case(case)
+        model = imputers.fit(imputers.HOTDECK_KIND, donors)
+        # the screen raises no floating-point error that the per-row loop
+        # does not; only inf - inf, in the "infinite" case, sets one
+        errors = {"invalid": "ignore"} if case == "infinite" else {"all": "raise"}
+        with np.errstate(**errors):
+            filled = model.fill(queries)
+            expected = oracles.hotdeck_fill(donors, queries)
+        assert np.array_equal(filled, expected)
+
+
+def hotdeck_case(case: str) -> tuple[np.ndarray, np.ndarray]:
+    """(donors, queries) of one hotdeck oracle case, from a fixed seed."""
+    rng = np.random.default_rng(19)
+    d = 1 if case == "d1" else 6
+    n_donors = 1980 if case in ("integer_grid", "many_donors") else 150
+    if case == "integer_grid":
+        # two coordinates on a five-point grid: every query ties with dozens
+        # of donors, more candidate pairs than one recheck call takes
+        d = 2
+        def draw(n):
+            return rng.integers(-2, 3, (n, d)).astype(float)
+    else:
+        scale = {"scale_1e-8": 1e-8, "scale_1e8": 1e8, "subnormal": 1e-160,
+                 "overflow": 1e160}.get(case, 1.0)
+        def draw(n):
+            return scale * rng.standard_normal((n, d))
+    donors, queries = draw(n_donors), draw(700)
+    if case == "duplicated":
+        donors = np.vstack([donors, donors[::3]])
+        queries[:200] = donors[rng.integers(0, len(donors), 200)]
+    # donor 0 stays complete, so that every column is observed
+    donors[1:][rng.random((len(donors) - 1, d)) < 0.2] = nan
+    queries[rng.random(queries.shape) < 0.3] = nan
+    queries[::50] = nan
+    if case in ("unshared", "overflow"):
+        # the later half of the donors observe only the first half of the
+        # coordinates, and the queries only the second half
+        donors[n_donors // 2:, d // 2:] = nan
+        queries[:, : d // 2] = nan
+    if case == "infinite":
+        # an infinite distance, and a NaN one from inf - inf
+        donors[3:5, 0] = np.inf
+        queries[5:10, 0] = [np.inf, np.inf, -np.inf, 1.0, np.inf]
+    return donors, queries
 
 
 class TestGaussianConditional:

@@ -370,3 +370,48 @@ class TestLoadCsv:
         path = self.write(tmp_path, "x,u\n1,2\n3\n")
         with pytest.raises(DataError, match=r":3"):
             load_csv(path)
+
+    @pytest.mark.parametrize(
+        "token",
+        ["nan", "NaN", "inf", "-Infinity", "1e309", "1e-400", "1_000", "+2", "0x10",
+         " NA ", '" NA "', "NA", "", "\xa01.5\xa0", '"\xa0-2.5 "', '"3,5"', '"4.5"',
+         "oops", "1\x00"],
+    )
+    def test_block_conversion_matches_per_cell_reader(self, tmp_path, token):
+        # The token sits on record 300, in the second block of 256 records.
+        self.assert_parity(tmp_path, {300: f'300,{token},"-300"'})
+
+    @pytest.mark.parametrize(
+        "edits",
+        [
+            {300: "300,oops,1", 310: "310,1"},  # a bad cell, then a ragged record
+            {290: "290,1", 300: "300,oops,1"},  # a ragged record, then a bad cell
+            {300: "300,inf,1", 305: "305," + "1" * 140_000 + ",1"},  # then a csv error
+            {300: "300,oops,1", 500: "500,\udcff,1"},  # then a byte that is not UTF-8
+            {260: "260,1,NA", 511: "511,NA,NA", 512: "512,NA,2"},  # block edges
+        ],
+    )
+    def test_first_error_matches_per_cell_reader(self, tmp_path, edits):
+        self.assert_parity(tmp_path, edits)
+
+    def assert_parity(self, tmp_path, edits):
+        """load_csv and the per-cell reader agree on a 600-record CSV with
+        quoted cells and blank lines, with `edits` replacing whole records:
+        the same matrix, or the same message naming the same line."""
+        lines = ["a,b,c"]
+        for i in range(600):
+            lines.append(edits.get(i, f'{i},{0.25 * i},"{-i}"'))
+            if i % 97 == 0:
+                lines.append("")
+        path = tmp_path / "data.csv"
+        path.write_bytes("\n".join(lines).encode("utf-8", "surrogateescape") + b"\n")
+        try:
+            columns, values = oracles.load_csv_per_cell(path)
+        except ValueError as exc:
+            with pytest.raises(DataError) as raised:
+                load_csv(path)
+            assert str(raised.value) == str(exc)
+        else:
+            got_columns, got = load_csv(path)
+            assert got_columns == columns
+            assert np.array_equal(got, values, equal_nan=True)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -24,6 +25,13 @@ from ipinfer.simgen import (
 from oracles import ols_coefficients
 
 nan = np.nan
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def worker_blas_threads(config, trial):
+    """A trial function reporting the BLAS thread variables it runs under."""
+    return [os.environ.get(var) for var in BLAS_THREAD_VARS]
 
 
 def small_config(**kw) -> ExperimentConfig:
@@ -226,13 +234,21 @@ class TestRunTrials:
             assert rs.records == rp.records
             assert rs.p_values().size == 4
 
+    def test_workers_run_one_blas_thread(self, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "4")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        before = dict(os.environ)
+        seen = simgen._map_trials(small_config(trials=2, jobs=2), worker_blas_threads)
+        assert seen == [["1", "1", "1"]] * 2
+        assert dict(os.environ) == before
+
     def test_jobs_capped_at_trials_and_cpus(self, monkeypatch):
         # The pool starts every worker at once; record what reaches it
         # instead of starting processes.
         calls = []
 
         class Recorder:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, mp_context):
                 calls.append(max_workers)
 
             def __enter__(self):
