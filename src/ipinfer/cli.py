@@ -27,7 +27,7 @@ from importlib import resources
 
 import numpy as np
 
-from . import baselines, diagnostics, estimators, imputers, losses, simgen
+from . import diagnostics, estimators, imputers, losses, simgen
 from .errors import (
     ConfigError,
     DataError,
@@ -43,6 +43,9 @@ EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
 _SHIFT_LEVELS = (0.01, 0.05, 0.10)
+
+# analyze's fields that simgen.fit_method takes under the same names
+_FIT_OPTIONS = ("imputer", "alpha", "objective", "k_folds", "n_boot", "mcar", "hessian_mode")
 
 _LOSS_KEYS = {"family", "response", "covariates", "columns", "intercept"}
 
@@ -324,7 +327,9 @@ def build_experiment_config(values: dict) -> simgen.ExperimentConfig:
     methods = values["methods"]
     if not isinstance(methods, list) or not all(isinstance(m, str) for m in methods):
         raise ConfigError("field 'methods' must be a list of method names")
-    simgen.check_methods(methods, values["n_patterns"], loss["family"])
+    simgen.check_methods(
+        methods, values["n_patterns"], loss["family"], values["train_frac"]
+    )
     # the fields an ExperimentConfig takes under their config names
     same = {f.name for f in fields(simgen.ExperimentConfig)} - {"methods"}
     config = simgen.ExperimentConfig(
@@ -453,38 +458,6 @@ def _load_dataset(csv_path: str, loss_section, min_count: int):
     return dataset, loss, names, warnings
 
 
-def _trained_imputer(dataset, kind, train_frac, seed, warnings):
-    """Fit the imputer, splitting off training rows if asked; returns
-    (model, inference dataset).
-
-    train_frac=0 trains in-sample: fine for diagnostics and unbiased
-    imputers, but tuning and intervals may be optimistic for flexible
-    imputers; the cross-fitted method avoids the issue entirely.
-    """
-    if train_frac == 0.0:
-        warnings.append(
-            "imputer trained on the inference rows (train_frac=0); "
-            "set train_frac>0 or use method 'cipi' for honest training"
-        )
-        return imputers.fit(kind, dataset.values), dataset
-    return estimators.train_imputer(
-        dataset, kind, train_frac, np.random.SeedSequence((seed, 0))
-    )
-
-
-def _ipi_tables(dataset, loss, values, warnings, score=True):
-    """Analyze's ipi pipeline after loading, which diagnose runs too: train
-    the imputer, then score the inference rows at the complete-case
-    estimate unless `score` is false.  Returns (model, inference, tables)."""
-    model, inference = _trained_imputer(
-        dataset, values["imputer"], values["train_frac"], values["seed"], warnings
-    )
-    if not score:
-        return model, inference, None
-    theta_n = losses.solve_complete_case(inference, loss)
-    return model, inference, estimators.score_tables(inference, loss, model, theta_n)
-
-
 def _dataset_summary(inference: PatternedDataset) -> dict:
     """The row and pattern counts both result payloads report."""
     names = ("n_rows", "n_complete", "n_patterns", "dropped_rows")
@@ -604,12 +577,9 @@ def _simulate_shift(config, magnitudes, include_full) -> dict:
 
 def cmd_analyze(args) -> int:
     values = _read_fields(_apply_overrides(load_config(args.config), args), "analyze")
-    method, alpha, mcar = values["method"], values["alpha"], values["mcar"]
-    run_diag = values["diagnose"]
-    # the options the cipi and ipi fits share
-    shared = ("alpha", "hessian_mode", "objective", "mcar")
-    options = {"weights": _weights(values), **{key: values[key] for key in shared}}
-    if run_diag and method in ("cipi", "complete_case", "aipw"):
+    method, run_diag = values["method"], values["diagnose"]
+    weights = _weights(values)
+    if run_diag and method not in simgen.SPLIT_METHODS:
         raise ConfigError(
             f"--diagnose is not available with method {method!r}: its estimate "
             "uses no single trained imputer to test; run 'ipinfer diagnose' or "
@@ -620,26 +590,15 @@ def cmd_analyze(args) -> int:
         args.csv, values["loss"], values["min_pattern_count"]
     )
     _check_coordinate("objective", values["objective"], loss.param_dim)
-    inference, tables = dataset, None
-    if method == "complete_case":
-        fit = baselines.complete_case_fit(dataset, loss, alpha=alpha, mcar=mcar)
-    elif method == "aipw":
-        fit = baselines.aipw_fit(dataset, loss, alpha=alpha, mcar=mcar)
-    elif method == "cipi":
-        fit = estimators.cipi_fit(
-            dataset, loss, values["imputer"], k_folds=values["k_folds"],
-            n_boot=values["n_boot"], seed=(values["seed"], 0), **options,
-        )
-    else:
-        model, inference, tables = _ipi_tables(
-            dataset, loss, values, warnings, score=method == "ipi" or run_diag
-        )
-        if method == "naive":
-            fit = baselines.naive_single_impute_fit(
-                inference, loss, model, alpha=alpha, mcar=mcar
-            )
-        else:
-            fit = estimators.fit_from_tables(tables, **options)
+    seed = (values["seed"], 0)  # seeds the split and cipi's folds
+    split = simgen.Split(
+        dataset, loss, values["imputer"], values["train_frac"], seed, warnings
+    )
+    fit = simgen.fit_method(
+        method, dataset, loss, split, seed=seed, weights=weights,
+        **{key: values[key] for key in _FIT_OPTIONS},
+    )
+    inference = split.fitted[1] if method in simgen.SPLIT_METHODS else dataset
 
     payload = {
         "schema": "ipinfer/result-v1",
@@ -660,7 +619,7 @@ def cmd_analyze(args) -> int:
         # naive carries no weights; its report uses the configured ones
         "diagnostics": (
             _diagnostics_payload(
-                tables, fit.weights or options["weights"], values["full"], warnings
+                split.tables, fit.weights or weights, values["full"], warnings
             )
             if run_diag else None
         ),
@@ -676,11 +635,13 @@ def cmd_diagnose(args) -> int:
     dataset, loss, _, warnings = _load_dataset(
         args.csv, values["loss"], values["min_pattern_count"]
     )
-    _, inference, tables = _ipi_tables(dataset, loss, values, warnings)
+    split = simgen.Split(
+        dataset, loss, values["imputer"], values["train_frac"], (values["seed"], 0), warnings
+    )
     payload = {
         "schema": "ipinfer/diagnostics-v1",
-        **_diagnostics_payload(tables, weights, values["full"], warnings),
-        **_dataset_summary(inference),
+        **_diagnostics_payload(split.tables, weights, values["full"], warnings),
+        **_dataset_summary(split.fitted[1]),
         "warnings": warnings,
     }
     _emit(payload, values["out"])

@@ -759,17 +759,31 @@ def split_train_inference(dataset: PatternedDataset, train_frac: float, seed):
     return dataset.values[train_idx], dataset.subset(infer_idx)
 
 
-def train_imputer(dataset: PatternedDataset, kind: str, train_frac: float, seed):
-    """Split off the training rows (split_train_inference) and fit the
-    imputer on them; returns (model, inference_dataset).  A split that
-    leaves no training row is a ConfigError."""
+def train_imputer(dataset: PatternedDataset, kind: str, train_frac, seed, warnings):
+    """Fit the imputer on the rows split_train_inference splits off, and
+    return (model, inference_dataset).  A positive train_frac that splits
+    off no row is a ConfigError.  train_frac=0 trains in-sample: fine for
+    diagnostics and unbiased imputers, but tuning and intervals may be
+    optimistic for flexible imputers.  That, and a fit stopped at its
+    iteration cap, each add a warning to `warnings`."""
     train, inference = split_train_inference(dataset, train_frac, seed)
-    if not len(train):
+    if train_frac == 0.0:
+        warnings.append(
+            "imputer trained on the inference rows (train_frac=0); "
+            "set train_frac>0 or use method 'cipi' for honest training"
+        )
+        train = dataset.values
+    elif not len(train):
         raise ConfigError(
             f"field 'train_frac': {train_frac} of {dataset.n_rows} rows "
             "leaves no imputer training rows"
         )
-    return fit_imputer(kind, train), inference
+    model = fit_imputer(kind, train)
+    if not model.converged:
+        warnings.append(
+            f"the {kind} imputer stopped at its cap of {model.cap} before converging"
+        )
+    return model, inference
 
 
 # ---------------------------------------------------------------------------

@@ -51,6 +51,9 @@ class ImputationModel:
     """Base class; subclasses implement _fill_missing on a writable copy."""
 
     kind = "base"
+    # Whether the fit met its tolerance before its iteration cap, `cap`;
+    # kinds fitted in closed form always do.
+    converged = True
 
     def __init__(self, d: int):
         self.d = int(d)
@@ -168,9 +171,9 @@ class HotDeckImputer(ImputationModel):
     donor in einsum distance too, so it cannot be chosen.  The remaining
     usable donors are rechecked with the einsum distance, whose value for
     a pair depends on that pair alone, and the lowest (distance, donor
-    index) wins: exactly the donor an argmin over every donor picks.  A
-    row whose screen overflows (data beyond about 1e154) rechecks every
-    donor, the unusable ones at infinite distance, as that argmin does.
+    index) wins: exactly the donor an argmin over the usable donors picks.
+    A row whose screen overflows (data beyond about 1e154) rechecks every
+    usable donor.
     """
 
     kind = HOTDECK_KIND
@@ -229,7 +232,7 @@ class HotDeckImputer(ImputationModel):
         high[~usable] = np.inf
         pairs = low <= high.min(axis=1, keepdims=True)
         pairs &= usable
-        pairs[overflowed] = usable[overflowed].any(axis=1, keepdims=True)
+        pairs[overflowed] = usable[overflowed]
 
         q, j = np.nonzero(pairs)
         dist = np.empty(q.size)
@@ -239,10 +242,8 @@ class HotDeckImputer(ImputationModel):
                 self.donor_observed[js] & obs[qs], self.donors[js] - x[qs], 0.0
             )
             dist[s:s + _RECHECK_PAIRS] = np.einsum("ij,ij->i", diff, diff)
-        # argmin's order: a NaN distance (from infinite data) wins, and
-        # unusable donors lose
+        # argmin's order: a NaN distance (from infinite data) wins
         dist[np.isnan(dist)] = -np.inf
-        dist[~usable[q, j]] = np.inf
         order = np.lexsort((j, dist, q))
         q, j = q[order], j[order]
         first = np.flatnonzero(np.diff(q, prepend=-1))
@@ -258,9 +259,10 @@ class GaussianConditionalImputer(ImputationModel):
     incomplete rows exactly (conditional means in the E-step plus the
     conditional covariance mass in the M-step, maximum-likelihood 1/m
     updates).  Convergence is max absolute parameter change below 1e-6,
-    capped at 200 iterations.  Before every conditioning solve the observed
-    block's diagonal is inflated by 1e-8 * trace(Sigma) / d.  Rows with no
-    observed cells fill with the unconditional mean.
+    capped at 200 iterations; n_iter records how many ran and converged
+    whether the change fell below 1e-6.  Before every conditioning solve
+    the observed block's diagonal is inflated by 1e-8 * trace(Sigma) / d.
+    Rows with no observed cells fill with the unconditional mean.
 
     EM plans each training missingness pattern once per fit: its column
     indices, block selections, observed training block and row count are
@@ -271,12 +273,14 @@ class GaussianConditionalImputer(ImputationModel):
     """
 
     kind = GAUSSIAN_KIND
+    cap = f"{_EM_MAX_ITER} EM iterations"
 
-    def __init__(self, d, mu, sigma, n_iter):
+    def __init__(self, d, mu, sigma, n_iter, converged):
         super().__init__(d)
         self.mu = np.asarray(mu, dtype=float)
         self.sigma = np.asarray(sigma, dtype=float)
         self.n_iter = int(n_iter)
+        self.converged = bool(converged)
         self._ridge = _EM_RIDGE * float(np.trace(self.sigma)) / self.d
         self._coefficients: dict[bytes, tuple] = {}
 
@@ -290,8 +294,7 @@ class GaussianConditionalImputer(ImputationModel):
                 f"columns {low.tolist()} observed fewer than twice; "
                 "cannot fit a gaussian model"
             )
-        mu, sigma, n_iter = _em_gaussian(matrix, observed)
-        return cls(d, mu, sigma, n_iter)
+        return cls(d, *_em_gaussian(matrix, observed))
 
     def _pattern_coefficients(self, key: bytes) -> tuple:
         """(observed columns, missing columns, coefficients) of one pattern;
@@ -415,7 +418,7 @@ def _em_gaussian(matrix, observed):
     eigs = np.linalg.eigvalsh(sigma)
     if eigs[0] < -1e-8 * max(1.0, eigs[-1]):
         raise FitError("EM produced a non-PSD covariance")
-    return mu, sigma, n_iter
+    return mu, sigma, n_iter, delta <= _EM_TOL
 
 
 class ChainedRegressionImputer(ImputationModel):
@@ -428,21 +431,24 @@ class ChainedRegressionImputer(ImputationModel):
     rows where the column is observed and re-imputing its missing cells,
     until the mean absolute change of imputed cells drops below 1e-4 or 20
     sweeps pass (one sweep when the training matrix is complete); n_sweeps
-    records how many ran.  The final regressions are x_j = intercepts[j] +
-    coefs[j] @ x, with coefs (d, d) zero on the diagonal.  Filling imputes
-    a row's missing cells m at the fixed point of those regressions,
+    records how many ran and converged whether the change fell below 1e-4.
+    The final regressions are x_j = intercepts[j] + coefs[j] @ x, with
+    coefs (d, d) zero on the diagonal.  Filling imputes a row's missing
+    cells m at the fixed point of those regressions,
     (I - coefs_mm) x_m = intercepts_m + coefs_mo x_o, solved once per
     missingness pattern (least squares if singular), so a row's fill depends
     on that row alone.
     """
 
     kind = CHAINED_KIND
+    cap = f"{_CHAIN_MAX_SWEEPS} sweeps"
 
-    def __init__(self, d, intercepts, coefs, n_sweeps):
+    def __init__(self, d, intercepts, coefs, n_sweeps, converged):
         super().__init__(d)
         self.intercepts = np.asarray(intercepts, dtype=float)
         self.coefs = np.asarray(coefs, dtype=float)
         self.n_sweeps = int(n_sweeps)
+        self.converged = bool(converged)
 
     @classmethod
     def _fit(cls, matrix):
@@ -475,9 +481,10 @@ class ChainedRegressionImputer(ImputationModel):
                     pred = intercepts[j] + filled[rows] @ coefs[j]
                     total_change += float(np.abs(pred - filled[rows, j]).sum())
                     filled[rows, j] = pred
-            if n_cells == 0 or total_change / n_cells < _CHAIN_TOL:
+            converged = n_cells == 0 or total_change / n_cells < _CHAIN_TOL
+            if converged:
                 break
-        return cls(d, intercepts, coefs, n_sweeps)
+        return cls(d, intercepts, coefs, n_sweeps, converged)
 
     def _fill_missing(self, arr):
         for key, rows in pattern_groups(np.isnan(arr)).items():

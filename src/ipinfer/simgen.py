@@ -20,7 +20,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import cache, partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -254,12 +254,15 @@ METHOD_SUFFIXES = {
     "complete_case": (), "aipw": (), "naive": (), "single_pattern": ("best",),
     "ipi": estimators.WEIGHT_MODES, "cipi": estimators.WEIGHT_MODES,
 }
+# The methods that read a Split: one imputer trained on split-off rows.
+SPLIT_METHODS = ("ipi", "naive", "single_pattern")
 
 
-def check_methods(methods, n_patterns: int, loss_family: str) -> None:
+def check_methods(methods, n_patterns: int, loss_family: str, train_frac: float) -> None:
     """Raise ConfigError unless every entry names a method of
     METHOD_SUFFIXES, alone or with a suffix it takes, that fits the loss
-    family (aipw is defined for linear regression only)."""
+    family (aipw is defined for linear regression only), and train_frac
+    splits off training rows for every method of SPLIT_METHODS."""
     for method in methods:
         name, sep, arg = method.partition(":")
         if name not in METHOD_SUFFIXES:
@@ -285,6 +288,8 @@ def check_methods(methods, n_patterns: int, loss_family: str) -> None:
                 f"field 'methods': {method!r} is defined for linear regression "
                 f"only, not {loss_family}"
             )
+        if name in SPLIT_METHODS and train_frac == 0.0:
+            raise ConfigError(f"field 'train_frac': {method!r} needs training rows, not 0")
 
 
 @dataclass
@@ -339,15 +344,71 @@ def _simulate_dataset(config: ExperimentConfig, population, target_dims, trial: 
     return gen_mcar_missingness(matrix, mcfg, target_dims, rng), rng
 
 
-def _split_tables(config: ExperimentConfig, dataset, loss, rng) -> dict:
-    """The train/inference split, the imputer fitted on the training rows,
-    and the inference rows' score tables at the complete-case estimate."""
-    model, inference = estimators.train_imputer(
-        dataset, config.imputer, config.train_frac, rng
+@dataclass
+class Split:
+    """The imputer split the methods of SPLIT_METHODS read, each part built
+    on first use: `fitted` is (model, inference dataset) from
+    estimators.train_imputer, whose warnings go to `warnings`, and `tables`
+    the inference rows' score tables at their complete-case estimate."""
+
+    dataset: PatternedDataset
+    loss: LossModel
+    imputer: str
+    train_frac: float
+    seed: object
+    warnings: list
+
+    @cached_property
+    def fitted(self) -> tuple:
+        return estimators.train_imputer(
+            self.dataset, self.imputer, self.train_frac, self.seed, self.warnings
+        )
+
+    @cached_property
+    def tables(self) -> estimators.ScoreTables:
+        model, inference = self.fitted
+        theta_n = solve_complete_case(inference, self.loss)
+        return estimators.score_tables(inference, self.loss, model, theta_n)
+
+
+def fit_method(
+    method, dataset, loss, split, *, imputer, alpha, objective, k_folds, n_boot,
+    seed, weights="tuned", mcar=True, hessian_mode=None,
+):
+    """Fit one method of METHOD_SUFFIXES on `dataset`: the methods of
+    SPLIT_METHODS read `split`, and cipi cross-fits `imputer` with `seed`.
+
+    A ':' suffix on ipi or cipi names the weight mode in place of
+    `weights`; single_pattern's is 'best' or a pattern id, and an id the
+    split's tables lack is a DataError.
+    """
+    name, _, arg = method.partition(":")
+    shared = dict(
+        weights=arg or weights, alpha=alpha, hessian_mode=hessian_mode,
+        objective=objective, mcar=mcar,
     )
-    theta_n = solve_complete_case(inference, loss)
-    tables = estimators.score_tables(inference, loss, model, theta_n)
-    return {"inference": inference, "model": model, "tables": tables}
+    if name == "complete_case":
+        return baselines.complete_case_fit(dataset, loss, alpha=alpha, mcar=mcar)
+    if name == "aipw":
+        return baselines.aipw_fit(dataset, loss, alpha=alpha, mcar=mcar)
+    if name == "cipi":
+        return estimators.cipi_fit(
+            dataset, loss, imputer, k_folds=k_folds, n_boot=n_boot, seed=seed, **shared
+        )
+    if name == "naive":
+        model, inference = split.fitted
+        return baselines.naive_single_impute_fit(
+            inference, loss, model, alpha=alpha, mcar=mcar
+        )
+    tables = split.tables
+    if name == "ipi":
+        return estimators.fit_from_tables(tables, **shared)
+    if arg == "best":
+        fit, _ = baselines.best_single_pattern(tables, alpha=alpha, objective=objective)
+        return fit
+    if int(arg) > tables.n_patterns:
+        raise DataError(f"the data hold {tables.n_patterns} patterns, so no pattern {arg}")
+    return baselines.single_pattern_ipi(tables, int(arg), alpha=alpha, objective=objective)
 
 
 def _unless_failed(fn, *args):
@@ -365,8 +426,9 @@ def _map_trials(config: ExperimentConfig, trial_fn) -> list:
 
     The trials run in min(jobs, trials, CPUs) worker processes when that is
     more than one: the pool starts every worker at once, so a large `jobs`
-    must not reach it.  The workers are spawned, each with one BLAS thread.  The outputs come back in trial order either way,
-    so results do not depend on scheduling.
+    must not reach it.  The workers are spawned, each with one BLAS thread.
+    The outputs come back in trial order either way, so results do not
+    depend on scheduling.
     """
     one = partial(trial_fn, config)
     workers = min(config.jobs, config.trials, os.cpu_count() or 1)
@@ -411,7 +473,7 @@ def run_one_trial(config: ExperimentConfig, trial: int, population=None):
         ConfigError: a method is misconfigured; this propagates rather than
             counting as a failed trial.
     """
-    check_methods(config.methods, config.n_patterns, config.loss_family)
+    check_methods(config.methods, config.n_patterns, config.loss_family, config.train_frac)
     if population is None:
         population = build_population(config.factor)
     loss, target_dims = config.make_loss()
@@ -421,13 +483,14 @@ def run_one_trial(config: ExperimentConfig, trial: int, population=None):
 
     cc_fit = baselines.complete_case_fit(dataset, loss, alpha=config.alpha)
     baseline_width = cc_fit.width[j]
-
-    # One split, imputer and table set per trial, built only if a method
-    # needs them and shared by every method that does.
-    split_artifacts = cache(lambda: _split_tables(config, dataset, loss, rng))
+    split = Split(dataset, loss, config.imputer, config.train_frac, rng, [])
 
     def _record(method):
-        fit = _run_method(method, config, dataset, loss, cc_fit, split_artifacts, trial)
+        fit = cc_fit if method == "complete_case" else fit_method(
+            method, dataset, loss, split, imputer=config.imputer, alpha=config.alpha,
+            objective=config.objective, k_folds=config.k_folds, n_boot=config.n_boot,
+            seed=(config.seed, 3, trial),
+        )
         lo, hi = fit.ci[j]
         return TrialRecord(
             method=method,
@@ -446,47 +509,6 @@ def run_one_trial(config: ExperimentConfig, trial: int, population=None):
     # marked failed; the other methods still run.
     out = {method: _unless_failed(_record, method) for method in config.methods}
     return trial, out
-
-
-def _run_method(method, config, dataset, loss, cc_fit, split_artifacts, trial):
-    name, _, arg = method.partition(":")
-    if name == "complete_case":
-        return cc_fit
-    if name == "aipw":
-        return baselines.aipw_fit(dataset, loss, alpha=config.alpha)
-    if name == "cipi":
-        return estimators.cipi_fit(
-            dataset, loss, config.imputer,
-            k_folds=config.k_folds, n_boot=config.n_boot,
-            weights=arg or "tuned", alpha=config.alpha,
-            objective=config.objective,
-            seed=(config.seed, 3, trial),
-        )
-    state = split_artifacts()
-    if name == "ipi":
-        return estimators.fit_from_tables(
-            state["tables"], weights=arg or "tuned", alpha=config.alpha,
-            objective=config.objective,
-        )
-    if name == "naive":
-        return baselines.naive_single_impute_fit(
-            state["inference"], loss, state["model"], alpha=config.alpha
-        )
-    # single_pattern: check_methods passed 'best' or an id in [1, n_patterns]
-    tables = state["tables"]
-    if arg == "best":
-        fit, _ = baselines.best_single_pattern(
-            tables, alpha=config.alpha, objective=config.objective
-        )
-        return fit
-    if int(arg) > tables.n_patterns:
-        raise DataError(
-            f"this trial's data hold {tables.n_patterns} of the "
-            f"{config.n_patterns} patterns, so no pattern {arg}"
-        )
-    return baselines.single_pattern_ipi(
-        tables, int(arg), alpha=config.alpha, objective=config.objective
-    )
 
 
 def run_trials(config: ExperimentConfig, collect_records: bool = False) -> ExperimentResult:
@@ -576,15 +598,17 @@ def gen_shift_experiment(
     one ShiftExperimentResult per setting in `shifts`, in order.
 
     A setting is a number (applied to every pattern) or a length-n_patterns
-    vector; any other shape is a ConfigError before any trial.  Entry r of
-    a vector shifts whichever pattern is numbered r + 1 in that trial:
-    every trial draws and numbers its patterns afresh, so a vector names no
-    fixed mask.  Each trial simulates data, fits the imputer on the
+    vector; any other shape, and a train_frac of 0, is a ConfigError before
+    any trial.  Entry r of a vector shifts whichever pattern is numbered
+    r + 1 in that trial: every trial draws and numbers its patterns afresh,
+    so a vector names no fixed mask.  Each trial simulates data, fits the imputer on the
     training split and builds the score tables once.  Per setting it then
     shifts each pattern's own imputed scores (masked complete rows stay
     put), tunes the weights on the shifted tables and records the test
     p-values.  Trials run in the pool when jobs > 1.
     """
+    if config.train_frac == 0.0:
+        raise ConfigError("field 'train_frac': a shift experiment needs training rows, not 0")
     big_r = config.n_patterns
     if np.isscalar(shifts):
         raise ConfigError("shifts must be a list of settings, not one number")
@@ -617,7 +641,7 @@ def _shift_trial(config, trial, population, settings, include_full) -> list:
 
     def build():
         dataset, rng = _simulate_dataset(config, population, target_dims, trial)
-        return _split_tables(config, dataset, loss, rng)["tables"]
+        return Split(dataset, loss, config.imputer, config.train_frac, rng, []).tables
 
     tables = _unless_failed(build)
     if tables is None or tables.n_patterns == 0:

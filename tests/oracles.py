@@ -222,8 +222,9 @@ def em_gaussian(matrix, observed):
 
 def hotdeck_fill(donors: np.ndarray, values: np.ndarray) -> np.ndarray:
     """The hotdeck fill as a per-row loop: for each incomplete row, the
-    masked-difference distance to every donor, then argmin (the first
-    minimum, so ties go to the lowest donor index)."""
+    masked-difference distance to every donor sharing an observed
+    coordinate with it, then argmin over those donors (the first minimum,
+    so ties go to the lowest donor index)."""
     donors = np.asarray(donors, dtype=float)
     donor_obs = ~np.isnan(donors)
     column_means = _observed_column_means(donors)
@@ -241,8 +242,8 @@ def hotdeck_fill(donors: np.ndarray, values: np.ndarray) -> np.ndarray:
         if usable.any():
             diff = np.where(shared, donors - row, 0.0)
             dist2 = np.einsum("ij,ij->i", diff, diff)
-            dist2[~usable] = np.inf
-            best = int(np.argmin(dist2))
+            candidates = np.flatnonzero(usable)
+            best = int(candidates[np.argmin(dist2[candidates])])
             donor_row = donors[best]
             take = donor_obs[best][miss]
             fill = np.where(take, donor_row[miss], fill)

@@ -553,11 +553,12 @@ class TestConfigErrors:
         assert err.count("\n") == 1
         assert "'train_frac'" in err
 
-    @pytest.mark.parametrize("method", ["ipi", "naive"])
+    @pytest.mark.parametrize("method", ["ipi", "naive", "single_pattern:best"])
     def test_simulate_split_without_training_rows_exits_2(
         self, capsys, tmp_path, method
     ):
-        # Every trial once failed and the run exited 0.
+        # Every trial once failed and the run exited 0; then the run exited
+        # 2 from its first trial, after creating --out.
         out = tmp_path / "out"
         cfg = write_config(
             tmp_path / "c.json",
@@ -567,7 +568,7 @@ class TestConfigErrors:
         assert code == 2
         assert err.count("\n") == 1
         assert "'train_frac'" in err
-        assert not (out / "metrics.csv").exists()
+        assert not out.exists()
 
 
     @pytest.mark.parametrize("method", ["complete_case", "naive", "ipi"])
@@ -928,6 +929,28 @@ class TestAnalyze:
         assert out1.read_bytes() == out2.read_bytes()
         assert json.loads(out1.read_text())["theta_hat"] == pytest.approx(
             [3.8799999912]
+        )
+
+
+    @pytest.mark.parametrize("command", ["analyze", "diagnose"])
+    def test_imputer_fit_at_its_cap_warns(self, capsys, tmp_path, command):
+        # Two nearly collinear columns missing together: the chained sweeps
+        # pass the imputations back and forth and stop at their cap.
+        rng = np.random.default_rng(0)
+        z = rng.standard_normal((30, 1)) + 3.0
+        x = np.hstack([rng.standard_normal((30, 1)), z + 0.3 * rng.standard_normal((30, 2))])
+        x[:10, 1:] = np.nan
+        rows = [",".join("" if np.isnan(v) else repr(float(v)) for v in row) for row in x]
+        csv = write(tmp_path / "d.csv", "\n".join(["a,b,c", *rows]) + "\n")
+        cfg = write_config(
+            tmp_path / "c.json",
+            {"loss": {"family": "mean", "columns": ["b"]},
+             "imputer": "chained_regression", "train_frac": 0.0},
+        )
+        payload = run_json(capsys, [command, csv, "--config", cfg])
+        assert payload["warnings"][-1] == (
+            "the chained_regression imputer stopped at its cap of 20 sweeps "
+            "before converging"
         )
 
 

@@ -155,6 +155,15 @@ class TestHotDeck:
         assert out[0] == pytest.approx(2.0)
         assert out[1] == pytest.approx(4.0)
 
+    def test_overflowed_distances_choose_a_usable_donor(self):
+        # Both donors sharing coordinate 1 with the row are at an overflowed
+        # (infinite) distance; donor 0 shares none and was once copied.
+        donors = np.array([[7.0, nan, 1.0], [nan, 1e160, 2.0], [nan, 2e160, 3.0]])
+        model = imputers.fit(imputers.HOTDECK_KIND, donors)
+        out = model.fill(np.array([nan, 1.5, nan]))
+        assert np.array_equal(out, [7.0, 1.5, 2.0])
+        assert np.array_equal(oracles.hotdeck_fill(donors, [[nan, 1.5, nan]])[0], out)
+
     @pytest.mark.parametrize(
         "case",
         ["duplicated", "integer_grid", "scale_1e-8", "scale_1e8", "subnormal",
@@ -305,7 +314,7 @@ class TestPatternPlans:
         matrix = PARITY_MATRICES[name]()
         observed = ~np.isnan(matrix)
         assert (observed.sum(axis=0) >= 2).all()
-        mu, sigma, n_iter = imputers._em_gaussian(matrix, observed)
+        mu, sigma, n_iter, _ = imputers._em_gaussian(matrix, observed)
         ref_mu, ref_sigma, ref_iter = oracles.em_gaussian(matrix, observed)
         assert np.array_equal(mu, ref_mu)
         assert np.array_equal(sigma, ref_sigma)
@@ -424,10 +433,10 @@ class TestChainedRegression:
     def test_reports_sweeps(self, rng):
         complete = random_blockwise(rng, masks=())
         model = imputers.fit(imputers.CHAINED_KIND, complete)
-        assert model.n_sweeps == 1
+        assert model.n_sweeps == 1 and model.converged
         train, _ = blockwise_train_and_query(rng)
         model = imputers.fit(imputers.CHAINED_KIND, train)
-        assert 1 < model.n_sweeps <= 20
+        assert 1 < model.n_sweeps <= 20 and model.converged
 
     def test_deterministic(self):
         a = imputers.fit(imputers.CHAINED_KIND, train_matrix())

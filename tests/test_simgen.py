@@ -193,8 +193,8 @@ class TestRunTrials:
             assert record.n_effective > 0
 
     def test_zero_width_interval_fails_only_its_method(self, monkeypatch):
-        def zero_width(dataset, loss, alpha):
-            fit = baselines.complete_case_fit(dataset, loss, alpha=alpha)
+        def zero_width(dataset, loss, alpha, mcar):
+            fit = baselines.complete_case_fit(dataset, loss, alpha=alpha, mcar=mcar)
             return replace(fit, ci=np.repeat(fit.theta_hat[:, None], 2, axis=1))
 
         monkeypatch.setattr(baselines, "aipw_fit", zero_width)
@@ -338,6 +338,8 @@ class TestShiftExperiment:
                 [0.0],
                 "noise variance overflows",
             ),
+            # the imputer trains on split-off rows, never in-sample
+            ({"train_frac": 0.0}, [0.0], "'train_frac'"),
         ],
     )
     def test_config_errors_raise(self, change, shifts, match):
