@@ -166,18 +166,18 @@ FIELDS = {
     "simulate": (
         _SEED,
         replace(_SEED, name="population_seed", default=_SEED, flag=""),
-        Field("d", int, 20),
-        Field("n_factors", int, 2),
-        Field("variance_explained", float, 0.5),
+        Field("d", int, 20, "at least 1", lambda d: d >= 1),
+        Field("n_factors", int, 2, "at least 1", lambda q: q >= 1),
+        Field("variance_explained", float, 0.5, "in (0, 1)", lambda v: 0.0 < v < 1.0),
         replace(_LOSS, default=_SIMULATE_LOSS),
         Field("methods", object, ["ipi", "complete_case"]),
-        Field("n_complete", int, 200),
+        Field("n_complete", int, 200, "at least 1", lambda n: n >= 1),
         Field(
             "ratio", float, 10.0, "finite and at least 0",
             lambda r: math.isfinite(r) and r >= 0.0,
         ),
-        Field("n_patterns", int, 10),
-        Field("feature_mask_prob", float, 0.2),
+        Field("n_patterns", int, 10, _NON_NEGATIVE, lambda r: r >= 0),
+        Field("feature_mask_prob", float, 0.2, "in (0, 1)", lambda q: 0.0 < q < 1.0),
         _IMPUTER,
         Field("trials", int, 100, "at least 1", lambda t: t >= 1),
         _ALPHA,
@@ -315,8 +315,8 @@ def _loss_from_config(section, columns: list, fallback=None) -> dict:
 
 def build_experiment_config(values: dict) -> simgen.ExperimentConfig:
     """Map simulate's checked field values onto an ExperimentConfig,
-    checking the loss section, the method list, the missingness fields and
-    the coordinates."""
+    checking the loss section, the method list, the training split and the
+    coordinates, all before simulate creates --out."""
     factor = simgen.FactorModelConfig(
         d=values["d"], n_factors=values["n_factors"],
         variance_explained=values["variance_explained"], seed=values["population_seed"],
@@ -340,7 +340,7 @@ def build_experiment_config(values: dict) -> simgen.ExperimentConfig:
         covariates=loss["covariates"], mean_columns=loss["columns"],
         intercept=loss["intercept"],
     )
-    config.missingness()  # checks its fields before simulate creates --out
+    simgen.check_split(config, values["experiment"] == "shift")
     p = config.make_loss()[0].param_dim
     _check_coordinate("target_coordinate", config.target_coordinate, p)
     _check_coordinate("objective", config.objective, p)

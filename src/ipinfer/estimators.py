@@ -22,7 +22,7 @@ single imputer is the K = 1 case of the same score tables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -677,6 +677,11 @@ def fit_from_tables(
     """Weight, step, and summarize on score tables built at the
     complete-case estimate.
 
+    The fit warns when some coordinate's n_effective exceeds the rows the
+    tables hold, complete and incomplete: no honest fit beats having every
+    row complete by more than noise, so the likely cause is an imputer
+    trained on the rows it fills.
+
     Args:
         weights: a mode of WEIGHT_MODES or the weights themselves (see
             resolve_weights).
@@ -699,14 +704,21 @@ def fit_from_tables(
     sigma = variance(tables, weights, hessian)
     sigma_cc = estimate_variance(tables, zero_weights(tables.n_patterns))
     n = tables.n_complete
-    return summarize_fit(
+    fit = summarize_fit(
         method, theta, sigma, n, alpha, mcar,
         baseline=(tables.theta, sigma_cc, n),
         weights=weights,
         hessian=hessian,
         hessian_mode=hessian_mode,
-        warnings=tuple(warnings),
     )
+    n_rows = n + int(tables.counts.sum())
+    j = int(np.argmax(fit.n_effective))
+    if fit.n_effective[j] > n_rows:
+        warnings.append(
+            f"n_effective[{j}] = {fit.n_effective[j]:.0f} exceeds the {n_rows} "
+            "rows of the data; was the imputer trained on the rows it fills?"
+        )
+    return replace(fit, warnings=tuple(warnings))
 
 
 def ipi_fit(
@@ -959,7 +971,8 @@ def cipi_fit(
     The imputer is retrained K times, each fold scored by the model that
     never saw it, so no training/inference split is needed.  The variance
     is bootstrap_variance: the plug-in sandwich on n_boot more models'
-    out-of-bag-averaged fills.
+    out-of-bag-averaged fills.  When some of the K fold models stop at
+    their iteration cap, one warning says how many.
 
     Args:
         imputer: imputer kind string or factory(matrix).
@@ -977,7 +990,7 @@ def cipi_fit(
             np.random.default_rng(boot_seed), hessian=hessian,
         )
 
-    return fit_from_tables(
+    fit = fit_from_tables(
         tables,
         weights=weights,
         alpha=alpha,
@@ -987,3 +1000,10 @@ def cipi_fit(
         method="cipi",
         variance=_bootstrap,
     )
+    stopped = [m for m in folded.models if not getattr(m, "converged", True)]
+    if not stopped:
+        return fit
+    return replace(fit, warnings=fit.warnings + (
+        f"{len(stopped)} of {k_folds} fold {stopped[0].kind} imputers stopped "
+        f"at their cap of {stopped[0].cap} before converging",
+    ))

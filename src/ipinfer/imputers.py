@@ -33,6 +33,8 @@ KINDS = (MEAN_KIND, ZERO_KIND, HOTDECK_KIND, GAUSSIAN_KIND, CHAINED_KIND)
 _EM_TOL = 1e-6
 _EM_MAX_ITER = 200
 _EM_RIDGE = 1e-8
+# Halvings of a rejected SQUAREM steplength before the plain two-map step.
+_SQUAREM_HALVINGS = 10
 
 # Chained regression sweeps.
 _CHAIN_TOL = 1e-4
@@ -258,11 +260,16 @@ class GaussianConditionalImputer(ImputationModel):
     Fitting runs EM for (mu, Sigma) over the training rows, handling
     incomplete rows exactly (conditional means in the E-step plus the
     conditional covariance mass in the M-step, maximum-likelihood 1/m
-    updates).  Convergence is max absolute parameter change below 1e-6,
-    capped at 200 iterations; n_iter records how many ran and converged
-    whether the change fell below 1e-6.  Before every conditioning solve
-    the observed block's diagonal is inflated by 1e-8 * trace(Sigma) / d.
-    Rows with no observed cells fill with the unconditional mean.
+    updates), accelerated by SQUAREM (Varadhan & Roland, Scand. J. Stat.
+    2008): each cycle extrapolates two EM maps into one step along the
+    squared-extrapolation path, then applies one EM map to the result; a
+    step that is not finite or whose Sigma is not positive definite falls
+    back toward the plain two-map point.  The fit stops after the first EM
+    map whose max absolute parameter change is at most 1e-6, or after 200
+    EM maps; n_iter counts the maps and converged says whether the change
+    fell to 1e-6.  Before every conditioning solve the observed block's
+    diagonal is inflated by 1e-8 * trace(Sigma) / d.  Rows with no observed
+    cells fill with the unconditional mean.
 
     EM plans each training missingness pattern once per fit: its column
     indices, block selections, observed training block and row count are
@@ -378,8 +385,75 @@ class _PatternPlan:
         self.n_rows = len(rows)
 
 
+def _em_map(mu, sigma, plans, observed_only):
+    """One EM map (mu, sigma) -> (mu', sigma'): the E-step's conditional
+    means and covariance mass per planned pattern, then the 1/m M-step."""
+    m, d = observed_only.shape
+    filled = observed_only.copy()
+    cond_mass = np.zeros((d, d))
+    ridge = _EM_RIDGE * float(np.trace(sigma)) / d
+    for plan in plans:
+        if not plan.o_cols.size:
+            filled[plan.fill] = mu[plan.m_cols]
+            cond_cov = sigma[plan.mm]
+        else:
+            coef, s_mo = _conditional_solve(sigma, plan.oo, plan.mo, ridge)
+            cond_cov = sigma[plan.mm] - coef @ s_mo.T
+            resid = plan.x_obs - mu[plan.o_cols]
+            filled[plan.fill] = mu[plan.m_cols] + resid @ coef.T
+        cond_mass[plan.mm] += plan.n_rows * cond_cov
+    mu_new = filled.mean(axis=0)
+    centered = filled - mu_new
+    sigma_new = (centered.T @ centered + cond_mass) / m
+    return mu_new, sigma_new
+
+
+def _positive_definite(sigma) -> bool:
+    try:
+        np.linalg.cholesky(sigma)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def _squarem_point(x0, x1, x2):
+    """The SQUAREM-3 extrapolation of x0 and its two EM maps x1, x2, each
+    an (mu, sigma) pair.
+
+    With r = x1 - x0 and v = x2 - 2 x1 + x0 over the stacked parameters,
+    the step is x0 - 2 a r + a^2 v for a = -|r| / |v|, capped at -1 (and -1
+    when v vanishes).  A step that is not finite, or whose sigma fails a
+    Cholesky, halves a's distance to -1, at most _SQUAREM_HALVINGS times;
+    a = -1 is the plain two-map point x2 itself.  The arithmetic ignores
+    floating-point errors, so a rejected step never raises.
+    """
+    with np.errstate(all="ignore"):
+        r = [b - a for a, b in zip(x0, x1)]
+        v = [c - 2.0 * b + a for a, b, c in zip(x0, x1, x2)]
+        r_norm = np.sqrt(sum(float(np.sum(t * t)) for t in r))
+        v_norm = np.sqrt(sum(float(np.sum(t * t)) for t in v))
+        step = -r_norm / v_norm if v_norm > 0.0 else -1.0
+        if not step < -1.0:  # also a NaN or infinite ratio
+            return x2
+        for _ in range(_SQUAREM_HALVINGS):
+            mu, sigma = (a - 2.0 * step * dr + step * step * dv
+                         for a, dr, dv in zip(x0, r, v))
+            if (np.isfinite(mu).all() and np.isfinite(sigma).all()
+                    and _positive_definite(sigma)):
+                return mu, sigma
+            step = (step - 1.0) / 2.0
+    return x2
+
+
 def _em_gaussian(matrix, observed):
-    m, d = matrix.shape
+    """(mu, sigma, n_iter, converged) of the SQUAREM-accelerated EM fit.
+
+    Each cycle maps x twice, extrapolates (_squarem_point) and maps the
+    extrapolated point once to stabilise it.  The fit stops after the first
+    map, of any kind, whose max absolute change is at most 1e-6, or after
+    200 maps; n_iter counts the maps.
+    """
+    m = matrix.shape[0]
     mu = _observed_column_means(matrix)
     filled0 = np.where(observed, matrix, mu)
     centered = filled0 - filled0.mean(axis=0)
@@ -391,34 +465,34 @@ def _em_gaussian(matrix, observed):
     ]
     observed_only = np.where(observed, matrix, 0.0)
     n_iter = 0
-    for n_iter in range(1, _EM_MAX_ITER + 1):
-        filled = observed_only.copy()
-        cond_mass = np.zeros((d, d))
-        ridge = _EM_RIDGE * float(np.trace(sigma)) / d
-        for plan in plans:
-            if not plan.o_cols.size:
-                filled[plan.fill] = mu[plan.m_cols]
-                cond_cov = sigma[plan.mm]
-            else:
-                coef, s_mo = _conditional_solve(sigma, plan.oo, plan.mo, ridge)
-                cond_cov = sigma[plan.mm] - coef @ s_mo.T
-                resid = plan.x_obs - mu[plan.o_cols]
-                filled[plan.fill] = mu[plan.m_cols] + resid @ coef.T
-            cond_mass[plan.mm] += plan.n_rows * cond_cov
-        mu_new = filled.mean(axis=0)
-        centered = filled - mu_new
-        sigma_new = (centered.T @ centered + cond_mass) / m
-        delta = max(
-            float(np.max(np.abs(mu_new - mu))),
-            float(np.max(np.abs(sigma_new - sigma))),
-        )
-        mu, sigma = mu_new, sigma_new
-        if delta <= _EM_TOL:
+    converged = False
+
+    def em_map(x):
+        nonlocal n_iter, converged
+        x_new = _em_map(*x, plans, observed_only)
+        n_iter += 1
+        delta = max(float(np.max(np.abs(b - a))) for a, b in zip(x, x_new))
+        converged = delta <= _EM_TOL
+        return x_new
+
+    x = (mu, sigma)
+    while n_iter < _EM_MAX_ITER:
+        x1 = em_map(x)
+        if converged or n_iter == _EM_MAX_ITER:
+            x = x1
             break
+        x2 = em_map(x1)
+        if converged or n_iter == _EM_MAX_ITER:
+            x = x2
+            break
+        x = em_map(_squarem_point(x, x1, x2))
+        if converged:
+            break
+    mu, sigma = x
     eigs = np.linalg.eigvalsh(sigma)
     if eigs[0] < -1e-8 * max(1.0, eigs[-1]):
         raise FitError("EM produced a non-PSD covariance")
-    return mu, sigma, n_iter, delta <= _EM_TOL
+    return mu, sigma, n_iter, converged
 
 
 class ChainedRegressionImputer(ImputationModel):

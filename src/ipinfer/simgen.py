@@ -292,6 +292,22 @@ def check_methods(methods, n_patterns: int, loss_family: str, train_frac: float)
             raise ConfigError(f"field 'train_frac': {method!r} needs training rows, not 0")
 
 
+def check_split(config: ExperimentConfig, shift: bool) -> None:
+    """Raise ConfigError unless a run that reads a Split -- a shift
+    experiment (`shift`), or any method of SPLIT_METHODS -- splits off at
+    least one of its n_total rows for training; a shift experiment never
+    trains in-sample."""
+    if shift and config.train_frac == 0.0:
+        raise ConfigError("field 'train_frac': a shift experiment needs training rows, not 0")
+    splits = shift or any(m.partition(":")[0] in SPLIT_METHODS for m in config.methods)
+    n_total = config.n_total()
+    if splits and int(np.floor(config.train_frac * n_total)) == 0:
+        raise ConfigError(
+            f"field 'train_frac': {config.train_frac} of {n_total} rows "
+            "leaves no imputer training rows"
+        )
+
+
 @dataclass
 class TrialRecord:
     method: str
@@ -598,17 +614,17 @@ def gen_shift_experiment(
     one ShiftExperimentResult per setting in `shifts`, in order.
 
     A setting is a number (applied to every pattern) or a length-n_patterns
-    vector; any other shape, and a train_frac of 0, is a ConfigError before
-    any trial.  Entry r of a vector shifts whichever pattern is numbered
-    r + 1 in that trial: every trial draws and numbers its patterns afresh,
-    so a vector names no fixed mask.  Each trial simulates data, fits the imputer on the
-    training split and builds the score tables once.  Per setting it then
+    vector; any other shape, and a train_frac that splits off no training
+    row (check_split), is a ConfigError before any trial.  Entry r of a
+    vector shifts whichever pattern is numbered r + 1 in that trial: every
+    trial draws and numbers its patterns afresh, so a vector names no fixed
+    mask.  Each trial simulates data, fits the imputer on the training
+    split and builds the score tables once.  Per setting it then
     shifts each pattern's own imputed scores (masked complete rows stay
     put), tunes the weights on the shifted tables and records the test
     p-values.  Trials run in the pool when jobs > 1.
     """
-    if config.train_frac == 0.0:
-        raise ConfigError("field 'train_frac': a shift experiment needs training rows, not 0")
+    check_split(config, True)
     big_r = config.n_patterns
     if np.isscalar(shifts):
         raise ConfigError("shifts must be a list of settings, not one number")

@@ -131,12 +131,14 @@ def grid_search_lambda_1d(objective, lo: float = -2.0, hi: float = 2.0, rounds: 
 
 
 # ---------------------------------------------------------------------------
-# gaussian EM before per-pattern planning
+# plain gaussian EM before per-pattern planning
 #
 # The EM fit and the pattern grouping exactly as the library computed them
-# before each pattern's indices and observed block were built once per fit.
-# The library's planned EM must reproduce these bit for bit.  Failures raise
-# ValueError here instead of the library's FitError.
+# before each pattern's indices and observed block were built once per fit,
+# and before EM was accelerated.  The library's planned EM map must
+# reproduce one iteration of this EM bit for bit, and its grouping the
+# grouping.  Failures raise ValueError here instead of the library's
+# FitError.
 
 _EM_TOL = 1e-6
 _EM_MAX_ITER = 200
@@ -170,9 +172,11 @@ def _conditional_solve(sigma, o_idx, m_idx, ridge):
     return coef, cond_cov
 
 
-def em_gaussian(matrix, observed):
-    """(mu, sigma, n_iter) of the gaussian EM fit, recomputing every
-    pattern's indices and observed block on each iteration."""
+def em_gaussian(matrix, observed, max_iter=_EM_MAX_ITER, tol=_EM_TOL):
+    """(mu, sigma, n_iter) of plain gaussian EM, recomputing every
+    pattern's indices and observed block on each iteration: it stops after
+    the first iteration whose max absolute change is at most tol, or after
+    max_iter iterations (max_iter=0 gives the starting point)."""
     m, d = matrix.shape
     mu = _observed_column_means(matrix)
     filled0 = np.where(observed, matrix, mu)
@@ -180,7 +184,7 @@ def em_gaussian(matrix, observed):
     sigma = centered.T @ centered / m
     groups = pattern_groups(~observed)
     n_iter = 0
-    for n_iter in range(1, _EM_MAX_ITER + 1):
+    for n_iter in range(1, max_iter + 1):
         filled = np.where(observed, matrix, 0.0)
         cond_mass = np.zeros((d, d))
         ridge = _EM_RIDGE * float(np.trace(sigma)) / d
@@ -204,7 +208,7 @@ def em_gaussian(matrix, observed):
             float(np.max(np.abs(sigma_new - sigma))),
         )
         mu, sigma = mu_new, sigma_new
-        if delta <= _EM_TOL:
+        if delta <= tol:
             break
     eigs = np.linalg.eigvalsh(sigma)
     if eigs[0] < -1e-8 * max(1.0, eigs[-1]):

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from conftest import eight_row_matrix
 import oracles
-from ipinfer import baselines, cli, estimators, imputers, losses
+from ipinfer import baselines, cli, estimators, imputers, losses, simgen
 from ipinfer.patterns import build_dataset
 
 
@@ -448,9 +448,9 @@ class TestConfigErrors:
             ({"methods": ["single_pattern:x"]}, "'methods'"),
             ({"methods": ["single_pattern:"]}, "'methods'"),
             ({"ratio": 10**400}, "'ratio'"),
-            ({"n_complete": 0}, "n_complete must be positive"),
-            ({"n_patterns": -1}, "n_patterns must be nonnegative"),
-            ({"feature_mask_prob": 1.0}, "feature_mask_prob must be in (0, 1)"),
+            ({"n_complete": 0}, "'n_complete'"),
+            ({"n_patterns": -1}, "'n_patterns'"),
+            ({"feature_mask_prob": 1.0}, "'feature_mask_prob'"),
             ({"methods": ["complete_case:xyz"]}, "'methods'"),
             ({"methods": ["naive:junk"]}, "'methods'"),
             ({"methods": ["aipw:1"]}, "'methods'"),
@@ -553,23 +553,49 @@ class TestConfigErrors:
         assert err.count("\n") == 1
         assert "'train_frac'" in err
 
-    @pytest.mark.parametrize("method", ["ipi", "naive", "single_pattern:best"])
-    def test_simulate_split_without_training_rows_exits_2(
-        self, capsys, tmp_path, method
-    ):
+    @pytest.mark.parametrize(
+        "case", ["ipi", "naive", "single_pattern:best", "shift", "no_row"]
+    )
+    def test_simulate_split_without_training_rows_exits_2(self, capsys, tmp_path, case):
         # Every trial once failed and the run exited 0; then the run exited
         # 2 from its first trial, after creating --out.
         out = tmp_path / "out"
-        cfg = write_config(
-            tmp_path / "c.json",
-            dict(TestSimulate.COVERAGE, methods=[method, "complete_case"], train_frac=0.0),
-        )
+        change = {
+            # a shift run splits whatever its methods
+            "shift": {"experiment": "shift", "methods": ["complete_case"], "train_frac": 0.0},
+            # 0.001 of the 120 rows is no row
+            "no_row": {"train_frac": 0.001},
+        }.get(case, {"methods": [case, "complete_case"], "train_frac": 0.0})
+        cfg = write_config(tmp_path / "c.json", dict(TestSimulate.COVERAGE, **change))
         code, err = run_error(capsys, ["simulate", "--config", cfg, "--out", str(out)])
         assert code == 2
         assert err.count("\n") == 1
         assert "'train_frac'" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("d", 0),
+            ("n_factors", 0),
+            ("variance_explained", 0.0),
+            ("variance_explained", 1.0),
+            ("n_complete", 0),
+            ("n_patterns", -1),
+            ("feature_mask_prob", 0.0),
+            ("feature_mask_prob", 1.0),
+        ],
+    )
+    def test_simulate_field_out_of_range_names_it(self, capsys, tmp_path, field, value):
+        # The library's checks once answered with messages such as "d and
+        # n_factors must be positive".
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path / "c.json", dict(TestSimulate.COVERAGE, **{field: value}))
+        code, err = run_error(capsys, ["simulate", "--config", cfg, "--out", str(out)])
+        assert code == 2
+        assert err.startswith(f"ipinfer: config error: field {field!r} must be ")
+        assert err.count("\n") == 1
+        assert not out.exists()
 
     @pytest.mark.parametrize("method", ["complete_case", "naive", "ipi"])
     def test_fractional_logistic_response_exits_2(self, capsys, tmp_path, method):
@@ -932,16 +958,21 @@ class TestAnalyze:
         )
 
 
-    @pytest.mark.parametrize("command", ["analyze", "diagnose"])
-    def test_imputer_fit_at_its_cap_warns(self, capsys, tmp_path, command):
-        # Two nearly collinear columns missing together: the chained sweeps
-        # pass the imputations back and forth and stop at their cap.
+    @staticmethod
+    def collinear_csv(tmp_path) -> str:
+        """30 rows whose chained fit stops at its cap: two nearly collinear
+        columns, missing together in 10 rows, between which the sweeps pass
+        the imputations back and forth."""
         rng = np.random.default_rng(0)
         z = rng.standard_normal((30, 1)) + 3.0
         x = np.hstack([rng.standard_normal((30, 1)), z + 0.3 * rng.standard_normal((30, 2))])
         x[:10, 1:] = np.nan
         rows = [",".join("" if np.isnan(v) else repr(float(v)) for v in row) for row in x]
-        csv = write(tmp_path / "d.csv", "\n".join(["a,b,c", *rows]) + "\n")
+        return write(tmp_path / "d.csv", "\n".join(["a,b,c", *rows]) + "\n")
+
+    @pytest.mark.parametrize("command", ["analyze", "diagnose"])
+    def test_imputer_fit_at_its_cap_warns(self, capsys, tmp_path, command):
+        csv = self.collinear_csv(tmp_path)
         cfg = write_config(
             tmp_path / "c.json",
             {"loss": {"family": "mean", "columns": ["b"]},
@@ -952,6 +983,50 @@ class TestAnalyze:
             "the chained_regression imputer stopped at its cap of 20 sweeps "
             "before converging"
         )
+
+    @pytest.mark.parametrize("train_frac", [0.0, 0.1])
+    def test_n_effective_beyond_the_row_count_warns(self, capsys, tmp_path, train_frac):
+        # One headline dataset.  A hotdeck trained on the rows it fills
+        # refills each masked complete row with that row itself, so the
+        # correction looks free and n_effective runs far past the row count.
+        rng = np.random.default_rng(0)
+        config = simgen.ExperimentConfig()
+        matrix = simgen.build_population(config.factor).sample(rng, config.n_total())
+        dataset = simgen.gen_mcar_missingness(matrix, config.missingness(), (0, 1, 2), rng)
+        rows = [",".join("" if np.isnan(v) else repr(float(v)) for v in row)
+                for row in dataset.values]
+        header = ",".join(f"x{j}" for j in range(dataset.d))
+        csv = write(tmp_path / "d.csv", "\n".join([header, *rows]) + "\n")
+        cfg = write_config(
+            tmp_path / "c.json",
+            {"loss": {"family": "linear_regression", "response": "x2",
+                      "covariates": ["x0", "x1"]},
+             "imputer": "hotdeck", "train_frac": train_frac},
+        )
+        payload = run_json(capsys, ["analyze", csv, "--config", cfg])
+        tripwire = [w for w in payload["warnings"] if w.startswith("n_effective")]
+        if train_frac == 0.0:
+            assert max(payload["n_effective"]) > 2200
+            assert tripwire == [
+                f"n_effective[1] = {payload['n_effective'][1]:.0f} exceeds the 2200 "
+                "rows of the data; was the imputer trained on the rows it fills?"
+            ]
+        else:
+            assert max(payload["n_effective"]) < payload["n_rows"]
+            assert tripwire == []
+
+    def test_cipi_fold_fits_at_their_cap_warn(self, capsys, tmp_path):
+        cfg = write_config(
+            tmp_path / "c.json",
+            {"loss": {"family": "mean", "columns": ["b"]},
+             "imputer": "chained_regression", "method": "cipi",
+             "k_folds": 5, "n_boot": 5},
+        )
+        payload = run_json(capsys, ["analyze", self.collinear_csv(tmp_path), "--config", cfg])
+        assert payload["warnings"] == [
+            "4 of 5 fold chained_regression imputers stopped at their cap of "
+            "20 sweeps before converging"
+        ]
 
 
 class TestDiagnose:

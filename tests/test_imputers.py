@@ -306,19 +306,134 @@ PARITY_MATRICES = {
 }
 
 
+def em_setup(matrix):
+    """The plans and zero-filled observed cells an EM map of `matrix` reads."""
+    observed = ~np.isnan(matrix)
+    plans = [
+        imputers._PatternPlan(key, rows, matrix)
+        for key, rows in imputers.pattern_groups(~observed).items()
+    ]
+    return plans, np.where(observed, matrix, 0.0)
+
+
 class TestPatternPlans:
-    """EM and the pattern grouping match the unplanned reference exactly."""
+    """One EM map and the pattern grouping match the unplanned reference
+    exactly, and the accelerated fit reaches plain EM's fixed point."""
 
     @pytest.mark.parametrize("name", PARITY_MATRICES)
     def test_em_matches_reference_bitwise(self, name):
+        # one EM map from plain EM's start is plain EM's first iteration
         matrix = PARITY_MATRICES[name]()
         observed = ~np.isnan(matrix)
         assert (observed.sum(axis=0) >= 2).all()
-        mu, sigma, n_iter, _ = imputers._em_gaussian(matrix, observed)
+        start_mu, start_sigma, _ = oracles.em_gaussian(matrix, observed, max_iter=0)
+        ref_mu, ref_sigma, _ = oracles.em_gaussian(matrix, observed, max_iter=1)
+        mu, sigma = imputers._em_map(start_mu, start_sigma, *em_setup(matrix))
+        assert np.array_equal(mu, ref_mu)
+        assert np.array_equal(sigma, ref_sigma)
+
+    def test_two_maps_at_the_cap_match_reference_bitwise(self, monkeypatch):
+        # no extrapolation happens before the third map, so the fit's start
+        # and its first two maps are plain EM's
+        matrix = headline_split()
+        observed = ~np.isnan(matrix)
+        monkeypatch.setattr(imputers, "_EM_MAX_ITER", 2)
+        mu, sigma, n_iter, converged = imputers._em_gaussian(matrix, observed)
+        ref_mu, ref_sigma, ref_iter = oracles.em_gaussian(matrix, observed, max_iter=2)
+        assert np.array_equal(mu, ref_mu)
+        assert np.array_equal(sigma, ref_sigma)
+        assert (n_iter, converged, ref_iter) == (2, False, 2)
+
+    @pytest.mark.parametrize("name", ["headline_split", "all_missing_row", "seventy_columns"])
+    def test_em_reaches_the_fixed_point(self, name):
+        matrix = PARITY_MATRICES[name]()
+        observed = ~np.isnan(matrix)
+        mu, sigma, n_iter, converged = imputers._em_gaussian(matrix, observed)
+        ref_mu, ref_sigma, ref_iter = oracles.em_gaussian(
+            matrix, observed, max_iter=100_000, tol=1e-13
+        )
+        assert ref_iter < 100_000
+        assert converged and n_iter < ref_iter
+        assert np.max(np.abs(mu - ref_mu)) <= 1e-5
+        assert np.max(np.abs(sigma - ref_sigma)) <= 1e-5
+
+    def test_em_without_a_fixed_point_stops_where_pinned(self):
+        # A column observed in two rows only: plain EM never settles (after
+        # 200,000 maps each map still moves the fit by 1.3e-8) and stops at
+        # its cap of 200.  The accelerated fit meets the 1e-6 rule after 87
+        # maps.
+        matrix = with_column_observed_twice()
+        model = imputers.fit(imputers.GAUSSIAN_KIND, matrix)
+        assert (model.n_iter, model.converged) == (87, True)
+
+    def test_rejected_extrapolation_falls_back_to_plain_em(self, monkeypatch):
+        # A step rejected at every steplength is the plain two-map point, so
+        # the fit is plain EM, map for map.
+        matrix = headline_split()
+        observed = ~np.isnan(matrix)
+        monkeypatch.setattr(imputers, "_positive_definite", lambda sigma: False)
+        mu, sigma, n_iter, converged = imputers._em_gaussian(matrix, observed)
         ref_mu, ref_sigma, ref_iter = oracles.em_gaussian(matrix, observed)
         assert np.array_equal(mu, ref_mu)
         assert np.array_equal(sigma, ref_sigma)
-        assert n_iter == ref_iter
+        assert n_iter == ref_iter and converged
+
+    def test_non_positive_definite_step_halves_toward_minus_one(self):
+        # r = x1 - x0 and v = x2 - 2 x1 + x0; the mean's r sets |r| / |v| to
+        # 10, where the extrapolated sigma, 1 + 0.2 a - 0.1 a^2 times I, is
+        # negative.  Halving a's distance to -1 rejects -5.5 and -3.25 too
+        # and accepts -2.125.
+        eye = np.eye(2)
+        r_mu = np.array([np.sqrt(1.98), 0.0])
+        x0 = (np.zeros(2), eye)
+        x1 = (r_mu, 0.9 * eye)
+        x2 = (2.0 * r_mu, 0.7 * eye)
+        mu, sigma = imputers._squarem_point(x0, x1, x2)
+        a = -2.125
+        np.testing.assert_allclose(mu, -2.0 * a * r_mu, rtol=1e-12)
+        np.testing.assert_allclose(sigma, (1.0 + 0.2 * a - 0.1 * a * a) * eye, rtol=1e-12)
+        assert np.linalg.eigvalsh(sigma)[0] > 0.0
+
+    @pytest.mark.parametrize(
+        "case", ["never_positive_definite", "infinite_step", "infinite_norms"]
+    )
+    def test_rejected_step_is_the_two_map_point(self, case):
+        eye = np.eye(2)
+        off = np.array([[0.0, 1.0], [1.0, 0.0]])
+        if case == "never_positive_definite":
+            # sigma's r is -0.5 I and its v 1e-12 I, so a = -5e11 and the
+            # extrapolated sigma, 1 + a + 1e-12 a^2 times I, stays negative
+            # through every halving
+            x0, x1, x2 = ((np.zeros(2), s * eye) for s in (1.0, 0.5, 1e-12))
+        elif case == "infinite_step":
+            # the mean's r is 1e100 and sigma's v 1e-100 off the diagonal, so
+            # a = -1e200 and a^2 overflows through every halving
+            x0, x1 = (np.zeros(2), eye), (np.full(2, 1e100), eye)
+            x2 = (np.full(2, 2e100), eye + 1e-100 * off)
+        else:
+            # |r| and |v| overflow, and their ratio is NaN
+            x0, x1, x2 = ((np.full(2, s), eye) for s in (0.0, 1e200, 3e200))
+        # the command line raises on overflow and invalid operations
+        with np.errstate(all="raise"):
+            point = imputers._squarem_point(x0, x1, x2)
+        assert point is x2
+
+    def test_fit_at_a_low_cap_is_not_converged_and_warns(self, monkeypatch):
+        monkeypatch.setattr(imputers, "_EM_MAX_ITER", 5)
+        rng = np.random.default_rng(7)
+        population = simgen.build_population(simgen.FactorModelConfig())
+        config = simgen.ExperimentConfig()
+        matrix = population.sample(rng, config.n_total())
+        dataset = simgen.gen_mcar_missingness(matrix, config.missingness(), (0, 1, 2), rng)
+        warnings = []
+        model, _ = estimators.train_imputer(
+            dataset, imputers.GAUSSIAN_KIND, config.train_frac, 0, warnings
+        )
+        assert (model.n_iter, model.converged) == (5, False)
+        assert warnings == [
+            "the gaussian_conditional imputer stopped at its cap of "
+            f"{model.cap} before converging"
+        ]
 
     @pytest.mark.parametrize(
         "miss",
