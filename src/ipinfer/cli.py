@@ -135,7 +135,7 @@ _IMPUTER = Field("imputer", str, imputers.GAUSSIAN_KIND, choices=imputers.KINDS)
 _ALPHA = Field(
     "alpha", float, 0.1, "in (0, 1)", lambda a: 0.0 < a < 1.0, flag="interval level"
 )
-_TRAIN_FRAC = Field("train_frac", float, 0.0, "in [0, 1)", lambda f: 0.0 <= f < 1.0)
+_TRAIN_FRAC = Field("train_frac", float, 0.1, "in [0, 1)", lambda f: 0.0 <= f < 1.0)
 _K_FOLDS = Field("k_folds", int, 10, "at least 2", lambda k: k >= 2)
 _N_BOOT = Field("n_boot", int, 50, "at least 2", lambda b: b >= 2)
 # a coordinate index is range-checked once the loss is built
@@ -181,7 +181,7 @@ FIELDS = {
         _IMPUTER,
         Field("trials", int, 100, "at least 1", lambda t: t >= 1),
         _ALPHA,
-        replace(_TRAIN_FRAC, default=0.1),
+        _TRAIN_FRAC,
         _K_FOLDS,
         _N_BOOT,
         _OBJECTIVE,
@@ -327,9 +327,7 @@ def build_experiment_config(values: dict) -> simgen.ExperimentConfig:
     methods = values["methods"]
     if not isinstance(methods, list) or not all(isinstance(m, str) for m in methods):
         raise ConfigError("field 'methods' must be a list of method names")
-    simgen.check_methods(
-        methods, values["n_patterns"], loss["family"], values["train_frac"]
-    )
+    simgen.check_methods(methods, values["n_patterns"], loss["family"])
     # the fields an ExperimentConfig takes under their config names
     same = {f.name for f in fields(simgen.ExperimentConfig)} - {"methods"}
     config = simgen.ExperimentConfig(

@@ -735,8 +735,9 @@ def ipi_fit(
     correct, and summarize (see fit_from_tables for the options).
 
     Args:
-        imputer: a fitted imputation model.  Train it on held-out rows (see
-            split_train_inference) when honest tuning matters.
+        imputer: a fitted imputation model, trained on rows outside
+            `dataset` (see split_train_inference): one fitted on the rows
+            it fills makes the correction look free.
     """
     tables = score_tables(dataset, loss, imputer, solve_complete_case(dataset, loss))
     return fit_from_tables(
@@ -769,33 +770,6 @@ def split_train_inference(dataset: PatternedDataset, train_frac: float, seed):
     train_idx = np.sort(perm[:n_train])
     infer_idx = np.sort(perm[n_train:])
     return dataset.values[train_idx], dataset.subset(infer_idx)
-
-
-def train_imputer(dataset: PatternedDataset, kind: str, train_frac, seed, warnings):
-    """Fit the imputer on the rows split_train_inference splits off, and
-    return (model, inference_dataset).  A positive train_frac that splits
-    off no row is a ConfigError.  train_frac=0 trains in-sample: fine for
-    diagnostics and unbiased imputers, but tuning and intervals may be
-    optimistic for flexible imputers.  That, and a fit stopped at its
-    iteration cap, each add a warning to `warnings`."""
-    train, inference = split_train_inference(dataset, train_frac, seed)
-    if train_frac == 0.0:
-        warnings.append(
-            "imputer trained on the inference rows (train_frac=0); "
-            "set train_frac>0 or use method 'cipi' for honest training"
-        )
-        train = dataset.values
-    elif not len(train):
-        raise ConfigError(
-            f"field 'train_frac': {train_frac} of {dataset.n_rows} rows "
-            "leaves no imputer training rows"
-        )
-    model = fit_imputer(kind, train)
-    if not model.converged:
-        warnings.append(
-            f"the {kind} imputer stopped at its cap of {model.cap} before converging"
-        )
-    return model, inference
 
 
 # ---------------------------------------------------------------------------

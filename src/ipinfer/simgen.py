@@ -129,7 +129,6 @@ class MissingnessConfig:
     n_patterns: int = 10
     feature_mask_prob: float = 0.2
     min_pattern_count: int = 1
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.n_complete < 1:
@@ -165,12 +164,13 @@ def gen_mcar_missingness(
     complete_matrix: np.ndarray,
     config: MissingnessConfig,
     target_dims,
-    rng=None,
+    rng,
 ) -> PatternedDataset:
     """Mask a fully observed matrix per the MCAR pattern mechanism.
 
     Rows beyond the first n_complete are assigned uniformly at random to
-    the drawn patterns and their unobserved cells set to NaN.
+    the drawn patterns and their unobserved cells set to NaN; `rng` (a
+    Generator or anything np.random.default_rng takes) draws both.
     """
     matrix = np.asarray(complete_matrix, dtype=float)
     if matrix.ndim != 2:
@@ -180,7 +180,7 @@ def gen_mcar_missingness(
         raise ConfigError(
             f"n_complete={config.n_complete} exceeds the {n_total} rows provided"
         )
-    rng = np.random.default_rng(config.seed if rng is None else rng)
+    rng = np.random.default_rng(rng)
     n_tilde = n_total - config.n_complete
     out = matrix.copy()
     if config.n_patterns > 0 and n_tilde > 0:
@@ -258,11 +258,11 @@ METHOD_SUFFIXES = {
 SPLIT_METHODS = ("ipi", "naive", "single_pattern")
 
 
-def check_methods(methods, n_patterns: int, loss_family: str, train_frac: float) -> None:
+def check_methods(methods, n_patterns: int, loss_family: str) -> None:
     """Raise ConfigError unless every entry names a method of
     METHOD_SUFFIXES, alone or with a suffix it takes, that fits the loss
-    family (aipw is defined for linear regression only), and train_frac
-    splits off training rows for every method of SPLIT_METHODS."""
+    family (aipw is defined for linear regression only).  Whether the
+    methods of SPLIT_METHODS get training rows is check_split's rule."""
     for method in methods:
         name, sep, arg = method.partition(":")
         if name not in METHOD_SUFFIXES:
@@ -288,22 +288,25 @@ def check_methods(methods, n_patterns: int, loss_family: str, train_frac: float)
                 f"field 'methods': {method!r} is defined for linear regression "
                 f"only, not {loss_family}"
             )
-        if name in SPLIT_METHODS and train_frac == 0.0:
-            raise ConfigError(f"field 'train_frac': {method!r} needs training rows, not 0")
 
 
 def check_split(config: ExperimentConfig, shift: bool) -> None:
-    """Raise ConfigError unless a run that reads a Split -- a shift
-    experiment (`shift`), or any method of SPLIT_METHODS -- splits off at
-    least one of its n_total rows for training; a shift experiment never
-    trains in-sample."""
-    if shift and config.train_frac == 0.0:
-        raise ConfigError("field 'train_frac': a shift experiment needs training rows, not 0")
-    splits = shift or any(m.partition(":")[0] in SPLIT_METHODS for m in config.methods)
-    n_total = config.n_total()
-    if splits and int(np.floor(config.train_frac * n_total)) == 0:
+    """Raise ConfigError, before any trial, unless a run that reads a
+    Split -- a shift experiment (`shift`), or any method of SPLIT_METHODS
+    -- splits off at least one of its n_total rows for training (the rule
+    of _check_training_rows, which Split.fitted applies to each dataset).
+    Methods that read no split accept any train_frac."""
+    if shift or any(m.partition(":")[0] in SPLIT_METHODS for m in config.methods):
+        _check_training_rows(config.train_frac, config.n_total())
+
+
+def _check_training_rows(train_frac: float, n_rows: int) -> None:
+    """Raise ConfigError unless train_frac puts at least one of n_rows rows
+    into the imputer's training split (split_train_inference takes
+    floor(train_frac * n_rows)); so 0 never passes."""
+    if int(np.floor(train_frac * n_rows)) == 0:
         raise ConfigError(
-            f"field 'train_frac': {config.train_frac} of {n_total} rows "
+            f"field 'train_frac': {train_frac} of {n_rows} rows "
             "leaves no imputer training rows"
         )
 
@@ -363,9 +366,15 @@ def _simulate_dataset(config: ExperimentConfig, population, target_dims, trial: 
 @dataclass
 class Split:
     """The imputer split the methods of SPLIT_METHODS read, each part built
-    on first use: `fitted` is (model, inference dataset) from
-    estimators.train_imputer, whose warnings go to `warnings`, and `tables`
-    the inference rows' score tables at their complete-case estimate."""
+    on first use.
+
+    `fitted` is (model, inference dataset): the `imputer` kind fitted on
+    the rows estimators.split_train_inference splits off, and the rows it
+    leaves.  The model never fills a row it trained on.  A train_frac that
+    splits off no row, 0 included, is a ConfigError, and a fit stopped at
+    its iteration cap adds a warning to `warnings`.  `tables` holds the
+    inference rows' score tables at their complete-case estimate.
+    """
 
     dataset: PatternedDataset
     loss: LossModel
@@ -376,9 +385,17 @@ class Split:
 
     @cached_property
     def fitted(self) -> tuple:
-        return estimators.train_imputer(
-            self.dataset, self.imputer, self.train_frac, self.seed, self.warnings
+        _check_training_rows(self.train_frac, self.dataset.n_rows)
+        train, inference = estimators.split_train_inference(
+            self.dataset, self.train_frac, self.seed
         )
+        model = imputers.fit(self.imputer, train)
+        if not model.converged:
+            self.warnings.append(
+                f"the {self.imputer} imputer stopped at its cap of {model.cap} "
+                "before converging"
+            )
+        return model, inference
 
     @cached_property
     def tables(self) -> estimators.ScoreTables:
@@ -489,7 +506,8 @@ def run_one_trial(config: ExperimentConfig, trial: int, population=None):
         ConfigError: a method is misconfigured; this propagates rather than
             counting as a failed trial.
     """
-    check_methods(config.methods, config.n_patterns, config.loss_family, config.train_frac)
+    check_methods(config.methods, config.n_patterns, config.loss_family)
+    check_split(config, False)
     if population is None:
         population = build_population(config.factor)
     loss, target_dims = config.make_loss()
@@ -615,14 +633,14 @@ def gen_shift_experiment(
 
     A setting is a number (applied to every pattern) or a length-n_patterns
     vector; any other shape, and a train_frac that splits off no training
-    row (check_split), is a ConfigError before any trial.  Entry r of a
-    vector shifts whichever pattern is numbered r + 1 in that trial: every
-    trial draws and numbers its patterns afresh, so a vector names no fixed
-    mask.  Each trial simulates data, fits the imputer on the training
-    split and builds the score tables once.  Per setting it then
-    shifts each pattern's own imputed scores (masked complete rows stay
-    put), tunes the weights on the shifted tables and records the test
-    p-values.  Trials run in the pool when jobs > 1.
+    row, 0 included (check_split), is a ConfigError before any trial.
+    Entry r of a vector shifts whichever pattern is numbered r + 1 in that
+    trial: every trial draws and numbers its patterns afresh, so a vector
+    names no fixed mask.  Each trial simulates data, fits the imputer on
+    the training split and builds the score tables once.  Per setting it
+    then shifts each pattern's own imputed scores (masked complete rows
+    stay put), tunes the weights on the shifted tables and records the
+    test p-values.  Trials run in the pool when jobs > 1.
     """
     check_split(config, True)
     big_r = config.n_patterns

@@ -1,4 +1,4 @@
-"""Acceptance suite: twelve statistical and numerical criteria.
+"""Acceptance suite: thirteen statistical and numerical criteria.
 
 Each criterion is one test that prints a single PASS/FAIL line with the
 measured quantities (visible under ``pytest -v -s`` and in captured
@@ -461,4 +461,37 @@ def test_criterion_12_gradients_and_hessians():
         ok,
         f"1000 draws: max relative gradient error {max_grad:.2e}, "
         f"Hessian {max_hess:.2e} (tol 1e-6)",
+    )
+
+
+# ---------------------------------------------------------------------------
+# criterion 13: hotdeck on the default split
+
+
+def test_criterion_13_hotdeck_on_the_default_split():
+    """A hotdeck trained on the rows it fills refills each masked complete
+    row with that row itself, and IPI then undercovers badly.  Trained on
+    the default 10 % split, as every run now is, IPI covers within 2 MC SE
+    of complete case and still beats its sample size."""
+    config = experiment_config(
+        imputer=imputers.HOTDECK_KIND,
+        methods=("ipi", "complete_case"),
+        train_frac=0.1,
+        seed=0,
+        jobs=2,
+    )
+    by = metrics_by_method(simgen.run_trials(config))
+    ipi, cc = by["ipi"], by["complete_case"]
+    floor = cc.coverage - 2.0 * np.hypot(ipi.coverage_se, cc.coverage_se)
+    ok = (
+        ipi.coverage >= floor
+        and ipi.mean_n_effective > config.n_complete
+        and ipi.failures == cc.failures == 0
+    )
+    report(
+        13,
+        ok,
+        f"hotdeck IPI coverage {ipi.coverage:.3f} >= complete-case "
+        f"{cc.coverage:.3f} - 2 MC SE = {floor:.3f}; mean n_effective "
+        f"{ipi.mean_n_effective:.0f} > n = {config.n_complete} (T={ipi.n_trials})",
     )

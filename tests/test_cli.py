@@ -19,9 +19,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import eight_row_matrix
+from conftest import eight_row_matrix, random_blockwise
 import oracles
-from ipinfer import baselines, cli, estimators, imputers, losses, simgen
+from ipinfer import baselines, cli, diagnostics, estimators, imputers, losses, simgen
 from ipinfer.patterns import build_dataset
 
 
@@ -29,13 +29,48 @@ EIGHT_CSV = "x,u\n1,2\n2,1\n3,4\n6,3\n,5\n,7\n,9\n,11\n"
 COMPLETE_CSV = "x,u\n1,2\n2,1\n3,4\n6,3\n"
 
 MEAN_X_LOSS = {"family": "mean", "columns": ["x"]}
+MEAN_X = losses.mean_loss(1)
 
 LINEAR_LOSS = {"family": "linear_regression", "response": 2, "covariates": [0, 1]}
+
+# The tests that fit the eight-row fixture through the CLI read its rows
+# twice and split them in half, so eight rows train the imputer and eight
+# are scored.  Its frozen numbers need a model fitted on the rows it
+# fills, which the CLI never builds; test_estimators pins them.
+EIGHT_TWICE_CSV = EIGHT_CSV + EIGHT_CSV.split("\n", 1)[1]
+EIGHT_ROW_TRAIN_FRAC = 0.5
+
+
+def eight_twice_matrix() -> np.ndarray:
+    return np.vstack([eight_row_matrix()] * 2)
 
 
 def write(path, text):
     path.write_text(text)
     return str(path)
+
+
+def csv_text(header, matrix) -> str:
+    """`matrix` as CSV text under `header`, NaN cells left empty."""
+    rows = [",".join("" if np.isnan(v) else repr(float(v)) for v in row) for row in matrix]
+    return "\n".join([header, *rows]) + "\n"
+
+
+def library_split(matrix, kind):
+    """The split that analyze and diagnose make of `matrix`, the loss on
+    column 0, at EIGHT_ROW_TRAIN_FRAC and seed 0, rebuilt from the library:
+    (the `kind` imputer fitted on the training rows, the inference dataset)."""
+    dataset = build_dataset(matrix, (0,))
+    train, inference = estimators.split_train_inference(
+        dataset, EIGHT_ROW_TRAIN_FRAC, (0, 0)
+    )
+    return imputers.fit(kind, train), inference
+
+
+def assert_fields_match(payload, fit, keys):
+    """Each of `keys` in the payload equals the fit's, to 1e-12."""
+    for key in keys:
+        np.testing.assert_allclose(payload[key], getattr(fit, key), rtol=1e-12, err_msg=key)
 
 
 def write_config(path, payload):
@@ -65,6 +100,11 @@ def eight_csv(tmp_path):
 
 
 @pytest.fixture
+def eight_twice_csv(tmp_path):
+    return write(tmp_path / "eight_twice.csv", EIGHT_TWICE_CSV)
+
+
+@pytest.fixture
 def complete_csv(tmp_path):
     return write(tmp_path / "complete.csv", COMPLETE_CSV)
 
@@ -77,7 +117,7 @@ def analyze_config(tmp_path):
             "loss": MEAN_X_LOSS,
             "method": "ipi",
             "imputer": "chained_regression",
-            "train_frac": 0.0,
+            "train_frac": EIGHT_ROW_TRAIN_FRAC,
             "alpha": 0.1,
         },
     )
@@ -497,6 +537,10 @@ class TestConfigErrors:
         # Each of these once ended in a traceback with exit status 1, or
         # wrote to file descriptor 7.
         cfg = write_config(tmp_path / "c.json", {"loss": MEAN_X_LOSS, "imputer": "mean"})
+        # the analyze runs that reach --out fit a method that reads no split
+        cc_cfg = write_config(
+            tmp_path / "cc.json", {"loss": MEAN_X_LOSS, "method": "complete_case"}
+        )
         sim_cfg = write_config(tmp_path / "s.json", TestSimulate.COVERAGE)
         (tmp_path / "bad.csv").write_bytes(b"x,u\n1,2\n\xff,3\n")
         (tmp_path / "bad.json").write_bytes(b'{"loss": "\xff"}')
@@ -507,7 +551,7 @@ class TestConfigErrors:
             "csv_not_utf8": ["analyze", str(tmp_path / "bad.csv"), "--config", cfg],
             "config_not_utf8": ["analyze", eight_csv, "--config", str(tmp_path / "bad.json")],
             "analyze_out_in_missing_dir": [
-                "analyze", eight_csv, "--config", cfg,
+                "analyze", eight_csv, "--config", cc_cfg,
                 "--out", str(tmp_path / "missing" / "r.json"),
             ],
             "simulate_out_is_file": [
@@ -523,7 +567,10 @@ class TestConfigErrors:
             ],
             "analyze_out_with_nul": [
                 "analyze", eight_csv, "--config",
-                write_config(tmp_path / "n.json", {"loss": MEAN_X_LOSS, "out": "r\0.json"}),
+                write_config(
+                    tmp_path / "n.json",
+                    {"loss": MEAN_X_LOSS, "method": "complete_case", "out": "r\0.json"},
+                ),
             ],
             "simulate_out_with_nul": [
                 "simulate", "--config",
@@ -538,20 +585,44 @@ class TestConfigErrors:
         assert not (tmp_path / "missing").exists()
         assert not (tmp_path / "metrics.csv").exists()
 
-    @pytest.mark.parametrize("command", ["analyze", "diagnose"])
+    @pytest.mark.parametrize(
+        "command, method, train_frac",
+        [
+            ("analyze", None, 0.01),
+            ("diagnose", None, 0.01),
+            ("analyze", "ipi", 0.0),
+            ("analyze", "naive", 0.0),
+            ("diagnose", None, 0.0),
+        ],
+        ids=[
+            "analyze", "diagnose", "analyze_ipi_zero", "analyze_naive_zero",
+            "diagnose_zero",
+        ],
+    )
     def test_split_without_training_rows_exits_2(
-        self, capsys, tmp_path, eight_csv, command
+        self, capsys, tmp_path, command, method, train_frac
     ):
-        # 0.01 of eight rows is no row; the imputer fit once failed on the
-        # empty training set with exit 4.
-        cfg = write_config(
-            tmp_path / "c.json",
-            {"loss": MEAN_X_LOSS, "imputer": "mean", "train_frac": 0.01},
-        )
-        code, err = run_error(capsys, [command, eight_csv, "--config", cfg])
+        # 0.01 of the rows is no row; the imputer fit once failed on the
+        # empty training set with exit 4.  0 once trained the imputer on
+        # the rows it fills and exited 0.  The data hold 40 rows, so the
+        # default 0.1 would leave four training rows.
+        rng = np.random.default_rng(3)
+        matrix = random_blockwise(rng, n_complete=20, per_pattern=10)
+        csv = write(tmp_path / "d.csv", csv_text("x0,x1,x2,x3", matrix))
+        payload = {"loss": {"family": "mean", "columns": ["x0"]}, "imputer": "mean",
+                   "train_frac": train_frac}
+        if method is not None:
+            payload["method"] = method
+        cfg = write_config(tmp_path / "c.json", payload)
+        code, err = run_error(capsys, [command, csv, "--config", cfg])
         assert code == 2
-        assert err.count("\n") == 1
-        assert "'train_frac'" in err
+        assert err == (
+            f"ipinfer: config error: field 'train_frac': {train_frac} of 40 rows "
+            "leaves no imputer training rows\n"
+        )
+        del payload["train_frac"]
+        cfg = write_config(tmp_path / "c.json", payload)
+        run_json(capsys, [command, csv, "--config", cfg])
 
     @pytest.mark.parametrize(
         "case", ["ipi", "naive", "single_pattern:best", "shift", "no_row"]
@@ -569,8 +640,11 @@ class TestConfigErrors:
         cfg = write_config(tmp_path / "c.json", dict(TestSimulate.COVERAGE, **change))
         code, err = run_error(capsys, ["simulate", "--config", cfg, "--out", str(out)])
         assert code == 2
-        assert err.count("\n") == 1
-        assert "'train_frac'" in err
+        train_frac = 0.001 if case == "no_row" else 0.0
+        assert err == (
+            f"ipinfer: config error: field 'train_frac': {train_frac} of 120 rows "
+            "leaves no imputer training rows\n"
+        )
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -601,8 +675,11 @@ class TestConfigErrors:
     def test_fractional_logistic_response_exits_2(self, capsys, tmp_path, method):
         # Every method fits the complete rows through the one complete-case
         # solver, so every method checks that observed responses are 0/1.
-        rows = "y,x\n0,1\n1,2\n0.5,3\n1,4\n0,5\n,6\n,7\n,8\n"
-        csv = write(tmp_path / "d.csv", rows)
+        # The default split trains on two of the 20 rows, so a fractional
+        # response stays among the rows scored.
+        y = [0, 1, 0.5, 1, 0, 0.25, 1, 0, 0.5, 1, 0, 1, 0.75, 0, 1, 0]
+        rows = "y,x\n" + "".join(f"{v},{i}\n" for i, v in enumerate(y))
+        csv = write(tmp_path / "d.csv", rows + ",16\n,17\n,18\n,19\n")
         cfg = write_config(
             tmp_path / "c.json",
             {"loss": {"family": "logistic_regression", "response": "y",
@@ -648,8 +725,10 @@ class TestDataErrors:
     @pytest.mark.parametrize("method", ["ipi", "naive"])
     def test_zero_width_interval_exits_3(self, capsys, tmp_path, method):
         # The complete rows of 'a' have no spread, so the complete-case
-        # interval has zero width and no effective sample size exists.
-        csv = write(tmp_path / "d.csv", "a,u\n2,1\n2,2\n2,4\n2,3\n,5\n,7\n,9\n,11\n")
+        # interval has zero width and no effective sample size exists.  The
+        # default split trains on two of the 20 rows.
+        rows = "".join(f"2,{u}\n" for u in range(16)) + ",17\n,19\n,21\n,23\n"
+        csv = write(tmp_path / "d.csv", "a,u\n" + rows)
         cfg = write_config(
             tmp_path / "c.json",
             {"loss": {"family": "mean", "columns": ["a"]}, "method": method,
@@ -682,9 +761,10 @@ class TestNumericErrors:
 
     def test_overflow_exits_4(self, capsys, tmp_path):
         # Squared scores on this scale overflow; the run once printed
-        # numpy warnings and exited 0 with null estimates.
-        rows = "y,x\n1e170,2e170\n2e170,1e170\n3e170,4e170\n6e170,3e170\n,5\n,7\n"
-        csv = write(tmp_path / "d.csv", rows)
+        # numpy warnings and exited 0 with null estimates.  The default
+        # split trains on two of the 20 rows.
+        rows = "".join(f"{i % 7 + 1}e170,{(i * 3) % 5 + 1}e170\n" for i in range(16))
+        csv = write(tmp_path / "d.csv", "y,x\n" + rows + ",5\n,7\n,9\n,11\n")
         cfg = write_config(
             tmp_path / "c.json",
             {"loss": {"family": "linear_regression", "response": "y",
@@ -731,48 +811,50 @@ class TestNumericErrors:
 
 
 class TestAnalyze:
-    def test_eight_row_fixture_matches_frozen_numbers(
-        self, capsys, eight_csv, analyze_config
+    def test_eight_row_fixture_matches_library(
+        self, capsys, eight_twice_csv, analyze_config
     ):
-        payload = run_json(capsys, ["analyze", eight_csv, "--config", analyze_config])
+        payload = run_json(
+            capsys, ["analyze", eight_twice_csv, "--config", analyze_config]
+        )
+        model, inference = library_split(eight_twice_matrix(), imputers.CHAINED_KIND)
+        fit = estimators.ipi_fit(inference, MEAN_X, model, alpha=0.1)
         assert payload["schema"] == "ipinfer/result-v1"
         assert payload["method"] == "ipi"
         assert payload["estimand"] == "population"
         assert payload["coefficients"] == ["x"]
-        assert payload["theta_complete"] == [3.0]
-        assert payload["theta_hat"] == pytest.approx([3.8799999912], abs=1e-12)
-        assert payload["lambda"] == pytest.approx([0.1999999979999999], abs=1e-12)
-        assert payload["se"] == pytest.approx([1.055146119422961], rel=1e-12)
-        assert payload["ci"][0] == pytest.approx(
-            [2.1444390697033713, 5.615560912696629], rel=1e-12
+        assert_fields_match(
+            payload, fit, ("theta_complete", "theta_hat", "se", "ci", "n_effective")
         )
-        assert payload["n_effective"] == pytest.approx([4.191616766467066], rel=1e-12)
+        np.testing.assert_allclose(payload["lambda"], fit.weights.lam, rtol=1e-12)
         assert payload["lambda_mode"] == "tuned"
         assert payload["hessian_mode"] == "complete_case_hessian"
-        assert payload["n_rows"] == 8
-        assert payload["n_complete"] == 4
+        assert payload["n_rows"] == inference.n_rows == 8
+        assert payload["n_complete"] == inference.n_complete
         assert payload["n_patterns"] == 1
-        assert payload["pattern_counts"] == [4, 4]
+        assert payload["pattern_counts"] == inference.pattern_counts().tolist()
         assert payload["dropped_rows"] == 0
         assert payload["diagnostics"] is None
-        assert any("train_frac=0" in w for w in payload["warnings"])
+        assert payload["warnings"] == list(fit.warnings) == []
         validate(payload, "result-v1")
 
-    def test_fixed_lambda_mode(self, capsys, tmp_path, eight_csv):
+    def test_fixed_lambda_mode(self, capsys, tmp_path, eight_twice_csv):
         cfg = write_config(
             tmp_path / "c.json",
             {
                 "loss": MEAN_X_LOSS,
                 "imputer": "chained_regression",
-                "train_frac": 0.0,
+                "train_frac": EIGHT_ROW_TRAIN_FRAC,
                 "lambda_mode": "fixed",
                 "fixed_lambda": [0.2],
             },
         )
-        payload = run_json(capsys, ["analyze", eight_csv, "--config", cfg])
+        payload = run_json(capsys, ["analyze", eight_twice_csv, "--config", cfg])
+        model, inference = library_split(eight_twice_matrix(), imputers.CHAINED_KIND)
+        fit = estimators.ipi_fit(inference, MEAN_X, model, weights=[0.2], alpha=0.1)
         assert payload["lambda"] == [0.2]
         assert payload["lambda_mode"] == "fixed"
-        assert payload["theta_hat"] == pytest.approx([3.88], abs=1e-12)
+        assert_fields_match(payload, fit, ("theta_hat", "se"))
 
     def test_complete_csv_reduces_to_complete_case(
         self, capsys, complete_csv, analyze_config
@@ -780,28 +862,25 @@ class TestAnalyze:
         payload = run_json(
             capsys, ["analyze", complete_csv, "--config", analyze_config]
         )
-        matrix = eight_row_matrix()[:4]
-        dataset = build_dataset(matrix, (0,))
-        loss = losses.loss_for_columns(losses.MEAN, columns=(0,))[0]
-        cc = baselines.complete_case_fit(dataset, loss, alpha=0.1)
-        assert payload["theta_hat"] == pytest.approx(list(cc.theta_hat), rel=1e-12)
-        assert payload["se"] == pytest.approx(list(cc.se), rel=1e-12)
+        _, inference = library_split(eight_row_matrix()[:4], imputers.CHAINED_KIND)
+        cc = baselines.complete_case_fit(inference, MEAN_X, alpha=0.1)
+        assert_fields_match(payload, cc, ("theta_hat", "se"))
         assert payload["lambda"] == []
         assert payload["n_patterns"] == 0
-        assert payload["n_effective"] == pytest.approx([4.0])
+        assert payload["n_effective"] == pytest.approx([inference.n_rows])
 
-    def test_method_dispatch_matches_library(self, capsys, tmp_path, eight_csv):
-        matrix = eight_row_matrix()
+    def test_method_dispatch_matches_library(self, capsys, tmp_path, eight_twice_csv):
+        matrix = eight_twice_matrix()
         dataset = build_dataset(matrix, (0,))
         loss = losses.loss_for_columns(losses.MEAN, columns=(0,))[0]
         cc = baselines.complete_case_fit(dataset, loss, alpha=0.1)
-        model = imputers.fit("zero", dataset.values)
-        naive = baselines.naive_single_impute_fit(dataset, loss, model, alpha=0.1)
+        model, inference = library_split(matrix, imputers.ZERO_KIND)
+        naive = baselines.naive_single_impute_fit(inference, loss, model, alpha=0.1)
 
         cfg = write_config(
             tmp_path / "cc.json", {"loss": MEAN_X_LOSS, "method": "complete_case"}
         )
-        payload = run_json(capsys, ["analyze", eight_csv, "--config", cfg])
+        payload = run_json(capsys, ["analyze", eight_twice_csv, "--config", cfg])
         assert payload["method"] == "complete_case"
         assert payload["theta_hat"] == pytest.approx(list(cc.theta_hat), rel=1e-12)
         assert payload["se"] == pytest.approx(list(cc.se), rel=1e-12)
@@ -812,27 +891,29 @@ class TestAnalyze:
                 "loss": MEAN_X_LOSS,
                 "method": "naive",
                 "imputer": "zero",
-                "train_frac": 0.0,
+                "train_frac": EIGHT_ROW_TRAIN_FRAC,
             },
         )
-        payload = run_json(capsys, ["analyze", eight_csv, "--config", cfg])
+        payload = run_json(capsys, ["analyze", eight_twice_csv, "--config", cfg])
         assert payload["method"] == "naive"
         assert payload["theta_hat"] == pytest.approx(list(naive.theta_hat), rel=1e-12)
 
-    def test_naive_diagnose_uses_configured_weights(self, capsys, tmp_path, eight_csv):
+    def test_naive_diagnose_uses_configured_weights(
+        self, capsys, tmp_path, eight_twice_csv
+    ):
         # naive fits no weights; its report tests the ones lambda_mode asks
         # for, as `ipinfer diagnose` does
         reports = {}
         for mode in ("tuned", "pooled"):
             config = {"loss": MEAN_X_LOSS, "imputer": "chained_regression",
-                      "train_frac": 0.0, "lambda_mode": mode}
+                      "train_frac": EIGHT_ROW_TRAIN_FRAC, "lambda_mode": mode}
             diagnose = run_json(capsys, [
-                "diagnose", eight_csv,
+                "diagnose", eight_twice_csv,
                 "--config", write_config(tmp_path / "d.json", config),
             ])
             config["method"] = "naive"
             naive = run_json(capsys, [
-                "analyze", eight_csv, "--diagnose",
+                "analyze", eight_twice_csv, "--diagnose",
                 "--config", write_config(tmp_path / "a.json", config),
             ])
             reports[mode] = naive["diagnostics"]
@@ -841,8 +922,6 @@ class TestAnalyze:
         assert reports["pooled"]["lambda"] != reports["tuned"]["lambda"]
 
     def test_cipi_method_runs(self, capsys, tmp_path, rng):
-        from conftest import random_blockwise
-
         matrix = random_blockwise(rng)
         lines = ["x0,x1,x2,x3"]
         for row in matrix:
@@ -866,25 +945,25 @@ class TestAnalyze:
         validate(payload, "result-v1")
 
     def test_diagnose_flag_attaches_report(
-        self, capsys, eight_csv, analyze_config
+        self, capsys, eight_twice_csv, analyze_config
     ):
-        payload = run_json(
-            capsys,
-            ["analyze", eight_csv, "--config", analyze_config, "--diagnose", "--full"],
-        )
+        argv = ["analyze", eight_twice_csv, "--config", analyze_config]
+        payload = run_json(capsys, [*argv, "--diagnose", "--full"])
         diag = payload["diagnostics"]
-        assert diag["lambda"] == pytest.approx([0.1999999979999999], abs=1e-12)
-        for key in ("weighted", "full"):
-            assert diag[key]["df"] == 1
-            assert diag[key]["chi2_stat"] == pytest.approx(14.52, rel=1e-12)
-            assert diag[key]["p_value"] == pytest.approx(
-                0.00013867940542948873, rel=1e-9
+        model, inference = library_split(eight_twice_matrix(), imputers.CHAINED_KIND)
+        fit = estimators.ipi_fit(inference, MEAN_X, model, alpha=0.1)
+        tables = estimators.score_tables(inference, MEAN_X, model, fit.theta_complete)
+        np.testing.assert_allclose(diag["lambda"], fit.weights.lam, rtol=1e-12)
+        reports = {
+            "weighted": diagnostics.t_ipi_test(tables, fit.weights),
+            "full": diagnostics.t_full_test(tables),
+        }
+        for key, report in reports.items():
+            assert diag[key]["df"] == report.df == 1
+            assert diag[key]["chi2_stat"] > 0.0
+            assert_fields_match(
+                diag[key], report, ("statistic", "chi2_stat", "p_value", "gaps")
             )
-            assert np.allclose(diag[key]["gaps"], [[-4.4]], rtol=1e-12)
-        assert diag["weighted"]["statistic"] == pytest.approx(
-            [-0.8799999912], abs=1e-12
-        )
-        assert diag["full"]["statistic"] == pytest.approx([-4.4], rel=1e-12)
         validate(payload, "result-v1")
 
     def test_six_pattern_regression_workflow(self, capsys, tmp_path, rng):
@@ -923,7 +1002,7 @@ class TestAnalyze:
                     "intercept": True,
                 },
                 "imputer": "chained_regression",
-                "train_frac": 0.0,
+                "train_frac": 0.2,
             },
         )
         payload = run_json(
@@ -943,19 +1022,19 @@ class TestAnalyze:
         validate(payload, "result-v1")
 
     def test_out_file_and_byte_identical_reruns(
-        self, capsys, tmp_path, eight_csv, analyze_config
+        self, capsys, tmp_path, eight_twice_csv, analyze_config
     ):
         out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
         for out in (out1, out2):
             code = cli.main(
-                ["analyze", eight_csv, "--config", analyze_config, "--out", str(out)]
+                ["analyze", eight_twice_csv, "--config", analyze_config, "--out", str(out)]
             )
             assert code == 0
             assert capsys.readouterr().out == ""
         assert out1.read_bytes() == out2.read_bytes()
-        assert json.loads(out1.read_text())["theta_hat"] == pytest.approx(
-            [3.8799999912]
-        )
+        model, inference = library_split(eight_twice_matrix(), imputers.CHAINED_KIND)
+        fit = estimators.ipi_fit(inference, MEAN_X, model, alpha=0.1)
+        assert_fields_match(json.loads(out1.read_text()), fit, ("theta_hat",))
 
 
     @staticmethod
@@ -976,7 +1055,7 @@ class TestAnalyze:
         cfg = write_config(
             tmp_path / "c.json",
             {"loss": {"family": "mean", "columns": ["b"]},
-             "imputer": "chained_regression", "train_frac": 0.0},
+             "imputer": "chained_regression", "train_frac": 0.5},
         )
         payload = run_json(capsys, [command, csv, "--config", cfg])
         assert payload["warnings"][-1] == (
@@ -984,11 +1063,13 @@ class TestAnalyze:
             "before converging"
         )
 
-    @pytest.mark.parametrize("train_frac", [0.0, 0.1])
+    @pytest.mark.parametrize("train_frac", [0.1, None])
     def test_n_effective_beyond_the_row_count_warns(self, capsys, tmp_path, train_frac):
         # One headline dataset.  A hotdeck trained on the rows it fills
-        # refills each masked complete row with that row itself, so the
-        # correction looks free and n_effective runs far past the row count.
+        # would refill each masked complete row with that row itself, and
+        # n_effective would run far past the row count (the library-level
+        # test in test_estimators).  On a split, given or the default, the
+        # tripwire stays quiet.
         rng = np.random.default_rng(0)
         config = simgen.ExperimentConfig()
         matrix = simgen.build_population(config.factor).sample(rng, config.n_total())
@@ -997,23 +1078,16 @@ class TestAnalyze:
                 for row in dataset.values]
         header = ",".join(f"x{j}" for j in range(dataset.d))
         csv = write(tmp_path / "d.csv", "\n".join([header, *rows]) + "\n")
-        cfg = write_config(
-            tmp_path / "c.json",
-            {"loss": {"family": "linear_regression", "response": "x2",
-                      "covariates": ["x0", "x1"]},
-             "imputer": "hotdeck", "train_frac": train_frac},
-        )
+        fields = {"loss": {"family": "linear_regression", "response": "x2",
+                           "covariates": ["x0", "x1"]}, "imputer": "hotdeck"}
+        if train_frac is not None:
+            fields["train_frac"] = train_frac
+        cfg = write_config(tmp_path / "c.json", fields)
         payload = run_json(capsys, ["analyze", csv, "--config", cfg])
         tripwire = [w for w in payload["warnings"] if w.startswith("n_effective")]
-        if train_frac == 0.0:
-            assert max(payload["n_effective"]) > 2200
-            assert tripwire == [
-                f"n_effective[1] = {payload['n_effective'][1]:.0f} exceeds the 2200 "
-                "rows of the data; was the imputer trained on the rows it fills?"
-            ]
-        else:
-            assert max(payload["n_effective"]) < payload["n_rows"]
-            assert tripwire == []
+        assert payload["n_rows"] == 1980
+        assert max(payload["n_effective"]) < payload["n_rows"]
+        assert tripwire == []
 
     def test_cipi_fold_fits_at_their_cap_warn(self, capsys, tmp_path):
         cfg = write_config(
@@ -1030,29 +1104,36 @@ class TestAnalyze:
 
 
 class TestDiagnose:
-    def test_eight_row_fixture(self, capsys, tmp_path, eight_csv):
+    def test_eight_row_fixture(self, capsys, tmp_path, eight_twice_csv):
         cfg = write_config(
             tmp_path / "c.json",
             {
                 "loss": MEAN_X_LOSS,
                 "imputer": "chained_regression",
-                "train_frac": 0.0,
+                "train_frac": EIGHT_ROW_TRAIN_FRAC,
             },
         )
-        payload = run_json(capsys, ["diagnose", eight_csv, "--config", cfg])
+        payload = run_json(capsys, ["diagnose", eight_twice_csv, "--config", cfg])
+        model, inference = library_split(eight_twice_matrix(), imputers.CHAINED_KIND)
+        theta_n = losses.solve_complete_case(inference, MEAN_X)
+        tables = estimators.score_tables(inference, MEAN_X, model, theta_n)
+        weights, _ = estimators.resolve_weights(tables, "tuned")
+        weighted = diagnostics.t_ipi_test(tables, weights)
         assert payload["schema"] == "ipinfer/diagnostics-v1"
         assert payload["full"] is None
-        assert payload["lambda"] == pytest.approx([0.1999999979999999], abs=1e-12)
-        assert payload["weighted"]["chi2_stat"] == pytest.approx(14.52, rel=1e-12)
-        assert payload["weighted"]["df"] == 1
-        assert payload["weighted"]["p_value"] < 0.001
+        np.testing.assert_allclose(payload["lambda"], weights.lam, rtol=1e-12)
+        assert payload["weighted"]["df"] == weighted.df == 1
+        assert payload["weighted"]["chi2_stat"] > 0.0
+        assert_fields_match(payload["weighted"], weighted, ("chi2_stat", "p_value", "gaps"))
+        assert payload["n_rows"] == inference.n_rows == 8
+        assert payload["pattern_counts"] == inference.pattern_counts().tolist()
         validate(payload, "diagnostics-v1")
 
         full = run_json(
-            capsys, ["diagnose", eight_csv, "--config", cfg, "--full"]
+            capsys, ["diagnose", eight_twice_csv, "--config", cfg, "--full"]
         )
         assert full["full"]["df"] == 1
-        assert full["full"]["chi2_stat"] == pytest.approx(14.52, rel=1e-12)
+        assert_fields_match(full["full"], diagnostics.t_full_test(tables), ("chi2_stat",))
         validate(full, "diagnostics-v1")
 
     def test_complete_csv_is_trivial(self, capsys, tmp_path, complete_csv):
@@ -1061,7 +1142,7 @@ class TestDiagnose:
             {
                 "loss": MEAN_X_LOSS,
                 "imputer": "chained_regression",
-                "train_frac": 0.0,
+                "train_frac": EIGHT_ROW_TRAIN_FRAC,
             },
         )
         payload = run_json(capsys, ["diagnose", complete_csv, "--config", cfg])
@@ -1083,14 +1164,60 @@ class TestDiagnose:
         csv = write(tmp_path / "d.csv", "\n".join(lines) + "\n")
         cfg = write_config(
             tmp_path / "c.json",
-            {
-                "loss": MEAN_X_LOSS,
-                "imputer": "chained_regression",
-                "train_frac": 0.0,
-            },
+            {"loss": MEAN_X_LOSS, "imputer": "chained_regression"},
         )
         payload = run_json(capsys, ["diagnose", csv, "--config", cfg])
+        assert payload["n_rows"] == 72  # the default split trains on 8 rows
         assert payload["weighted"]["p_value"] < 1e-6
+
+
+@pytest.mark.parametrize("imputer", imputers.KINDS)
+@pytest.mark.parametrize(
+    "command, method, flags",
+    [
+        ("analyze", "ipi", ["--diagnose", "--full"]),
+        ("analyze", "naive", ["--diagnose"]),
+        ("analyze", "cipi", []),
+        ("analyze", "complete_case", []),
+        ("analyze", "aipw", []),
+        ("diagnose", None, ["--full"]),
+    ],
+    ids=["ipi", "naive", "cipi", "complete_case", "aipw", "diagnose"],
+)
+def test_no_model_fills_a_row_it_was_fitted_on(
+    capsys, monkeypatch, tmp_path, imputer, command, method, flags
+):
+    # Each row carries its index in an 'id' column that is never missing.
+    # Every model fitted records the ids of its training rows, and every
+    # fill checks the ids of the rows it is given against them.
+    matrix = random_blockwise(np.random.default_rng(6), n_complete=40, per_pattern=20)
+    matrix = np.hstack([matrix, np.arange(len(matrix))[:, None]])
+    csv = write(tmp_path / "d.csv", csv_text("x0,x1,x2,x3,id", matrix))
+    trained, fills = {}, []
+    fit, fill = imputers.fit, imputers.ImputationModel.fill
+
+    def recording_fit(kind, train):
+        model = fit(kind, train)
+        # the model is kept, so no later model reuses its id
+        trained[id(model)] = (model, set(np.asarray(train)[:, 4]))
+        return model
+
+    def recording_fill(model, values):
+        fills.append((trained[id(model)][1], set(np.atleast_2d(values)[:, 4])))
+        return fill(model, values)
+
+    monkeypatch.setattr(imputers, "fit", recording_fit)
+    monkeypatch.setattr(estimators, "fit_imputer", recording_fit)
+    monkeypatch.setattr(imputers.ImputationModel, "fill", recording_fill)
+    config = {"loss": {"family": "linear_regression", "response": "x0",
+                       "covariates": ["x1", "x2"]}, "imputer": imputer}
+    if method is not None:
+        config.update(method=method, k_folds=3, n_boot=10)
+    cfg = write_config(tmp_path / "c.json", config)
+    run_json(capsys, [command, csv, "--config", cfg, *flags])
+    assert bool(fills) == (method not in ("complete_case", "aipw"))
+    for train_ids, filled_ids in fills:
+        assert train_ids and filled_ids and not train_ids & filled_ids
 
 
 class TestSimulate:

@@ -348,6 +348,25 @@ class TestFitBundle:
         assert fit.n_scale == 4
         assert fit.warnings == ()
 
+    def test_hotdeck_fitted_on_the_rows_it_fills_warns(self):
+        # One headline dataset.  A hotdeck fitted on the rows it fills
+        # refills each masked complete row with that row itself, so the
+        # correction looks free and n_effective runs far past the row count.
+        # The CLI cannot build such a fit; ipi_fit takes any model.
+        rng = np.random.default_rng(0)
+        config = simgen.ExperimentConfig()
+        matrix = simgen.build_population(config.factor).sample(rng, config.n_total())
+        loss, dims = config.make_loss()
+        dataset = simgen.gen_mcar_missingness(matrix, config.missingness(), dims, rng)
+        model = imputers.fit(imputers.HOTDECK_KIND, dataset.values)
+        fit = ipi_fit(dataset, loss, model)
+        assert max(fit.n_effective) > dataset.n_rows == 2200
+        j = int(np.argmax(fit.n_effective))
+        assert fit.warnings[-1] == (
+            f"n_effective[{j}] = {fit.n_effective[j]:.0f} exceeds the 2200 "
+            "rows of the data; was the imputer trained on the rows it fills?"
+        )
+
     def test_width_property(self, eight_row):
         fit = ipi_fit(eight_row.dataset, eight_row.loss, eight_row.imputer)
         assert np.allclose(fit.width, fit.ci[:, 1] - fit.ci[:, 0])

@@ -425,12 +425,13 @@ class TestPatternPlans:
         config = simgen.ExperimentConfig()
         matrix = population.sample(rng, config.n_total())
         dataset = simgen.gen_mcar_missingness(matrix, config.missingness(), (0, 1, 2), rng)
-        warnings = []
-        model, _ = estimators.train_imputer(
-            dataset, imputers.GAUSSIAN_KIND, config.train_frac, 0, warnings
+        loss, _ = config.make_loss()
+        split = simgen.Split(
+            dataset, loss, imputers.GAUSSIAN_KIND, config.train_frac, 0, []
         )
+        model, _ = split.fitted
         assert (model.n_iter, model.converged) == (5, False)
-        assert warnings == [
+        assert split.warnings == [
             "the gaussian_conditional imputer stopped at its cap of "
             f"{model.cap} before converging"
         ]

@@ -238,8 +238,8 @@ def mcar_raw(n_complete, ratio, seed) -> np.ndarray:
     n_total = n_complete + int(round(ratio * n_complete))
     rng = np.random.default_rng(np.random.SeedSequence((seed, 1)))
     matrix = population.sample(rng, n_total)
-    mcfg = simgen.MissingnessConfig(n_complete=n_complete, seed=seed)
-    return simgen.gen_mcar_missingness(matrix, mcfg, target_dims=(0,)).values
+    mcfg = simgen.MissingnessConfig(n_complete=n_complete)
+    return simgen.gen_mcar_missingness(matrix, mcfg, target_dims=(0,), rng=seed).values
 
 
 def shuffled_blockwise(seed, n_rows, d, n_patterns) -> np.ndarray:

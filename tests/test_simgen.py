@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -131,8 +132,8 @@ class TestMissingness:
 
     def test_first_rows_stay_complete(self):
         matrix = np.arange(60, dtype=float).reshape(20, 3)
-        cfg = MissingnessConfig(n_complete=8, n_patterns=2, seed=2)
-        ds = gen_mcar_missingness(matrix, cfg, target_dims=(0,))
+        cfg = MissingnessConfig(n_complete=8, n_patterns=2)
+        ds = gen_mcar_missingness(matrix, cfg, target_dims=(0,), rng=2)
         assert not np.isnan(ds.values[:8]).any()
         assert np.isnan(ds.values[8:]).any()
         assert ds.n_rows == 20
@@ -150,14 +151,14 @@ class TestMissingness:
     def test_zero_patterns_keeps_matrix_complete(self):
         matrix = np.arange(30, dtype=float).reshape(10, 3)
         cfg = MissingnessConfig(n_complete=4, n_patterns=0)
-        ds = gen_mcar_missingness(matrix, cfg, target_dims=(0,))
+        ds = gen_mcar_missingness(matrix, cfg, target_dims=(0,), rng=0)
         assert ds.n_patterns == 0
         assert ds.n_complete == 10
 
     def test_too_few_rows_rejected(self):
         cfg = MissingnessConfig(n_complete=11, n_patterns=2)
         with pytest.raises(ConfigError, match="exceeds"):
-            gen_mcar_missingness(np.zeros((10, 3)), cfg, target_dims=(0,))
+            gen_mcar_missingness(np.zeros((10, 3)), cfg, target_dims=(0,), rng=0)
 
 
 class TestExperimentConfig:
@@ -206,6 +207,24 @@ class TestRunTrials:
         _, out = run_one_trial(cfg, 0)
         assert out["aipw"] is None
         assert out["complete_case"] is not None
+
+    @pytest.mark.parametrize(
+        "method, train_frac",
+        [("ipi", 0.0), ("naive", 0.0), ("single_pattern:best", 0.0), ("ipi", 0.001)],
+    )
+    def test_split_without_training_rows_raises_before_any_trial(
+        self, monkeypatch, method, train_frac
+    ):
+        # 0.001 of the 180 rows is no row; it was once found only once
+        # trial 0 had simulated its data.
+        def no_data(*args):
+            raise AssertionError("a trial simulated its data")
+
+        monkeypatch.setattr(simgen, "_simulate_dataset", no_data)
+        cfg = small_config(train_frac=train_frac, methods=(method, "complete_case"))
+        message = f"field 'train_frac': {train_frac} of 180 rows leaves no imputer training rows"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            run_trials(cfg)
 
     def test_trials_are_seed_deterministic(self):
         a = run_trials(small_config())
