@@ -121,7 +121,6 @@ def single_pattern_ipi(
     return fit_from_tables(
         _slice_tables(tables, r),
         alpha=alpha,
-        hessian_mode=COMPLETE_CASE_HESSIAN,
         objective=objective,
         method=f"single_pattern:{r}",
     )

@@ -15,6 +15,7 @@ data file or an unwritable output included), 3 data insufficiency,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -45,7 +46,7 @@ EXIT_NUMERIC = 4
 _SHIFT_LEVELS = (0.01, 0.05, 0.10)
 
 # analyze's fields that simgen.fit_method takes under the same names
-_FIT_OPTIONS = ("imputer", "alpha", "objective", "k_folds", "n_boot", "mcar", "hessian_mode")
+_FIT_OPTIONS = ("imputer", "alpha", "objective", "k_folds", "n_boot", "mcar", "weights")
 
 _LOSS_KEYS = {"family", "response", "covariates", "columns", "intercept"}
 
@@ -62,8 +63,9 @@ _SIMULATE_LOSS = {"family": losses.LINEAR, "response": 2, "covariates": [0, 1]}
 class Field:
     """One top-level config field: name, JSON type, default and range.
 
-    `kind` is int, float, bool, str, list (of numbers, read as floats) or
-    object (any JSON value, checked by `ok` or by the code that reads it).
+    `kind` is int, float, bool, str, list (of numbers, read as floats),
+    object (any JSON value, checked by `ok` or by the code that reads it)
+    or a tuple of these, read as the first that fits.
     An int reads as a float and an integral float as an int.  A JSON null
     is accepted only where the default is None, and never for a list.  A
     default that is itself a Field stands for that field's value.
@@ -109,6 +111,11 @@ def _as_kind(value, kind):
     one, and OverflowError for an int too large to read as a float."""
     if kind is object:
         return value
+    if isinstance(kind, tuple):
+        for each in kind:
+            with contextlib.suppress(TypeError):
+                return _as_kind(value, each)
+        raise TypeError
     if kind is list:
         if not isinstance(value, list):
             raise TypeError
@@ -143,6 +150,13 @@ _OBJECTIVE = Field(
     "objective", object, "trace", "'trace' or a coordinate index",
     lambda o: o == "trace" or type(o) is int,
 )
+_WEIGHTS_MUST = "'tuned', 'pooled', 'zero' or a list of finite numbers"
+_WEIGHTS = Field(
+    "weights", (str, list), "tuned", _WEIGHTS_MUST,
+    lambda w: w in estimators.WEIGHT_MODES
+    or isinstance(w, list) and all(map(math.isfinite, w)),
+    what=_WEIGHTS_MUST,
+)
 _MIN_COUNT = Field("min_pattern_count", int, 1)
 _FULL = Field("full", bool, False, flag="also run the per-pattern test")
 _OUT = Field("out", str)
@@ -152,9 +166,7 @@ def _data_fields(out_help: str) -> tuple[Field, ...]:
     """The fields analyze and diagnose share, in the order they are
     checked; `out_help` is the help of the command's --out flag."""
     return (
-        _LOSS, _MIN_COUNT, _IMPUTER, _TRAIN_FRAC, _SEED,
-        Field("lambda_mode", str, "tuned", choices=(*estimators.WEIGHT_MODES, "fixed")),
-        Field("fixed_lambda", list, what=_NUMBERS),
+        _LOSS, _MIN_COUNT, _IMPUTER, _TRAIN_FRAC, _SEED, _WEIGHTS,
         _FULL, replace(_OUT, flag=out_help),
     )
 
@@ -203,7 +215,6 @@ FIELDS = {
         Field("diagnose", bool, False, flag="attach the transfer-gap report"),
         _ALPHA,
         Field("mcar", bool, True),
-        Field("hessian_mode", str, None, choices=estimators.HESSIAN_MODES),
         _OBJECTIVE,
     ),
     "diagnose": _data_fields("output JSON path (default stdout)"),
@@ -354,19 +365,6 @@ def _apply_overrides(cfg: dict, args) -> dict:
         if value is not None:
             out[f.name] = value
     return out
-
-
-def _weights(values: dict):
-    """The `weights` argument that the checked lambda_mode and fixed_lambda
-    fields ask for: a weight mode, or the fixed weights."""
-    mode, fixed = values["lambda_mode"], values["fixed_lambda"]
-    if mode == "fixed":
-        if fixed is None:
-            raise ConfigError("lambda_mode='fixed' needs fixed_lambda")
-        return fixed
-    if fixed is not None:
-        raise ConfigError("field 'fixed_lambda' only applies to lambda_mode='fixed'")
-    return mode
 
 
 # ---------------------------------------------------------------------------
@@ -576,7 +574,6 @@ def _simulate_shift(config, magnitudes, include_full) -> dict:
 def cmd_analyze(args) -> int:
     values = _read_fields(_apply_overrides(load_config(args.config), args), "analyze")
     method, run_diag = values["method"], values["diagnose"]
-    weights = _weights(values)
     if run_diag and method not in simgen.SPLIT_METHODS:
         raise ConfigError(
             f"--diagnose is not available with method {method!r}: its estimate "
@@ -593,7 +590,7 @@ def cmd_analyze(args) -> int:
         dataset, loss, values["imputer"], values["train_frac"], seed, warnings
     )
     fit = simgen.fit_method(
-        method, dataset, loss, split, seed=seed, weights=weights,
+        method, dataset, loss, split, seed=seed,
         **{key: values[key] for key in _FIT_OPTIONS},
     )
     inference = split.fitted[1] if method in simgen.SPLIT_METHODS else dataset
@@ -617,7 +614,7 @@ def cmd_analyze(args) -> int:
         # naive carries no weights; its report uses the configured ones
         "diagnostics": (
             _diagnostics_payload(
-                split.tables, fit.weights or weights, values["full"], warnings
+                split.tables, fit.weights or values["weights"], values["full"], warnings
             )
             if run_diag else None
         ),
@@ -629,7 +626,6 @@ def cmd_analyze(args) -> int:
 
 def cmd_diagnose(args) -> int:
     values = _read_fields(_apply_overrides(load_config(args.config), args), "diagnose")
-    weights = _weights(values)
     dataset, loss, _, warnings = _load_dataset(
         args.csv, values["loss"], values["min_pattern_count"]
     )
@@ -638,7 +634,7 @@ def cmd_diagnose(args) -> int:
     )
     payload = {
         "schema": "ipinfer/diagnostics-v1",
-        **_diagnostics_payload(split.tables, weights, values["full"], warnings),
+        **_diagnostics_payload(split.tables, values["weights"], values["full"], warnings),
         **_dataset_summary(split.fitted[1]),
         "warnings": warnings,
     }

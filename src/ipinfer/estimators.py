@@ -40,7 +40,6 @@ from .patterns import PatternedDataset
 
 COMPLETE_CASE_HESSIAN = "complete_case_hessian"
 FULL_IPI_HESSIAN = "full_ipi_hessian"
-HESSIAN_MODES = (COMPLETE_CASE_HESSIAN, FULL_IPI_HESSIAN)
 
 TRACE_OBJECTIVE = "trace"
 
@@ -328,24 +327,10 @@ def _weighted(means: np.ndarray, lam: np.ndarray) -> np.ndarray:
     return out
 
 
-def _select_hessian(tables: ScoreTables, weights: TuningWeights, hessian_mode: str):
-    if hessian_mode == COMPLETE_CASE_HESSIAN:
-        return tables.h_complete
-    if hessian_mode == FULL_IPI_HESSIAN:
-        return full_ipi_hessian(tables, weights)
-    raise ConfigError(
-        f"unknown hessian mode {hessian_mode!r}; expected one of {HESSIAN_MODES}"
-    )
-
-
-def ipi_point_estimate(
-    tables: ScoreTables, lam, hessian_mode: str = COMPLETE_CASE_HESSIAN
-) -> np.ndarray:
+def ipi_point_estimate(tables: ScoreTables, lam) -> np.ndarray:
     """One Newton step from tables.theta (the complete-case estimate) along
-    the weighted objective."""
-    weights = as_weights(lam, tables.n_patterns)
-    hessian = _select_hessian(tables, weights, hessian_mode)
-    return one_step(tables.theta, hessian, ipi_grad(tables, weights))
+    the weighted objective, with the complete-case Hessian."""
+    return one_step(tables.theta, tables.h_complete, ipi_grad(tables, lam))
 
 
 def one_step(theta, hessian, gradient) -> np.ndarray:
@@ -450,8 +435,9 @@ def tuning_components(tables: ScoreTables, objective=TRACE_OBJECTIVE) -> TuningC
 
 
 def objective_coords(objective, p: int) -> np.ndarray:
-    """Parameter coordinates a tuning objective sums over."""
-    if objective == TRACE_OBJECTIVE or objective is None:
+    """Parameter coordinates a tuning objective sums over: every one for
+    "trace", else the one coordinate index given."""
+    if objective == TRACE_OBJECTIVE:
         return np.arange(p)
     j = int(objective)
     if not 0 <= j < p:
@@ -668,7 +654,6 @@ def fit_from_tables(
     tables: ScoreTables,
     weights="tuned",
     alpha: float = 0.1,
-    hessian_mode: str | None = None,
     objective=TRACE_OBJECTIVE,
     mcar: bool = True,
     method: str = "ipi",
@@ -685,21 +670,22 @@ def fit_from_tables(
     Args:
         weights: a mode of WEIGHT_MODES or the weights themselves (see
             resolve_weights).
-        hessian_mode: defaults to the complete-case Hessian under mcar=True
-            and to the full objective Hessian otherwise.
         objective: "trace" or a coordinate index for tuning.
         mcar: whether the first-moment missing-completely-at-random
-            assumption is asserted; controls the estimand label and the
-            default Hessian.
+            assumption is asserted.  It picks the estimand label and the
+            Hessian: the complete-case Hessian under mcar=True, else the
+            Hessian of the weighted objective itself.  Under MCAR any
+            consistent Hessian gives the same first-order limit.
         method: the label the fit carries.
         variance: variance(tables, weights, hessian) gives the sandwich
             covariance; the plug-in estimate_variance unless a caller
             swaps it.
     """
-    if hessian_mode is None:
-        hessian_mode = COMPLETE_CASE_HESSIAN if mcar else FULL_IPI_HESSIAN
     weights, warnings = resolve_weights(tables, weights, objective)
-    hessian = _select_hessian(tables, weights, hessian_mode)
+    if mcar:
+        hessian_mode, hessian = COMPLETE_CASE_HESSIAN, tables.h_complete
+    else:
+        hessian_mode, hessian = FULL_IPI_HESSIAN, full_ipi_hessian(tables, weights)
     theta = one_step(tables.theta, hessian, ipi_grad(tables, weights))
     sigma = variance(tables, weights, hessian)
     sigma_cc = estimate_variance(tables, zero_weights(tables.n_patterns))
@@ -727,12 +713,12 @@ def ipi_fit(
     imputer: ImputationModel,
     weights="tuned",
     alpha: float = 0.1,
-    hessian_mode: str | None = None,
     objective=TRACE_OBJECTIVE,
     mcar: bool = True,
 ) -> IPIFit:
     """Full imputation-powered fit: solve, build the score tables, weight,
-    correct, and summarize (see fit_from_tables for the options).
+    correct, and summarize (see fit_from_tables for the options; `mcar`
+    picks the Hessian).
 
     Args:
         imputer: a fitted imputation model, trained on rows outside
@@ -744,7 +730,6 @@ def ipi_fit(
         tables,
         weights=weights,
         alpha=alpha,
-        hessian_mode=hessian_mode,
         objective=objective,
         mcar=mcar,
     )
@@ -935,7 +920,6 @@ def cipi_fit(
     n_boot: int = 50,
     weights="tuned",
     alpha: float = 0.1,
-    hessian_mode: str | None = None,
     objective=TRACE_OBJECTIVE,
     mcar: bool = True,
     seed=0,
@@ -946,7 +930,8 @@ def cipi_fit(
     never saw it, so no training/inference split is needed.  The variance
     is bootstrap_variance: the plug-in sandwich on n_boot more models'
     out-of-bag-averaged fills.  When some of the K fold models stop at
-    their iteration cap, one warning says how many.
+    their iteration cap, one warning says how many.  The other options are
+    fit_from_tables's; `mcar` picks the Hessian.
 
     Args:
         imputer: imputer kind string or factory(matrix).
@@ -968,7 +953,6 @@ def cipi_fit(
         tables,
         weights=weights,
         alpha=alpha,
-        hessian_mode=hessian_mode,
         objective=objective,
         mcar=mcar,
         method="cipi",

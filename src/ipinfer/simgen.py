@@ -217,7 +217,7 @@ class ExperimentConfig:
     train_frac: float = 0.1
     k_folds: int = 10
     n_boot: int = 50
-    objective: object = 0  # tuning objective: coordinate or "trace"
+    objective: object = estimators.TRACE_OBJECTIVE  # or a coordinate index
     target_coordinate: int = 0
     min_pattern_count: int = 1
     seed: int = 0
@@ -406,20 +406,19 @@ class Split:
 
 def fit_method(
     method, dataset, loss, split, *, imputer, alpha, objective, k_folds, n_boot,
-    seed, weights="tuned", mcar=True, hessian_mode=None,
+    seed, weights="tuned", mcar=True,
 ):
     """Fit one method of METHOD_SUFFIXES on `dataset`: the methods of
     SPLIT_METHODS read `split`, and cipi cross-fits `imputer` with `seed`.
 
     A ':' suffix on ipi or cipi names the weight mode in place of
     `weights`; single_pattern's is 'best' or a pattern id, and an id the
-    split's tables lack is a DataError.
+    split's tables lack is a DataError.  `mcar` sets the estimand label,
+    and for ipi and cipi also the Hessian (see
+    estimators.fit_from_tables).
     """
     name, _, arg = method.partition(":")
-    shared = dict(
-        weights=arg or weights, alpha=alpha, hessian_mode=hessian_mode,
-        objective=objective, mcar=mcar,
-    )
+    shared = dict(weights=arg or weights, alpha=alpha, objective=objective, mcar=mcar)
     if name == "complete_case":
         return baselines.complete_case_fit(dataset, loss, alpha=alpha, mcar=mcar)
     if name == "aipw":

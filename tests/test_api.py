@@ -306,7 +306,11 @@ def test_every_option_has_a_caller():
         for path in sorted(PACKAGE_DIR.glob("*.py"))
         for option in _defaulted_parameters(ast.parse(path.read_text()))
     ]
-    assert len(options) > 50
+    # the walk finds positional and keyword-only options
+    found = {option[:3] for option in options}
+    assert ("estimators.py", "fit_from_tables", "weights") in found
+    assert ("estimators.py", "cipi_fit", "k_folds") in found
+    assert ("simgen.py", "fit_method", "mcar") in found
     unset = [
         f"{module}:{function}({parameter})"
         for module, function, parameter, position in options

@@ -33,6 +33,8 @@ MEAN_X = losses.mean_loss(1)
 
 LINEAR_LOSS = {"family": "linear_regression", "response": 2, "covariates": [0, 1]}
 
+WEIGHTS_MUST = "field 'weights' must be 'tuned', 'pooled', 'zero' or a list of finite numbers"
+
 # The tests that fit the eight-row fixture through the CLI read its rows
 # twice and split them in half, so eight rows train the imputer and eight
 # are scored.  Its frozen numbers need a model fitted on the rows it
@@ -337,12 +339,12 @@ class TestConfigErrors:
             for key in ("mcar", "train_frac", "min_pattern_count", "alpha", "method")
         ]
         + [("analyze", key, {"method": "cipi"}) for key in ("k_folds", "n_boot")]
-        + [("diagnose", key, {}) for key in ("train_frac", "full", "lambda_mode")]
+        + [("diagnose", key, {}) for key in ("train_frac", "full", "weights")]
         # fields the chosen method never reads are checked all the same
         + [("analyze", key, {}) for key in ("k_folds", "n_boot")]
         + [
             ("analyze", key, {"method": "complete_case"})
-            for key in ("imputer", "fixed_lambda")
+            for key in ("imputer", "weights")
         ],
     )
     def test_null_field_rejected(self, capsys, tmp_path, eight_csv, command, key, extra):
@@ -366,14 +368,13 @@ class TestConfigErrors:
     @pytest.mark.parametrize(
         "command, key, value",
         [
-            ("analyze", "lambda_mode", "bogus"),
-            ("analyze", "hessian_mode", "bogus"),
+            ("analyze", "weights", "bogus"),
             ("analyze", "train_frac", 5),
             ("analyze", "objective", 99),
             ("analyze", "objective", -1),
             ("analyze", "k_folds", -1),
             ("analyze", "n_boot", 0),
-            ("diagnose", "lambda_mode", "bogus"),
+            ("diagnose", "weights", "bogus"),
             ("diagnose", "train_frac", -0.5),
             ("simulate", "train_frac", 5),
             ("simulate", "k_folds", -1),
@@ -414,18 +415,25 @@ class TestConfigErrors:
     @pytest.mark.parametrize(
         "change, message",
         [
-            ({"fixed_lambda": [1.0]},
-             "field 'fixed_lambda' only applies to lambda_mode='fixed'"),
-            ({"lambda_mode": "fixed"}, "lambda_mode='fixed' needs fixed_lambda"),
+            ({"fixed_lambda": [1.0]}, "unknown config field(s): fixed_lambda; allowed:"),
+            ({"lambda_mode": "fixed"}, "unknown config field(s): lambda_mode; allowed:"),
+            ({"weights": "fixed"}, f"{WEIGHTS_MUST}, got 'fixed'"),
+            ({"weights": [float("nan"), 1]}, f"{WEIGHTS_MUST}, got [nan, 1.0]"),
+            ({"weights": [True, 1]}, f"{WEIGHTS_MUST}, got [True, 1]"),
+            ({"weights": [10**400, 1]}, f"{WEIGHTS_MUST}, got [{10**400}, 1]"),
         ],
-        ids=["stray_fixed_lambda", "fixed_without_weights"],
+        ids=[
+            "stray_fixed_lambda", "fixed_without_weights",
+            "weights_mode", "weights_nan", "weights_bool", "weights_overflow",
+        ],
     )
     def test_weight_fields_checked_when_read(
         self, capsys, tmp_path, command, method, change, message
     ):
-        # Stray weights were once dropped silently, and fixed weights went
-        # unchecked under methods that use none.  Both are errors of the
-        # config alone, so the data file is never opened.
+        # Weights once went unchecked under methods that use none, and
+        # [10**400, 1] overflowed into a traceback.  These are errors of the
+        # config alone, so the data file is never opened.  `weights` is the
+        # one weight field: the old two-field spelling is an unknown key.
         payload = {"loss": MEAN_X_LOSS, "imputer": "mean", **change}
         if method is not None:
             payload["method"] = method
@@ -433,7 +441,36 @@ class TestConfigErrors:
         absent = str(tmp_path / "absent.csv")
         code, err = run_error(capsys, [command, absent, "--config", cfg])
         assert code == 2
-        assert err == f"ipinfer: config error: {message}\n"
+        assert err.startswith(f"ipinfer: config error: {message}")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["analyze", "diagnose"])
+    @pytest.mark.parametrize("weights", [[], [0.5, 0.5]], ids=["empty", "long"])
+    def test_weight_count_checked_against_the_data(
+        self, capsys, tmp_path, eight_csv, command, weights
+    ):
+        # The eight-row CSV holds one pattern.
+        cfg = write_config(
+            tmp_path / "c.json",
+            {"loss": MEAN_X_LOSS, "imputer": "mean", "train_frac": 0.25,
+             "weights": weights},
+        )
+        code, err = run_error(capsys, [command, eight_csv, "--config", cfg])
+        assert code == 2
+        assert err == (
+            f"ipinfer: config error: {len(weights)} weights given for 1 patterns\n"
+        )
+
+    def test_hessian_mode_is_an_unknown_key(self, capsys, tmp_path, eight_csv):
+        # `mcar` alone picks the Hessian.
+        cfg = write_config(
+            tmp_path / "c.json",
+            {"loss": MEAN_X_LOSS, "imputer": "mean", "hessian_mode": "full_ipi_hessian"},
+        )
+        code, err = run_error(capsys, ["analyze", eight_csv, "--config", cfg])
+        assert code == 2
+        assert err.startswith("ipinfer: config error: unknown config field(s): hessian_mode;")
+        assert "allowed:" in err and "mcar" in err
 
     @pytest.mark.parametrize("method", ["cipi", "complete_case", "aipw"])
     def test_diagnose_flag_rejected_for_method(
@@ -845,8 +882,7 @@ class TestAnalyze:
                 "loss": MEAN_X_LOSS,
                 "imputer": "chained_regression",
                 "train_frac": EIGHT_ROW_TRAIN_FRAC,
-                "lambda_mode": "fixed",
-                "fixed_lambda": [0.2],
+                "weights": [0.2],
             },
         )
         payload = run_json(capsys, ["analyze", eight_twice_csv, "--config", cfg])
@@ -901,12 +937,12 @@ class TestAnalyze:
     def test_naive_diagnose_uses_configured_weights(
         self, capsys, tmp_path, eight_twice_csv
     ):
-        # naive fits no weights; its report tests the ones lambda_mode asks
+        # naive fits no weights; its report tests the ones `weights` asks
         # for, as `ipinfer diagnose` does
         reports = {}
         for mode in ("tuned", "pooled"):
             config = {"loss": MEAN_X_LOSS, "imputer": "chained_regression",
-                      "train_frac": EIGHT_ROW_TRAIN_FRAC, "lambda_mode": mode}
+                      "train_frac": EIGHT_ROW_TRAIN_FRAC, "weights": mode}
             diagnose = run_json(capsys, [
                 "diagnose", eight_twice_csv,
                 "--config", write_config(tmp_path / "d.json", config),
@@ -1450,6 +1486,7 @@ DATA_SPECIAL = {
          "intercept": True},
         {"family": "logistic_regression", "response": "x", "covariates": ["u"]},
     ]),
+    "weights": st.sampled_from(estimators.WEIGHT_MODES) | BY_KIND[list],
     "out": OUT,
 }
 # simulate's sizes are always drawn, and small, so no run takes the

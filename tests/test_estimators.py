@@ -405,25 +405,29 @@ class TestFitBundle:
         assert fit.hessian_mode == FULL_IPI_HESSIAN
 
     def test_tuning_objective_and_hessian_options_match_table_fit(self, rng):
-        # ipi_fit's objective and hessian_mode, and ipi_point_estimate's
-        # hessian_mode, give what fit_from_tables gives on the same tables.
+        # ipi_fit's objective and mcar give what fit_from_tables gives on the
+        # same tables; mcar=False steps with the full objective Hessian, and
+        # ipi_point_estimate with the complete-case one, as mcar=True does.
         matrix = random_blockwise(rng, n_complete=40, per_pattern=20)
         model = imputers.fit(imputers.GAUSSIAN_KIND, random_blockwise(rng))
         loss, dims = losses.loss_for_columns(
             losses.LINEAR, response=0, covariates=(1, 2), intercept=True
         )
         ds = build_dataset(matrix, dims)
-        fit = ipi_fit(ds, loss, model, objective=0, hessian_mode=FULL_IPI_HESSIAN)
+        fit = ipi_fit(ds, loss, model, objective=0, mcar=False)
         tables = complete_case_tables(ds, loss, model)
-        reference = fit_from_tables(tables, objective=0, hessian_mode=FULL_IPI_HESSIAN)
+        reference = fit_from_tables(tables, objective=0, mcar=False)
         for field in ("theta_hat", "se", "ci", "variance", "hessian", "n_effective"):
             assert np.array_equal(getattr(fit, field), getattr(reference, field)), field
         assert np.array_equal(fit.weights.lam, reference.weights.lam)
         assert fit.hessian_mode == FULL_IPI_HESSIAN
-        point = ipi_point_estimate(tables, fit.weights, hessian_mode=FULL_IPI_HESSIAN)
+        full = full_ipi_hessian(tables, fit.weights)
+        point = estimators.one_step(tables.theta, full, ipi_grad(tables, fit.weights))
         assert np.array_equal(point, fit.theta_hat)
-        # both options change the fit
         default = fit_from_tables(tables)
+        assert default.hessian_mode == COMPLETE_CASE_HESSIAN
+        assert np.array_equal(ipi_point_estimate(tables, default.weights), default.theta_hat)
+        # both options change the fit
         assert not np.array_equal(fit.weights.lam, default.weights.lam)
         assert not np.array_equal(fit.hessian, default.hessian)
 
