@@ -40,7 +40,6 @@ from .estimators import (
     bootstrap_variance,
     cipi_fit,
     cross_fit,
-    effective_sample_size,
     estimate_variance,
     fit_from_tables,
     full_ipi_hessian,
@@ -121,7 +120,6 @@ __all__ = [
     "cipi_fit",
     "complete_case_fit",
     "cross_fit",
-    "effective_sample_size",
     "estimate_variance",
     "fit_from_tables",
     "fit_imputer",

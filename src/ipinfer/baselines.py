@@ -80,7 +80,8 @@ def naive_single_impute_fit(
 
     The sandwich variance ignores imputation uncertainty entirely, which is
     the point of this baseline: its intervals undercover whenever the
-    imputations carry error.
+    imputations carry error.  Its Hessian is the mean over the filled rows,
+    no IPI Hessian choice, so its hessian_mode is None.
     """
     theta_cc, _, _, sigma_cc = _complete_case(dataset, loss)
     filled = imputer.fill(dataset.values)[:, list(dataset.target_dims)]
@@ -89,7 +90,7 @@ def naive_single_impute_fit(
     return summarize_fit(
         "naive", theta, sigma, filled.shape[0], alpha, mcar,
         baseline=(theta_cc, sigma_cc, dataset.n_complete),
-        hessian=h, hessian_mode=COMPLETE_CASE_HESSIAN,
+        hessian=h,
     )
 
 

@@ -338,7 +338,6 @@ def build_experiment_config(values: dict) -> simgen.ExperimentConfig:
     methods = values["methods"]
     if not isinstance(methods, list) or not all(isinstance(m, str) for m in methods):
         raise ConfigError("field 'methods' must be a list of method names")
-    simgen.check_methods(methods, values["n_patterns"], loss["family"])
     # the fields an ExperimentConfig takes under their config names
     same = {f.name for f in fields(simgen.ExperimentConfig)} - {"methods"}
     config = simgen.ExperimentConfig(
@@ -349,10 +348,7 @@ def build_experiment_config(values: dict) -> simgen.ExperimentConfig:
         covariates=loss["covariates"], mean_columns=loss["columns"],
         intercept=loss["intercept"],
     )
-    simgen.check_split(config, values["experiment"] == "shift")
-    p = config.make_loss()[0].param_dim
-    _check_coordinate("target_coordinate", config.target_coordinate, p)
-    _check_coordinate("objective", config.objective, p)
+    simgen.check_config(config, values["experiment"] == "shift")
     return config
 
 
@@ -519,6 +515,11 @@ def _simulate_coverage(config, collect) -> dict:
         rows.append([m.method, "n_trials", m.n_trials])
         rows.append([m.method, "failures", m.failures])
         rows.extend([m.method, name, repr(float(getattr(m, name)))] for name in fields)
+    empty = [m.method for m in result.metrics if m.n_trials == 0]
+    warnings = [] if not empty else [
+        f"no trial produced an interval for method(s) {', '.join(empty)}, so "
+        "their coverage is null: every trial's fit failed (see 'failures')"
+    ]
     payload = {
         "schema": "ipinfer/metrics-v1",
         "experiment": "coverage",
@@ -526,7 +527,7 @@ def _simulate_coverage(config, collect) -> dict:
         "theta_star": result.theta_star,
         "methods": [asdict(m) for m in result.metrics],
         "records": [asdict(r) for r in result.records],
-        "warnings": [],
+        "warnings": warnings,
     }
     return {"metrics.csv": _csv_text(rows), "metrics.json": _dump_json(payload)}
 

@@ -436,13 +436,15 @@ def tuning_components(tables: ScoreTables, objective=TRACE_OBJECTIVE) -> TuningC
 
 def objective_coords(objective, p: int) -> np.ndarray:
     """Parameter coordinates a tuning objective sums over: every one for
-    "trace", else the one coordinate index given."""
+    "trace", else the one coordinate index given, an int in [0, p)."""
     if objective == TRACE_OBJECTIVE:
         return np.arange(p)
-    j = int(objective)
-    if not 0 <= j < p:
-        raise ConfigError(f"objective coordinate {j} out of range for p={p}")
-    return np.array([j])
+    if type(objective) is not int or not 0 <= objective < p:
+        raise ConfigError(
+            f"objective must be {TRACE_OBJECTIVE!r} or a coordinate in [0, {p}), "
+            f"got {objective!r}"
+        )
+    return np.array([objective])
 
 
 def _pooled_lam(counts: np.ndarray) -> np.ndarray:

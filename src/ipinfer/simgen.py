@@ -16,6 +16,7 @@ aggregates with Monte Carlo standard errors.
 from __future__ import annotations
 
 import multiprocessing
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
@@ -25,7 +26,7 @@ from functools import cached_property, partial
 import numpy as np
 
 from . import baselines, diagnostics, estimators, imputers
-from .errors import ConfigError, DataError, IpinferError
+from .errors import ConfigError, IpinferError
 from .losses import LINEAR, MEAN, LossModel, loss_for_columns, solve_complete_case
 from .patterns import PatternedDataset, build_dataset
 
@@ -249,7 +250,8 @@ class ExperimentConfig:
 
 
 # The methods a coverage run accepts, with the suffixes each takes after
-# ':'; single_pattern needs one, 'best' or a pattern id in [1, n_patterns].
+# ':'; single_pattern needs its one, 'best': every trial draws and numbers
+# its patterns afresh, so a pattern id would name no fixed mask.
 METHOD_SUFFIXES = {
     "complete_case": (), "aipw": (), "naive": (), "single_pattern": ("best",),
     "ipi": estimators.WEIGHT_MODES, "cipi": estimators.WEIGHT_MODES,
@@ -258,7 +260,23 @@ METHOD_SUFFIXES = {
 SPLIT_METHODS = ("ipi", "naive", "single_pattern")
 
 
-def check_methods(methods, n_patterns: int, loss_family: str) -> None:
+def check_config(config: ExperimentConfig, shift: bool) -> None:
+    """Raise ConfigError, once per run and before trial 0, unless the
+    methods pass check_methods, the split check_split (`shift` marks a
+    shift run), and target_coordinate and a coordinate objective each index
+    one of the loss's parameters."""
+    check_methods(config.methods, config.loss_family)
+    check_split(config, shift)
+    p = config.make_loss()[0].param_dim
+    coordinates = {"target_coordinate": config.target_coordinate}
+    if config.objective != estimators.TRACE_OBJECTIVE:
+        coordinates["objective"] = config.objective
+    for key, value in coordinates.items():
+        if type(value) is not int or not 0 <= value < p:
+            raise ConfigError(f"field {key!r} must be in [0, {p}) for this loss, got {value!r}")
+
+
+def check_methods(methods, loss_family: str) -> None:
     """Raise ConfigError unless every entry names a method of
     METHOD_SUFFIXES, alone or with a suffix it takes, that fits the loss
     family (aipw is defined for linear regression only).  Whether the
@@ -271,17 +289,10 @@ def check_methods(methods, n_patterns: int, loss_family: str) -> None:
                 f"expected one of {', '.join(METHOD_SUFFIXES)}"
             )
         suffixes = METHOD_SUFFIXES[name]
-        if name == "single_pattern":
-            # no id is longer than n_patterns, and int() refuses very long strings
-            ok = arg == "best" or (
-                arg.isdecimal() and len(arg) <= len(str(n_patterns))
-                and 1 <= int(arg) <= n_patterns
-            )
-            takes = f"':best' or a pattern id in [1, {n_patterns}] after ':'"
-        else:
-            ok = not sep or arg in suffixes
-            takes = " or ".join(["no suffix", *(f"':{s}'" for s in suffixes)])
-        if not ok:
+        # single_pattern needs its suffix; the others may go without one
+        bare = () if name == "single_pattern" else ("no suffix",)
+        if not (arg in suffixes or bare and not sep):
+            takes = " or ".join([*bare, *(f"':{s}'" for s in suffixes)])
             raise ConfigError(f"field 'methods': {method!r}: {name} takes {takes}")
         if name == "aipw" and loss_family != LINEAR:
             raise ConfigError(
@@ -412,8 +423,8 @@ def fit_method(
     SPLIT_METHODS read `split`, and cipi cross-fits `imputer` with `seed`.
 
     A ':' suffix on ipi or cipi names the weight mode in place of
-    `weights`; single_pattern's is 'best' or a pattern id, and an id the
-    split's tables lack is a DataError.  `mcar` sets the estimand label,
+    `weights`; single_pattern's is 'best', the pattern whose fit tunes to
+    the smallest objective.  `mcar` sets the estimand label,
     and for ipi and cipi also the Hessian (see
     estimators.fit_from_tables).
     """
@@ -435,12 +446,8 @@ def fit_method(
     tables = split.tables
     if name == "ipi":
         return estimators.fit_from_tables(tables, **shared)
-    if arg == "best":
-        fit, _ = baselines.best_single_pattern(tables, alpha=alpha, objective=objective)
-        return fit
-    if int(arg) > tables.n_patterns:
-        raise DataError(f"the data hold {tables.n_patterns} patterns, so no pattern {arg}")
-    return baselines.single_pattern_ipi(tables, int(arg), alpha=alpha, objective=objective)
+    fit, _ = baselines.best_single_pattern(tables, alpha=alpha, objective=objective)
+    return fit
 
 
 def _unless_failed(fn, *args):
@@ -496,7 +503,8 @@ def _single_threaded_blas():
 
 
 def run_one_trial(config: ExperimentConfig, trial: int, population=None):
-    """All configured methods on one simulated dataset.
+    """All configured methods on one simulated dataset, for a config that
+    passed check_config; each record holds its fit's own n_effective.
 
     Returns:
         (trial, {method: TrialRecord | None}); None marks a failed method.
@@ -505,21 +513,16 @@ def run_one_trial(config: ExperimentConfig, trial: int, population=None):
         ConfigError: a method is misconfigured; this propagates rather than
             counting as a failed trial.
     """
-    check_methods(config.methods, config.n_patterns, config.loss_family)
-    check_split(config, False)
     if population is None:
         population = build_population(config.factor)
     loss, target_dims = config.make_loss()
     theta_star = population.theta_star(loss, target_dims)
     j = config.target_coordinate
     dataset, rng = _simulate_dataset(config, population, target_dims, trial)
-
-    cc_fit = baselines.complete_case_fit(dataset, loss, alpha=config.alpha)
-    baseline_width = cc_fit.width[j]
     split = Split(dataset, loss, config.imputer, config.train_frac, rng, [])
 
     def _record(method):
-        fit = cc_fit if method == "complete_case" else fit_method(
+        fit = fit_method(
             method, dataset, loss, split, imputer=config.imputer, alpha=config.alpha,
             objective=config.objective, k_folds=config.k_folds, n_boot=config.n_boot,
             seed=(config.seed, 3, trial),
@@ -533,9 +536,7 @@ def run_one_trial(config: ExperimentConfig, trial: int, population=None):
             upper=float(hi),
             covered=bool(lo <= theta_star[j] <= hi),
             width=float(hi - lo),
-            n_effective=float(
-                estimators.effective_sample_size(baseline_width, hi - lo, cc_fit.n_scale)
-            ),
+            n_effective=float(fit.n_effective[j]),
         )
 
     # A method whose fit or record fails (a zero-width interval, say) is
@@ -546,6 +547,7 @@ def run_one_trial(config: ExperimentConfig, trial: int, population=None):
 
 def run_trials(config: ExperimentConfig, collect_records: bool = False) -> ExperimentResult:
     """Run the full experiment and aggregate per-method metrics."""
+    check_config(config, False)
     population = build_population(config.factor)
     loss, target_dims = config.make_loss()
     theta_star = population.theta_star(loss, target_dims)
@@ -606,7 +608,7 @@ class ShiftTrialRecord:
 @dataclass
 class ShiftExperimentResult:
     config: ExperimentConfig
-    shifts: np.ndarray
+    shift: float
     records: list[ShiftTrialRecord]
 
     def p_values(self, which: str = "weighted") -> np.ndarray:
@@ -630,28 +632,21 @@ def gen_shift_experiment(
     """Repeated transfer-gap tests under injected per-pattern score shifts:
     one ShiftExperimentResult per setting in `shifts`, in order.
 
-    A setting is a number (applied to every pattern) or a length-n_patterns
-    vector; any other shape, and a train_frac that splits off no training
-    row, 0 included (check_split), is a ConfigError before any trial.
-    Entry r of a vector shifts whichever pattern is numbered r + 1 in that
-    trial: every trial draws and numbers its patterns afresh, so a vector
-    names no fixed mask.  Each trial simulates data, fits the imputer on
-    the training split and builds the score tables once.  Per setting it
-    then shifts each pattern's own imputed scores (masked complete rows
-    stay put), tunes the weights on the shifted tables and records the
-    test p-values.  Trials run in the pool when jobs > 1.
+    A setting is a number, applied to every pattern: every trial draws and
+    numbers its patterns afresh, so no per-pattern setting would name a
+    fixed mask.  Anything else, and a config check_config refuses, is a
+    ConfigError before any trial.  Each trial simulates data, fits the
+    imputer on the training split and builds the score tables once.  Per
+    setting it then shifts each pattern's own imputed scores (masked
+    complete rows stay put), tunes the weights on the shifted tables and
+    records the test p-values.  Trials run in the pool when jobs > 1.
     """
-    check_split(config, True)
-    big_r = config.n_patterns
+    check_config(config, True)
     if np.isscalar(shifts):
         raise ConfigError("shifts must be a list of settings, not one number")
-    settings = [np.asarray(s, dtype=float) for s in shifts]
-    for s in settings:
-        if s.shape not in ((), (big_r,)):
-            raise ConfigError(
-                f"each shift setting must be a number or {big_r} values "
-                f"(one per pattern), got shape {s.shape}"
-            )
+    settings = list(shifts)
+    if not all(isinstance(s, numbers.Real) for s in settings):
+        raise ConfigError("each shift setting must be a number")
     trial_fn = partial(
         _shift_trial, population=build_population(config.factor),
         settings=settings, include_full=include_full,
@@ -660,7 +655,7 @@ def gen_shift_experiment(
     return [
         ShiftExperimentResult(
             config=config,
-            shifts=np.broadcast_to(s, (big_r,)).copy(),
+            shift=float(s),
             records=[ShiftTrialRecord(t, *p[i]) for t, p in enumerate(p_values)],
         )
         for i, s in enumerate(settings)
@@ -687,8 +682,6 @@ def _shift_trial(config, trial, population, settings, include_full) -> list:
 
 
 def _shift_p_values(tables, shift, objective, include_full):
-    # A number is applied as a number, so it covers every pattern the
-    # trial's data hold.
     shifted = diagnostics.apply_gradient_shift(tables, shift)
     weights, _ = estimators.resolve_weights(shifted, "tuned", objective)
     weighted = diagnostics.t_ipi_test(shifted, weights).p_value

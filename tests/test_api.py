@@ -50,7 +50,6 @@ PUBLIC_NAMES = [
     "cipi_fit",
     "complete_case_fit",
     "cross_fit",
-    "effective_sample_size",
     "estimate_variance",
     "fit_from_tables",
     "fit_imputer",

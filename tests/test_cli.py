@@ -535,7 +535,9 @@ class TestConfigErrors:
             ({"methods": ["ipi:bogus"]}, "'methods'"),
             ({"methods": ["ipi:fixed"]}, "'methods'"),
             ({"methods": ["cipi:fixed"]}, "'methods'"),
-            ({"methods": ["single_pattern:99"], "n_patterns": 3}, "'methods'"),
+            # no pattern id names a fixed mask across trials, in range or not
+            ({"methods": ["single_pattern:3", "single_pattern:99"], "n_patterns": 3},
+             "'methods'"),
             ({"methods": ["single_pattern:" + "9" * 5000]}, "'methods'"),
             ({"methods": ["aipw"]}, "linear regression only"),
         ],
@@ -934,6 +936,22 @@ class TestAnalyze:
         assert payload["method"] == "naive"
         assert payload["theta_hat"] == pytest.approx(list(naive.theta_hat), rel=1e-12)
 
+    def test_naive_makes_no_hessian_choice(self, capsys, tmp_path, rng):
+        # naive's Hessian is the mean over its filled rows, neither of the
+        # two IPI Hessians, so it names none.
+        masks = ((True, True, False, True), (False, True, True, True),
+                 (True, False, True, False))
+        matrix = random_blockwise(rng, n_complete=40, per_pattern=15, masks=masks)
+        csv = write(tmp_path / "d.csv", csv_text("x0,x1,x2,x3", matrix))
+        cfg = write_config(tmp_path / "c.json", {
+            "loss": {"family": "mean", "columns": ["x0", "x1", "x2"]},
+            "method": "naive", "imputer": "gaussian_conditional",
+        })
+        payload = run_json(capsys, ["analyze", csv, "--config", cfg])
+        assert payload["n_patterns"] == 3
+        assert payload["hessian_mode"] is None
+        validate(payload, "result-v1")
+
     def test_naive_diagnose_uses_configured_weights(
         self, capsys, tmp_path, eight_twice_csv
     ):
@@ -1320,21 +1338,24 @@ class TestSimulate:
         assert methods["complete_case"]["failures"] == 0
         assert methods["complete_case"]["n_trials"] == 3
 
-    def test_pattern_a_trial_lacks_fails_that_trial(self, capsys, tmp_path):
-        # Three incomplete rows over three patterns: some trial draws no row
-        # of pattern 3, which fails that trial's single_pattern:3 fit only.
-        payload = dict(self.COVERAGE, n_complete=30, ratio=0.1, n_patterns=3,
-                       methods=["complete_case", "single_pattern:3"])
+    def test_method_without_intervals_warns(self, capsys, tmp_path):
+        # One complete row: no trial's complete rows can be fitted, so every
+        # cipi fit fails.  The run once ended with exit 4 after creating
+        # --out; now it counts the failures and says the coverage is null.
+        payload = dict(self.COVERAGE, n_complete=1, ratio=10.0, k_folds=2, n_boot=4,
+                       methods=["cipi"], loss={"family": "linear_regression"})
         cfg = write_config(tmp_path / "c.json", payload)
         out = tmp_path / "out"
         assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 0
         capsys.readouterr()
-        methods = {
-            m["method"]: m
-            for m in json.loads((out / "metrics.json").read_text())["methods"]
-        }
-        assert methods["single_pattern:3"]["failures"] >= 1
-        assert methods["complete_case"]["failures"] == 0
+        result = json.loads((out / "metrics.json").read_text())
+        [cipi] = result["methods"]
+        assert (cipi["n_trials"], cipi["failures"], cipi["coverage"]) == (0, 3, None)
+        assert result["warnings"] == [
+            "no trial produced an interval for method(s) cipi, so their coverage "
+            "is null: every trial's fit failed (see 'failures')"
+        ]
+        validate(result, "metrics-v1")
 
     def test_train_frac_zero_without_split_methods(self, capsys, tmp_path):
         # cipi and complete_case split off no training rows.

@@ -13,6 +13,7 @@ lambda = 0.2 / (1 + 1e-8), and one-step estimate 3 + 4.4 * lambda.
 
 from __future__ import annotations
 
+import re
 from dataclasses import FrozenInstanceError
 
 import numpy as np
@@ -268,6 +269,23 @@ class TestTuning:
         assert np.allclose(w_trace.lam, w_coord.lam, atol=1e-15)
         with pytest.raises(ConfigError):
             tune_lambda(t, objective=5)
+
+    @pytest.mark.parametrize("objective", ["1", 0.9, True, 1.0, 3, -1])
+    def test_objective_is_trace_or_an_int_coordinate(self, rng, objective):
+        # p = 3; "1", 0.9 and True once tuned a coordinate through int(),
+        # where the CLI refuses all three.
+        matrix = random_blockwise(rng)
+        dataset = build_dataset(matrix, target_dims=(0, 1, 2))
+        loss = losses.mean_loss(3)
+        model = imputers.fit(imputers.GAUSSIAN_KIND, random_blockwise(rng))
+        tables = score_tables(
+            dataset, loss, model, losses.solve_complete_case(dataset, loss)
+        )
+        message = f"objective must be 'trace' or a coordinate in [0, 3), got {objective!r}"
+        for fit in (tune_lambda, fit_from_tables):
+            fit(tables, objective=2)
+            with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+                fit(tables, objective=objective)
 
 
 class TestVariance:
