@@ -15,20 +15,18 @@ data file or an unwritable output included), 3 data insufficiency,
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import io
 import json
 import math
 import os
 import sys
-from collections.abc import Callable
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, fields, replace
 from importlib import resources
 
 import numpy as np
 
-from . import diagnostics, estimators, imputers, losses, simgen
+from . import diagnostics, estimators, losses, simgen
 from .errors import (
     ConfigError,
     DataError,
@@ -37,6 +35,7 @@ from .errors import (
     NumericError,
 )
 from .patterns import PatternedDataset, build_dataset, load_csv
+from .simgen import Field
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -51,105 +50,28 @@ _FIT_OPTIONS = ("imputer", "alpha", "objective", "k_folds", "n_boot", "mcar", "w
 _LOSS_KEYS = {"family", "response", "covariates", "columns", "intercept"}
 
 # simulate's loss when the config has no 'loss' section, and its values for
-# the fields a section leaves out
-_SIMULATE_LOSS = {"family": losses.LINEAR, "response": 2, "covariates": [0, 1]}
+# the fields a section leaves out: ExperimentConfig's defaults
+_EXPERIMENT = simgen.ExperimentConfig
+_SIMULATE_LOSS = {
+    "family": _EXPERIMENT.loss_family, "response": _EXPERIMENT.response,
+    "covariates": list(_EXPERIMENT.covariates),
+}
 
 
 # ---------------------------------------------------------------------------
 # config fields: one table per command, and one reader
 
 
-@dataclass(frozen=True)
-class Field:
-    """One top-level config field: name, JSON type, default and range.
-
-    `kind` is int, float, bool, str, list (of numbers, read as floats),
-    object (any JSON value, checked by `ok` or by the code that reads it)
-    or a tuple of these, read as the first that fits.
-    An int reads as a float and an integral float as an int.  A JSON null
-    is accepted only where the default is None, and never for a list.  A
-    default that is itself a Field stands for that field's value.
-    `choices` names the accepted strings; otherwise `ok` tests the value and
-    `must` says what passes.  `what`, if set, names the kind in a type error.
-    `flag`, if set, is the help of the command-line flag `--<name>` that
-    overrides the field (a bool flag turns it on).
-    """
-
-    name: str
-    kind: type
-    default: object = None
-    must: str = ""
-    ok: Callable[[object], bool] | None = None
-    choices: tuple[str, ...] = ()
-    what: str = ""
-    flag: str = ""
-
-    def read(self, cfg: dict, default):
-        """This field's checked value in `cfg`; `default` if it is absent."""
-        value = cfg.get(self.name, default)
-        nullable = default is None and (self.kind is not list or self.name not in cfg)
-        if value is None and nullable:
-            return None
-        try:
-            value = _as_kind(value, self.kind)
-        except (TypeError, OverflowError):
-            shown = "null" if value is None else repr(value)
-            what = self.what or self.kind.__name__
-            raise ConfigError(f"field {self.name!r} must be {what}, got {shown}") from None
-        if self.choices and value not in self.choices:
-            raise ConfigError(
-                f"field {self.name!r} must be one of {', '.join(self.choices)}; "
-                f"got {value!r}"
-            )
-        if self.ok is not None and not self.ok(value):
-            raise ConfigError(f"field {self.name!r} must be {self.must}, got {value!r}")
-        return value
-
-
-def _as_kind(value, kind):
-    """`value` read as a field of `kind`.  Raises TypeError if it is not
-    one, and OverflowError for an int too large to read as a float."""
-    if kind is object:
-        return value
-    if isinstance(kind, tuple):
-        for each in kind:
-            with contextlib.suppress(TypeError):
-                return _as_kind(value, each)
-        raise TypeError
-    if kind is list:
-        if not isinstance(value, list):
-            raise TypeError
-        return [_as_kind(v, float) for v in value]
-    if isinstance(value, bool) and kind is not bool:  # JSON true is no number
-        raise TypeError
-    if kind is float and isinstance(value, int):
-        return float(value)
-    if kind is int and isinstance(value, float) and value.is_integer():
-        return int(value)
-    if not isinstance(value, kind):
-        raise TypeError
-    return value
-
-
-_NON_NEGATIVE = "a non-negative integer"
-_NUMBERS = "a list of numbers"
-_SEED = Field(
-    "seed", int, 0, _NON_NEGATIVE, lambda s: s >= 0, what=_NON_NEGATIVE,
-    flag="override master seed",
-)
+# The rows of the fields the library's config dataclasses declare: the
+# field's rule in simgen.RULES with its dataclass default ('seed' is
+# ExperimentConfig's trial seed), plus the flag that overrides it.
+_FLAGS = {"seed": "override master seed", "alpha": "interval level", "jobs": "worker processes"}
+_LIBRARY = {
+    f.name: replace(simgen.RULES[f.name], default=f.default, flag=_FLAGS.get(f.name, ""))
+    for config in (simgen.FactorModelConfig, simgen.ExperimentConfig)
+    for f in fields(config) if f.name in simgen.RULES
+}
 _LOSS = Field("loss", object)
-_IMPUTER = Field("imputer", str, imputers.GAUSSIAN_KIND, choices=imputers.KINDS)
-_ALPHA = Field(
-    "alpha", float, 0.1, "in (0, 1)", lambda a: 0.0 < a < 1.0, flag="interval level"
-)
-_TRAIN_FRAC = Field("train_frac", float, 0.1, "in [0, 1)", lambda f: 0.0 <= f < 1.0)
-_K_FOLDS = Field("k_folds", int, 10, "at least 2", lambda k: k >= 2)
-_N_BOOT = Field("n_boot", int, 50, "at least 2", lambda b: b >= 2)
-# a coordinate index is range-checked once the loss is built
-_OBJECTIVE = Field(
-    "objective", object, "trace", "'trace' or a coordinate index",
-    lambda o: o == "trace" or type(o) is int,
-)
 _WEIGHTS_MUST = "'tuned', 'pooled', 'zero' or a list of finite numbers"
 _WEIGHTS = Field(
     "weights", (str, list), "tuned", _WEIGHTS_MUST,
@@ -157,16 +79,20 @@ _WEIGHTS = Field(
     or isinstance(w, list) and all(map(math.isfinite, w)),
     what=_WEIGHTS_MUST,
 )
-_MIN_COUNT = Field("min_pattern_count", int, 1)
 _FULL = Field("full", bool, False, flag="also run the per-pattern test")
 _OUT = Field("out", str)
+
+
+def _rows(*rows) -> tuple[Field, ...]:
+    """`rows`, with each name standing for the library's row of that name."""
+    return tuple(_LIBRARY[row] if isinstance(row, str) else row for row in rows)
 
 
 def _data_fields(out_help: str) -> tuple[Field, ...]:
     """The fields analyze and diagnose share, in the order they are
     checked; `out_help` is the help of the command's --out flag."""
-    return (
-        _LOSS, _MIN_COUNT, _IMPUTER, _TRAIN_FRAC, _SEED, _WEIGHTS,
+    return _rows(
+        _LOSS, "min_pattern_count", "imputer", "train_frac", "seed", _WEIGHTS,
         _FULL, replace(_OUT, flag=out_help),
     )
 
@@ -175,47 +101,30 @@ def _data_fields(out_help: str) -> tuple[Field, ...]:
 # checked.  'loss' and simulate's 'methods' are read whole here and checked
 # by _loss_from_config and build_experiment_config.
 FIELDS = {
-    "simulate": (
-        _SEED,
-        replace(_SEED, name="population_seed", default=_SEED, flag=""),
-        Field("d", int, 20, "at least 1", lambda d: d >= 1),
-        Field("n_factors", int, 2, "at least 1", lambda q: q >= 1),
-        Field("variance_explained", float, 0.5, "in (0, 1)", lambda v: 0.0 < v < 1.0),
+    "simulate": _rows(
+        "seed",
+        replace(_LIBRARY["seed"], name="population_seed", default=_LIBRARY["seed"], flag=""),
+        "d", "n_factors", "variance_explained",
         replace(_LOSS, default=_SIMULATE_LOSS),
-        Field("methods", object, ["ipi", "complete_case"]),
-        Field("n_complete", int, 200, "at least 1", lambda n: n >= 1),
-        Field(
-            "ratio", float, 10.0, "finite and at least 0",
-            lambda r: math.isfinite(r) and r >= 0.0,
-        ),
-        Field("n_patterns", int, 10, _NON_NEGATIVE, lambda r: r >= 0),
-        Field("feature_mask_prob", float, 0.2, "in (0, 1)", lambda q: 0.0 < q < 1.0),
-        _IMPUTER,
-        Field("trials", int, 100, "at least 1", lambda t: t >= 1),
-        _ALPHA,
-        _TRAIN_FRAC,
-        _K_FOLDS,
-        _N_BOOT,
-        _OBJECTIVE,
-        Field("target_coordinate", int, 0),
-        _MIN_COUNT,
-        Field("jobs", int, 1, "at least 1", lambda j: j >= 1, flag="worker processes"),
+        Field("methods", object, list(_EXPERIMENT.methods)),
+        "n_complete", "ratio", "n_patterns", "feature_mask_prob", "imputer", "trials",
+        "alpha", "train_frac", "k_folds", "n_boot", "objective", "target_coordinate",
+        "min_pattern_count", "jobs",
         replace(_OUT, flag="output directory"),
         Field("experiment", str, "coverage", choices=("coverage", "shift")),
         Field("records", bool, False, flag="include per-trial records in JSON"),
-        Field("shift_magnitudes", list, [0.0], what=_NUMBERS),
+        Field("shift_magnitudes", list, [0.0], what="a list of numbers"),
         Field("include_full", bool, False),
     ),
-    "analyze": _data_fields("result JSON path (default stdout)") + (
+    "analyze": _data_fields("result JSON path (default stdout)") + _rows(
         Field(
             "method", str, "ipi", choices=("complete_case", "aipw", "cipi", "ipi", "naive")
         ),
-        _K_FOLDS,
-        _N_BOOT,
+        "k_folds", "n_boot",
         Field("diagnose", bool, False, flag="attach the transfer-gap report"),
-        _ALPHA,
+        "alpha",
         Field("mcar", bool, True),
-        _OBJECTIVE,
+        "objective",
     ),
     "diagnose": _data_fields("output JSON path (default stdout)"),
 }
@@ -258,15 +167,6 @@ def _read_fields(cfg: dict, command: str) -> dict:
         default = values[f.default.name] if isinstance(f.default, Field) else f.default
         values[f.name] = f.read(cfg, default)
     return values
-
-
-def _check_coordinate(key, value, p):
-    """A coordinate field ('objective' may also be 'trace') must index one
-    of the loss's p parameters."""
-    if value != "trace" and not 0 <= value < p:
-        raise ConfigError(
-            f"field {key!r} must be in [0, {p}) for this loss, got {value!r}"
-        )
 
 
 def _resolve_column(token, columns, key):
@@ -585,7 +485,8 @@ def cmd_analyze(args) -> int:
     dataset, loss, names, warnings = _load_dataset(
         args.csv, values["loss"], values["min_pattern_count"]
     )
-    _check_coordinate("objective", values["objective"], loss.param_dim)
+    # complete_case and aipw never tune, so the objective is checked here
+    estimators.objective_coords(values["objective"], loss.param_dim)
     seed = (values["seed"], 0)  # seeds the split and cipi's folds
     split = simgen.Split(
         dataset, loss, values["imputer"], values["train_frac"], seed, warnings

@@ -436,15 +436,18 @@ def tuning_components(tables: ScoreTables, objective=TRACE_OBJECTIVE) -> TuningC
 
 def objective_coords(objective, p: int) -> np.ndarray:
     """Parameter coordinates a tuning objective sums over: every one for
-    "trace", else the one coordinate index given, an int in [0, p)."""
+    "trace", else the one coordinate index given (see check_coordinate)."""
     if objective == TRACE_OBJECTIVE:
         return np.arange(p)
-    if type(objective) is not int or not 0 <= objective < p:
-        raise ConfigError(
-            f"objective must be {TRACE_OBJECTIVE!r} or a coordinate in [0, {p}), "
-            f"got {objective!r}"
-        )
+    check_coordinate("objective", objective, p)
     return np.array([objective])
+
+
+def check_coordinate(key: str, value, p: int) -> None:
+    """Raise ConfigError unless `value`, of the field `key`, is an int in
+    [0, p): the index of one of a loss's p parameters."""
+    if type(value) is not int or not 0 <= value < p:
+        raise ConfigError(f"field {key!r} must be in [0, {p}) for this loss, got {value!r}")
 
 
 def _pooled_lam(counts: np.ndarray) -> np.ndarray:

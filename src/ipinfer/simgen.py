@@ -15,12 +15,14 @@ aggregates with Monte Carlo standard errors.
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import numbers
 import os
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
-from dataclasses import dataclass, field
+from contextlib import contextmanager, suppress
+from dataclasses import dataclass, field, fields
 from functools import cached_property, partial
 
 import numpy as np
@@ -36,6 +38,120 @@ _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS
 
 
 # ---------------------------------------------------------------------------
+# config fields: one rule per field, for the library and the CLI alike
+
+
+@dataclass(frozen=True)
+class Field:
+    """One top-level config field: name, JSON type, default and range.
+
+    `kind` is int, float, bool, str, list (of numbers, read as floats),
+    object (any JSON value, checked by `ok` or by the code that reads it)
+    or a tuple of these, read as the first that fits.
+    An int reads as a float and an integral float as an int.  A JSON null
+    is accepted only where the default is None, and never for a list.  A
+    default that is itself a Field stands for that field's value.
+    `choices` names the accepted strings; otherwise `ok` tests the value and
+    `must` says what passes.  `what`, if set, names the kind in a type error.
+    `flag`, if set, is the help of the command-line flag `--<name>` that
+    overrides the field (a bool flag turns it on).
+    """
+
+    name: str
+    kind: type
+    default: object = None
+    must: str = ""
+    ok: Callable[[object], bool] | None = None
+    choices: tuple[str, ...] = ()
+    what: str = ""
+    flag: str = ""
+
+    def read(self, cfg: dict, default):
+        """This field's checked value in `cfg`; `default` if it is absent."""
+        value = cfg.get(self.name, default)
+        nullable = default is None and (self.kind is not list or self.name not in cfg)
+        if value is None and nullable:
+            return None
+        try:
+            value = _as_kind(value, self.kind)
+        except (TypeError, OverflowError):
+            shown = "null" if value is None else repr(value)
+            what = self.what or self.kind.__name__
+            raise ConfigError(f"field {self.name!r} must be {what}, got {shown}") from None
+        if self.choices and value not in self.choices:
+            raise ConfigError(
+                f"field {self.name!r} must be one of {', '.join(self.choices)}; "
+                f"got {value!r}"
+            )
+        if self.ok is not None and not self.ok(value):
+            raise ConfigError(f"field {self.name!r} must be {self.must}, got {value!r}")
+        return value
+
+
+def _as_kind(value, kind):
+    """`value` read as a field of `kind`.  Raises TypeError if it is not
+    one, and OverflowError for an int too large to read as a float."""
+    if kind is object:
+        return value
+    if isinstance(kind, tuple):
+        for each in kind:
+            with suppress(TypeError):
+                return _as_kind(value, each)
+        raise TypeError
+    if kind is list:
+        if not isinstance(value, list):
+            raise TypeError
+        return [_as_kind(v, float) for v in value]
+    if isinstance(value, bool) and kind is not bool:  # JSON true is no number
+        raise TypeError
+    if kind is float and isinstance(value, int):
+        return float(value)
+    if kind is int and isinstance(value, float) and value.is_integer():
+        return int(value)
+    if not isinstance(value, kind):
+        raise TypeError
+    return value
+
+
+_NON_NEGATIVE = "a non-negative integer"
+# The rule of each field of FactorModelConfig, MissingnessConfig and
+# ExperimentConfig that has one, by name; the dataclasses hold the defaults.
+# Each dataclass applies them when built, as the CLI does to its own fields.
+RULES = {rule.name: rule for rule in (
+    Field("seed", int, must=_NON_NEGATIVE, ok=lambda s: s >= 0, what=_NON_NEGATIVE),
+    Field("d", int, must="at least 1", ok=lambda d: d >= 1),
+    Field("n_factors", int, must="at least 1", ok=lambda q: q >= 1),
+    Field("variance_explained", float, must="in (0, 1)", ok=lambda v: 0.0 < v < 1.0),
+    Field("n_complete", int, must="at least 1", ok=lambda n: n >= 1),
+    Field("ratio", float, must="finite and at least 0", ok=lambda r: 0.0 <= r < math.inf),
+    Field("n_patterns", int, must=_NON_NEGATIVE, ok=lambda r: r >= 0),
+    Field("feature_mask_prob", float, must="in (0, 1)", ok=lambda q: 0.0 < q < 1.0),
+    Field("imputer", str, choices=imputers.KINDS),
+    Field("trials", int, must="at least 1", ok=lambda t: t >= 1),
+    Field("alpha", float, must="in (0, 1)", ok=lambda a: 0.0 < a < 1.0),
+    Field("train_frac", float, must="in [0, 1)", ok=lambda f: 0.0 <= f < 1.0),
+    Field("k_folds", int, must="at least 2", ok=lambda k: k >= 2),
+    Field("n_boot", int, must="at least 2", ok=lambda b: b >= 2),
+    # a coordinate's range depends on the loss: check_config checks it
+    Field(
+        "objective", object, must="'trace' or a coordinate index",
+        ok=lambda o: o == estimators.TRACE_OBJECTIVE or type(o) is int,
+    ),
+    Field("target_coordinate", int),
+    Field("min_pattern_count", int),
+    Field("jobs", int, must="at least 1", ok=lambda j: j >= 1),
+)}
+
+
+def _check_fields(config) -> None:
+    """Raise ConfigError unless the frozen dataclass `config` passes RULES,
+    and hold each value as its rule reads it (an integral float as an int)."""
+    for f in fields(config):
+        if f.name in RULES:
+            object.__setattr__(config, f.name, RULES[f.name].read(vars(config), f.default))
+
+
+# ---------------------------------------------------------------------------
 # factor-model population
 
 
@@ -43,7 +159,8 @@ _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS
 class FactorModelConfig:
     """Gaussian factor population: d features, n_factors latent factors,
     noise variance chosen so factors explain variance_explained of the
-    total."""
+    total.  Each field is checked by its rule in RULES when the config is
+    built."""
 
     d: int = 20
     n_factors: int = 2
@@ -51,10 +168,7 @@ class FactorModelConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.d < 1 or self.n_factors < 1:
-            raise ConfigError("d and n_factors must be positive")
-        if not 0.0 < self.variance_explained < 1.0:
-            raise ConfigError("variance_explained must be in (0, 1)")
+        _check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -123,7 +237,8 @@ class MissingnessConfig:
 
     The first n_complete rows stay fully observed; the rest are assigned
     uniformly to n_patterns distinct nontrivial patterns, each drawn by
-    masking features independently with feature_mask_prob.
+    masking features independently with feature_mask_prob.  Each field
+    is checked by its rule in RULES when the config is built.
     """
 
     n_complete: int
@@ -132,12 +247,7 @@ class MissingnessConfig:
     min_pattern_count: int = 1
 
     def __post_init__(self) -> None:
-        if self.n_complete < 1:
-            raise ConfigError("n_complete must be positive")
-        if self.n_patterns < 0:
-            raise ConfigError("n_patterns must be nonnegative")
-        if not 0.0 < self.feature_mask_prob < 1.0:
-            raise ConfigError("feature_mask_prob must be in (0, 1)")
+        _check_fields(self)
 
 
 def draw_patterns(d: int, config: MissingnessConfig, rng) -> np.ndarray:
@@ -199,13 +309,15 @@ def gen_mcar_missingness(
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One Monte Carlo experiment: population, missingness, loss, methods."""
+    """One Monte Carlo experiment: population, missingness, loss, methods;
+    RULES checks each field when built, check_config the rules that span
+    fields."""
 
     factor: FactorModelConfig = field(default_factory=FactorModelConfig)
     n_complete: int = 200
     ratio: float = 10.0  # incomplete rows per complete row
-    n_patterns: int = 10
-    feature_mask_prob: float = 0.2
+    n_patterns: int = MissingnessConfig.n_patterns
+    feature_mask_prob: float = MissingnessConfig.feature_mask_prob
     loss_family: str = LINEAR
     response: int | None = 2
     covariates: tuple[int, ...] | None = (0, 1)
@@ -220,15 +332,18 @@ class ExperimentConfig:
     n_boot: int = 50
     objective: object = estimators.TRACE_OBJECTIVE  # or a coordinate index
     target_coordinate: int = 0
-    min_pattern_count: int = 1
+    min_pattern_count: int = MissingnessConfig.min_pattern_count
     seed: int = 0
     jobs: int = 1
+
+    def __post_init__(self) -> None:
+        _check_fields(self)
 
     def n_total(self) -> int:
         return self.n_complete + int(round(self.ratio * self.n_complete))
 
     def missingness(self) -> MissingnessConfig:
-        """The missingness fields as a MissingnessConfig, which checks them."""
+        """The missingness fields as a MissingnessConfig."""
         return MissingnessConfig(
             n_complete=self.n_complete,
             n_patterns=self.n_patterns,
@@ -264,16 +379,13 @@ def check_config(config: ExperimentConfig, shift: bool) -> None:
     """Raise ConfigError, once per run and before trial 0, unless the
     methods pass check_methods, the split check_split (`shift` marks a
     shift run), and target_coordinate and a coordinate objective each index
-    one of the loss's parameters."""
+    one of the loss's parameters (estimators.check_coordinate): the rules
+    that span fields, where RULES checked each field alone."""
     check_methods(config.methods, config.loss_family)
     check_split(config, shift)
     p = config.make_loss()[0].param_dim
-    coordinates = {"target_coordinate": config.target_coordinate}
-    if config.objective != estimators.TRACE_OBJECTIVE:
-        coordinates["objective"] = config.objective
-    for key, value in coordinates.items():
-        if type(value) is not int or not 0 <= value < p:
-            raise ConfigError(f"field {key!r} must be in [0, {p}) for this loss, got {value!r}")
+    estimators.check_coordinate("target_coordinate", config.target_coordinate, p)
+    estimators.objective_coords(config.objective, p)
 
 
 def check_methods(methods, loss_family: str) -> None:
@@ -367,11 +479,9 @@ class ExperimentResult:
 def _simulate_dataset(config: ExperimentConfig, population, target_dims, trial: int):
     """Trial `trial`'s masked sample, and the generator that drew it and
     goes on to draw the split."""
-    # checked before drawing: a negative n_complete is no sample size
-    mcfg = config.missingness()
     rng = np.random.default_rng(np.random.SeedSequence((config.seed, 2, trial)))
     matrix = population.sample(rng, config.n_total())
-    return gen_mcar_missingness(matrix, mcfg, target_dims, rng), rng
+    return gen_mcar_missingness(matrix, config.missingness(), target_dims, rng), rng
 
 
 @dataclass

@@ -6,6 +6,7 @@ paths can be exercised in-process.
 """
 
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -22,6 +23,7 @@ from hypothesis import strategies as st
 from conftest import eight_row_matrix, random_blockwise
 import oracles
 from ipinfer import baselines, cli, diagnostics, estimators, imputers, losses, simgen
+from ipinfer.errors import ConfigError
 from ipinfer.patterns import build_dataset
 
 
@@ -207,6 +209,75 @@ def test_readme_lists_every_field_with_its_default(command):
     documented = readme_field_tables()[command]
     for field in cli.FIELDS[command]:
         assert documented.get(field.name) == readme_default(field), field.name
+
+
+def test_library_fields_are_declared_once():
+    # Each row of a field the library's configs declare has the dataclass's
+    # default and simgen.RULES's rule, so the README-table test above checks
+    # the library's defaults too; ExperimentConfig's missingness defaults
+    # are MissingnessConfig's.
+    defaults = {
+        f.name: f.default
+        for config in (simgen.FactorModelConfig, simgen.ExperimentConfig)
+        for f in dataclasses.fields(config)
+    }
+    named = set()
+    for row in (row for table in cli.FIELDS.values() for row in table):
+        if row.name in simgen.RULES:
+            rule = simgen.RULES[row.name]
+            assert row.default == defaults[row.name], row.name
+            assert (row.kind, row.must, row.ok, row.choices, row.what) == (
+                rule.kind, rule.must, rule.ok, rule.choices, rule.what
+            ), row.name
+            named.add(row.name)
+    assert named == set(simgen.RULES)
+    simulate = {row.name: row.default for row in cli.FIELDS["simulate"]}
+    loss = simulate["loss"]
+    assert (loss["family"], loss["response"], loss["covariates"], simulate["methods"]) == (
+        defaults["loss_family"], defaults["response"], list(defaults["covariates"]),
+        list(defaults["methods"]),
+    )
+    for f in dataclasses.fields(simgen.MissingnessConfig):
+        if f.default is not dataclasses.MISSING:
+            assert f.default == defaults[f.name], f.name
+
+
+# One bad value for every field of simgen.RULES, and for the coordinate
+# ranges, with the message that run_trials and `ipinfer simulate` both give.
+RULE_CASES = [
+    ("seed", -1, "field 'seed' must be a non-negative integer, got -1"),
+    ("d", 0, "field 'd' must be at least 1, got 0"),
+    ("n_factors", 0, "field 'n_factors' must be at least 1, got 0"),
+    ("variance_explained", 1.0, "field 'variance_explained' must be in (0, 1), got 1.0"),
+    ("n_complete", 0, "field 'n_complete' must be at least 1, got 0"),
+    ("ratio", float("nan"), "field 'ratio' must be finite and at least 0, got nan"),
+    ("ratio", -1.0, "field 'ratio' must be finite and at least 0, got -1.0"),
+    ("n_patterns", -1, "field 'n_patterns' must be a non-negative integer, got -1"),
+    ("feature_mask_prob", 0.0, "field 'feature_mask_prob' must be in (0, 1), got 0.0"),
+    (
+        "imputer", "bogus",
+        "field 'imputer' must be one of mean, zero, hotdeck, "
+        "gaussian_conditional, chained_regression; got 'bogus'",
+    ),
+    ("trials", 0, "field 'trials' must be at least 1, got 0"),
+    ("alpha", 1.0, "field 'alpha' must be in (0, 1), got 1.0"),
+    ("train_frac", 1.0, "field 'train_frac' must be in [0, 1), got 1.0"),
+    ("k_folds", 1, "field 'k_folds' must be at least 2, got 1"),
+    ("n_boot", 1, "field 'n_boot' must be at least 2, got 1"),
+    (
+        "objective", "bogus",
+        "field 'objective' must be 'trace' or a coordinate index, got 'bogus'",
+    ),
+    # a coordinate's range depends on the loss, here of one parameter
+    ("objective", 1, "field 'objective' must be in [0, 1) for this loss, got 1"),
+    ("target_coordinate", 0.5, "field 'target_coordinate' must be int, got 0.5"),
+    (
+        "target_coordinate", -1,
+        "field 'target_coordinate' must be in [0, 1) for this loss, got -1",
+    ),
+    ("min_pattern_count", "1", "field 'min_pattern_count' must be int, got '1'"),
+    ("jobs", 0, "field 'jobs' must be at least 1, got 0"),
+]
 
 
 class TestConfigErrors:
@@ -709,6 +780,30 @@ class TestConfigErrors:
         assert err.startswith(f"ipinfer: config error: field {field!r} must be ")
         assert err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("key, value, message", RULE_CASES)
+    def test_library_and_cli_give_one_message(self, capsys, tmp_path, key, value, message):
+        # run_trials once answered some of these in other words or with a
+        # numpy traceback, ran with trials 0 or jobs 0, and found n_boot 1
+        # only once a trial reached the bootstrap.
+        factor_keys = {"d", "n_factors", "variance_explained"}
+        payload = dict(TestSimulate.COVERAGE, methods=["cipi", "complete_case"], trials=2)
+        payload[key] = value
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            simgen.run_trials(simgen.ExperimentConfig(
+                factor=simgen.FactorModelConfig(**{k: payload[k] for k in factor_keys}),
+                loss_family=losses.MEAN, response=None, covariates=None, mean_columns=(1,),
+                methods=tuple(payload["methods"]),
+                **{k: v for k, v in payload.items() if k in simgen.RULES.keys() - factor_keys},
+            ))
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path / "c.json", payload)
+        code, err = run_error(capsys, ["simulate", "--config", cfg, "--out", str(out)])
+        assert (code, err) == (2, f"ipinfer: config error: {message}\n")
+        assert not out.exists()
+
+    def test_every_rule_has_a_case(self):
+        assert {key for key, *_ in RULE_CASES} == set(simgen.RULES)
 
     @pytest.mark.parametrize("method", ["complete_case", "naive", "ipi"])
     def test_fractional_logistic_response_exits_2(self, capsys, tmp_path, method):

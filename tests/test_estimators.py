@@ -273,7 +273,7 @@ class TestTuning:
     @pytest.mark.parametrize("objective", ["1", 0.9, True, 1.0, 3, -1])
     def test_objective_is_trace_or_an_int_coordinate(self, rng, objective):
         # p = 3; "1", 0.9 and True once tuned a coordinate through int(),
-        # where the CLI refuses all three.
+        # where the CLI refuses all three.  The message is the CLI's too.
         matrix = random_blockwise(rng)
         dataset = build_dataset(matrix, target_dims=(0, 1, 2))
         loss = losses.mean_loss(3)
@@ -281,7 +281,7 @@ class TestTuning:
         tables = score_tables(
             dataset, loss, model, losses.solve_complete_case(dataset, loss)
         )
-        message = f"objective must be 'trace' or a coordinate in [0, 3), got {objective!r}"
+        message = f"field 'objective' must be in [0, 3) for this loss, got {objective!r}"
         for fit in (tune_lambda, fit_from_tables):
             fit(tables, objective=2)
             with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):

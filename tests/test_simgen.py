@@ -192,6 +192,14 @@ class TestRunTrials:
             assert record.width > 0
             assert record.n_effective > 0
 
+    def test_fields_hold_the_kind_their_rule_reads(self):
+        # An integral float reads as an int and an int as a float, as in
+        # the CLI; n_complete 60.0 once passed the check and then ended in
+        # numpy's TypeError.
+        cfg = small_config(n_complete=60.0, ratio=2, trials=2)
+        assert (type(cfg.n_complete), type(cfg.ratio)) == (int, float)
+        assert run_trials(cfg) == run_trials(small_config(trials=2))
+
     def test_zero_width_interval_fails_only_its_method(self, monkeypatch):
         # A fit with zero variance, built the way every fit is built: its
         # zero-width interval has no effective sample size.
@@ -400,7 +408,7 @@ class TestShiftExperiment:
             ({}, [0.0, "0.5"], "must be a number"),
             ({}, 0.0, "list of settings"),
             # each once ended in a numpy error or warnings
-            ({"n_complete": -1}, [0.0], "n_complete must be positive"),
+            ({"n_complete": -1}, [0.0], "field 'n_complete' must be at least 1, got -1"),
             (
                 {"factor": FactorModelConfig(d=6, variance_explained=1e-320)},
                 [0.0],
@@ -411,9 +419,9 @@ class TestShiftExperiment:
         ],
     )
     def test_config_errors_raise(self, change, shifts, match):
-        cfg = small_config(trials=3, **change)
+        # a field outside its rule raises when the config is built
         with pytest.raises(ConfigError, match=match):
-            gen_shift_experiment(cfg, shifts)
+            gen_shift_experiment(small_config(trials=3, **change), shifts)
 
     def test_settings_checked_before_any_trial(self, monkeypatch):
         def no_trials(*args, **kwargs):
